@@ -5,18 +5,24 @@ simplicity conditions for affine slices.
 Arrangements are central (all offsets 0) for the discriminant of a matrix B,
 or affine for slices of a deformation family. All arithmetic is exact
 (int normals, Fraction offsets); parallel walls are detected up to sign.
+
+Flats come from one engine that closes the intersection lattice cover by
+cover (Orlik and Terao, Arrangements of Hyperplanes, ch. 2), so the F-locus
+is complete for any number of walls and the simplicity conditions are read
+off the flats instead of scanning wall subsets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import DimensionMismatch, NonPrimitiveRow
 from .intmat import (
     IntMatrix,
+    canonical_primitive,
     canonical_sign,
     is_primitive,
     kernel_basis,
@@ -24,13 +30,10 @@ from .intmat import (
     smith_normal_form,
 )
 
-SUBSET_ENUMERATION_LIMIT = 12
-
 
 class Kind(Enum):
     FIRST_KIND = "first"
     SECOND_KIND = "second"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True, order=True)
@@ -87,9 +90,6 @@ class ArrangementSpec:
 
     def __len__(self):
         return len(self.components)
-
-    def is_central(self):
-        return all(c.hyperplane.offset == 0 for c in self.components)
 
     def wall_multiset(self):
         """Multiset view for equality checks: sorted (normal, offset, mult)."""
@@ -180,25 +180,57 @@ def _solve_affine(normals, offsets, n):
     return True, tuple(point), r
 
 
-def _rref_key(normals, offsets, n):
-    """Canonical key for the affine subspace cut out by the system: the RREF
-    of the augmented matrix, as a tuple of pivot rows."""
-    rows = [[Fraction(x) for x in b] + [Fraction(o)] for b, o in zip(normals, offsets)]
-    m = len(rows)
-    r = 0
-    for c in range(n + 1):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return tuple(tuple(row) for row in rows[:r])
+def _wall_row(h):
+    """Integer augmented row (normal, offset) of <normal, eta> = offset."""
+    d = h.offset.denominator
+    return tuple(d * b for b in h.normal) + (h.offset.numerator,)
+
+
+def _pivot(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+def _residual(v, basis):
+    """Fraction-free reduction of v against an echelon basis of (pivot, row)
+    pairs sorted by pivot; primitive, first nonzero entry positive."""
+    for p, row in basis:
+        if v[p]:
+            a, b = row[p], v[p]
+            v = [a * x - b * y for x, y in zip(v, row)]
+    return canonical_primitive(v)
+
+
+def _flat_lattice(arr):
+    """Every flat with >= 2 members, as (members, echelon basis) pairs.
+
+    Closes the intersection lattice level by level from the single walls.
+    For a flat F each non-member wall is reduced once against F's augmented
+    echelon basis. A residual with zero normal part means the wall is parallel
+    to F. Otherwise walls with equal residuals are exactly the walls that
+    contain the cover F ∩ H, so each residual class gives one cover, and
+    covers are deduplicated by member set. The basis of a codimension-c flat
+    has c rows, all with pivots among the normal columns.
+    """
+    n = arr.n
+    rows = [_wall_row(c.hyperplane) for c in arr.components]
+    level = {frozenset([i]): [(_pivot(r), r)] for i, r in enumerate(rows)}
+    flats = []
+    while level:
+        covers = {}
+        for members, basis in level.items():
+            classes = {}
+            for k, r in enumerate(rows):
+                if k not in members:
+                    res = _residual(r, basis)
+                    if any(res[:n]):
+                        classes.setdefault(res, []).append(k)
+            for res, walls in classes.items():
+                key = members.union(walls)
+                if key not in covers:
+                    covers[key] = sorted(basis + [(_pivot(res), res)])
+        flats.extend(covers.items())
+        level = covers
+    return flats
 
 
 @dataclass(frozen=True)
@@ -215,55 +247,32 @@ class FlatDescriptor:
 
 
 class FlatList(list):
-    """List of FlatDescriptor with a truncation marker (pairwise-only mode)."""
+    """List of FlatDescriptor. `f_locus` is complete for any number of walls,
+    so `truncated` is always False; it is kept only because the benchmark's
+    span counters in perfbench/spans.py read it."""
 
     truncated = False
 
 
-def f_locus(arr: ArrangementSpec, subset_limit=SUBSET_ENUMERATION_LIMIT) -> FlatList:
-    """All maximal flats spanned by >= 2 distinct walls, with exact codimension.
-
-    Beyond subset_limit walls only pairwise flats are enumerated and the
-    result carries truncated=True.
-    """
-    comps = arr.components
+def f_locus(arr: ArrangementSpec) -> FlatList:
+    """All flats spanned by >= 2 distinct walls, with exact codimension,
+    sorted by member set. Point is the particular solution of the flat's
+    equations with free coordinates zero; direction is the HNF-canonical
+    basis of the saturated direction lattice."""
+    n = arr.n
     result = FlatList()
-    if len(comps) < 2:
-        return result
-    if len(comps) <= subset_limit:
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(len(comps)), k)
-            for k in range(2, len(comps) + 1)
-        )
-    else:
-        subsets = itertools.combinations(range(len(comps)), 2)
-        result.truncated = True
-
-    seen = {}
-    for subset in subsets:
-        normals = [comps[i].hyperplane.normal for i in subset]
-        offsets = [comps[i].hyperplane.offset for i in subset]
-        consistent, point, _ = _solve_affine(normals, offsets, arr.n)
-        if not consistent:
-            continue
-        key = _rref_key(normals, offsets, arr.n)
-        if key in seen:
-            continue
-        direction = kernel_basis(IntMatrix(normals, cols=arr.n))
-        members = frozenset(
-            i
-            for i, c in enumerate(comps)
-            if c.hyperplane.contains(point)
-            and all(
-                sum(b * v for b, v in zip(c.hyperplane.normal, direction.row(r))) == 0
-                for r in range(direction.rows)
+    for members, basis in _flat_lattice(arr):
+        normals = [r[:n] for _, r in basis]
+        _, point, _ = _solve_affine(normals, [r[n] for _, r in basis], n)
+        result.append(
+            FlatDescriptor(
+                members=members,
+                direction=kernel_basis(IntMatrix(normals, cols=n)),
+                point=point,
+                codimension=len(basis),
             )
         )
-        codim = rank(IntMatrix([comps[i].hyperplane.normal for i in sorted(members)], cols=arr.n))
-        seen[key] = FlatDescriptor(
-            members=members, direction=direction, point=point, codimension=codim
-        )
-    result.extend(sorted(seen.values(), key=lambda f: f.sorted_members()))
+    result.sort(key=lambda f: f.sorted_members())
     return result
 
 
@@ -282,40 +291,39 @@ class SimplicityReport:
         return self.no_excess_intersections and self.normals_extend_to_basis
 
 
+def _extends_to_basis(normals, n):
+    snf = smith_normal_form(IntMatrix(normals, cols=n))
+    return snf.torsion_free and len(snf.invariant_factors) == len(normals)
+
+
 def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
-    comps = arr.components
+    """Conditions (a) and (b) read off the flats.
+
+    Walls meet iff they are members of a common flat. A subset of normals
+    that extend to a Z-basis extends too, so (b) only tests the subsets of
+    flats whose whole member set fails; a subset larger than the flat's
+    codimension is linearly dependent and fails without a test. Single walls
+    have primitive normals and always pass.
+    """
     n = arr.n
-    violations_a = []
-    for subset in itertools.combinations(range(len(comps)), n + 1):
-        normals = [comps[i].hyperplane.normal for i in subset]
-        offsets = [comps[i].hyperplane.offset for i in subset]
-        consistent, _, _ = _solve_affine(normals, offsets, n)
-        if consistent:
-            violations_a.append(subset)
-
-    violations_b = []
-    if len(comps) <= SUBSET_ENUMERATION_LIMIT:
-        max_size = len(comps)
-    else:
-        max_size = min(len(comps), n + 1)
-    for k in range(1, max_size + 1):
-        for subset in itertools.combinations(range(len(comps)), k):
-            normals = [comps[i].hyperplane.normal for i in subset]
-            offsets = [comps[i].hyperplane.offset for i in subset]
-            consistent, _, _ = _solve_affine(normals, offsets, n)
-            if not consistent:
-                continue
-            stacked = IntMatrix(normals, cols=n)
-            snf = smith_normal_form(stacked)
-            part_of_basis = snf.torsion_free and len(snf.invariant_factors) == k
-            if not part_of_basis:
-                violations_b.append(subset)
-
+    normals = [c.hyperplane.normal for c in arr.components]
+    violations_a, violations_b = set(), set()
+    for members, basis in _flat_lattice(arr):
+        members = sorted(members)
+        violations_a.update(combinations(members, n + 1))
+        if _extends_to_basis([normals[i] for i in members], n):
+            continue
+        for k in range(2, len(members) + 1):
+            violations_b.update(
+                s
+                for s in combinations(members, k)
+                if k > len(basis) or not _extends_to_basis([normals[i] for i in s], n)
+            )
     return SimplicityReport(
         no_excess_intersections=not violations_a,
         normals_extend_to_basis=not violations_b,
-        violations_a=tuple(violations_a),
-        violations_b=tuple(violations_b),
+        violations_a=tuple(sorted(violations_a)),
+        violations_b=tuple(sorted(violations_b, key=lambda s: (len(s), s))),
     )
 
 

@@ -58,9 +58,6 @@ class DivisorData:
         )
         return cls(n=n, entries=entries)
 
-    def total_rows(self):
-        return sum(m for _, m in self.entries)
-
     def wall_multiset(self):
         return tuple(
             sorted((normal, Fraction(0), mult) for normal, mult in self.entries)

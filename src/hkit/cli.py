@@ -39,7 +39,7 @@ from .intmat import (
 )
 from .plot import plot_arrangement
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 COMMANDS = (
     "gale",
@@ -150,9 +150,7 @@ def _case(tag):
 
 
 def _flats(arr):
-    flats = f_locus(arr)
     return {
-        "truncated": flats.truncated,
         "flats": [
             {
                 "members": list(f.sorted_members()),
@@ -160,7 +158,7 @@ def _flats(arr):
                 "point": [_frac(x) for x in f.point],
                 "direction": _matrix(f.direction),
             }
-            for f in flats
+            for f in f_locus(arr)
         ],
     }
 

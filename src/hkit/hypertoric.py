@@ -73,10 +73,6 @@ class MonomialGen:
     def degree(self):
         return sum(self.u) + sum(self.v)
 
-    @property
-    def is_reduced(self):
-        return all(min(a, b) == 0 for a, b in zip(self.u, self.v))
-
     def sort_key(self):
         return (self.degree, self.u + self.v)
 
@@ -112,7 +108,9 @@ def brute_force_invariants(H: HypertoricData, d: int):
     """All nonzero invariant exponent pairs of degree <= d, graded-lex sorted.
 
     Independent oracle for the invariant monoid: plain enumeration of exponent
-    vectors with the membership test A (u - v) = 0.
+    vectors with the membership test A u = A v, met in the middle (every u of
+    degree <= d is bucketed by its weight A u, and pairs within a bucket are
+    kept while their total degree stays <= d).
     """
     if d < 1:
         raise ValueError("degree cap must be >= 1")
@@ -120,17 +118,19 @@ def brute_force_invariants(H: HypertoricData, d: int):
         raise BudgetExceeded(
             f"enumeration guard: N <= {BRUTE_FORCE_MAX_N}, d <= {BRUTE_FORCE_MAX_DEGREE}"
         )
-    N = H.N
     weight_rows = [H.A.row(j) for j in range(H.A.rows)]
-    out = []
-    for total in range(1, d + 1):
-        for exps in _compositions(total, 2 * N):
-            u, v = exps[:N], exps[N:]
-            if all(
-                sum(a * (x - y) for a, x, y in zip(row, u, v)) == 0
-                for row in weight_rows
-            ):
-                out.append(MonomialGen(u=u, v=v))
+    buckets = {}
+    for total in range(d + 1):
+        for exps in _compositions(total, H.N):
+            weight = tuple(sum(a * x for a, x in zip(row, exps)) for row in weight_rows)
+            buckets.setdefault(weight, []).append((total, exps))
+    out = [
+        MonomialGen(u=u, v=v)
+        for half in buckets.values()
+        for du, u in half
+        for dv, v in half
+        if 1 <= du + dv <= d
+    ]
     out.sort(key=MonomialGen.sort_key)
     return out
 
@@ -256,29 +256,30 @@ def decompose_over_basis(target: MonomialGen, basis):
     """Exhaustive search for a representation of target as a sum of basis
     elements; returns the list of basis indices or None."""
     order = sorted(range(len(basis)), key=lambda i: -basis[i].degree)
+    # Each basis element as its nonzero entries of the concatenated (u, v).
+    supports = [
+        (i, [(k, e) for k, e in enumerate(basis[i].u + basis[i].v) if e])
+        for i in order
+    ]
     seen = set()
 
-    def search(u, v):
-        if not any(u) and not any(v):
+    def search(t):
+        if not any(t):
             return []
-        key = (u, v)
-        if key in seen:
+        if t in seen:
             return None
-        seen.add(key)
-        for i in order:
-            b = basis[i]
-            if all(x >= y for x, y in zip(u, b.u)) and all(
-                x >= y for x, y in zip(v, b.v)
-            ):
-                rest = search(
-                    tuple(x - y for x, y in zip(u, b.u)),
-                    tuple(x - y for x, y in zip(v, b.v)),
-                )
-                if rest is not None:
-                    return [i] + rest
+        seen.add(t)
+        for i, support in supports:
+            if all(t[k] >= e for k, e in support):
+                rest = list(t)
+                for k, e in support:
+                    rest[k] -= e
+                found = search(tuple(rest))
+                if found is not None:
+                    return [i] + found
         return None
 
-    return search(target.u, target.v)
+    return search(target.u + target.v)
 
 
 def coordinate_dimension(H: HypertoricData, basis=None):

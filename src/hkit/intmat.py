@@ -45,14 +45,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def from_rows(cls, rows, cols=None):
-        return cls(rows, cols=cols)
-
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij):
@@ -99,9 +91,6 @@ class IntMatrix:
         if self.cols != len(v):
             raise ValueError("shape mismatch in mat_vec")
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self._data)
-
-    def __neg__(self):
-        return IntMatrix([[-x for x in row] for row in self._data], cols=self.cols)
 
     @property
     def shape(self):

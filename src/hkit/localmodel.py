@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .arrangement import ArrangementSpec, build_discriminant, f_locus, group_hyperplanes
+from .arrangement import ArrangementSpec, build_discriminant, group_hyperplanes
 from .errors import ArityMismatch, DuplicateShift, NotABasis
 from .hypertoric import HypertoricData
 from .intmat import IntMatrix, det, rank
@@ -254,8 +254,11 @@ def verify_genericity(H: HypertoricData, line: DeformationLine) -> GenericityRep
 def family_f_locus_codimension(H: HypertoricData):
     """Codimension in the product base of the multi-incidence locus of the
     central slice: one more than its codimension in the slice; None when
-    fewer than two distinct walls exist."""
-    flats = f_locus(build_discriminant(H.B))
-    if not flats:
+    fewer than two distinct walls exist.
+
+    Any two distinct central walls meet in codimension 2, and every flat has
+    codimension >= 2, so the answer is 3 whenever there are two walls.
+    """
+    if len(build_discriminant(H.B)) < 2:
         return None
-    return min(f.codimension for f in flats) + 1
+    return 3

@@ -282,15 +282,25 @@ class TestFLocus:
         codims = sorted(f.codimension for f in flats)
         assert codims == [2, 2, 2, 3]
 
-    def test_truncation_flag(self):
+    def test_pencil_of_thirteen_lines_is_one_flat(self):
         pairs = [((1, k), Fraction(0)) for k in range(13)]
         arr = group_hyperplanes(2, pairs)
         flats = f_locus(arr)
-        assert flats.truncated
-        assert all(f.codimension == 2 for f in flats)
+        assert not flats.truncated
+        assert len(flats) == 1
+        assert flats[0].sorted_members() == tuple(range(13))
+        assert flats[0].codimension == 2
 
 
 class TestSimplicity:
+    def test_pencil_of_thirteen_lines_lists_every_violation(self):
+        # every 3 of the 13 lines meet; every subset of >= 3 normals is
+        # dependent, and 66 of the 78 pairs span an index > 1 sublattice
+        pairs = [((1, k), Fraction(0)) for k in range(13)]
+        rep = check_simplicity(group_hyperplanes(2, pairs))
+        assert len(rep.violations_a) == 286
+        assert len(rep.violations_b) == 8166
+
     def test_parallel_distinct_points(self):
         arr = group_hyperplanes(1, [((1,), Fraction(0)), ((1,), Fraction(1))])
         rep = check_simplicity(arr)

@@ -28,7 +28,7 @@ class TestCommands:
         )
         assert code == 0
         rep = report_of(out)
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         assert rep["result"]["A"] == {"rows": [], "cols": 2}
         assert "N = n" in rep["notes"]
 
