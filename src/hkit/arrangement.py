@@ -9,7 +9,8 @@ or affine for slices of a deformation family. All arithmetic is exact
 Flats come from one engine that closes the intersection lattice cover by
 cover (Orlik and Terao, Arrangements of Hyperplanes, ch. 2), so the F-locus
 is complete for any number of walls and the simplicity conditions are read
-off the flats instead of scanning wall subsets.
+off the flats instead of scanning wall subsets. The lines of the central
+arrangement of B's rows give the circuits of B's column lattice.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import DimensionMismatch, NonPrimitiveRow
 from .intmat import (
@@ -201,21 +202,22 @@ def _residual(v, basis):
 
 
 def _flat_lattice(arr):
-    """Every flat with >= 2 members, as (members, echelon basis) pairs.
+    """The intersection lattice one level at a time, from codimension 1 (the
+    single walls) up: each level maps a flat's member set to its echelon basis.
 
-    Closes the intersection lattice level by level from the single walls.
     For a flat F each non-member wall is reduced once against F's augmented
     echelon basis. A residual with zero normal part means the wall is parallel
     to F. Otherwise walls with equal residuals are exactly the walls that
     contain the cover F ∩ H, so each residual class gives one cover, and
     covers are deduplicated by member set. The basis of a codimension-c flat
-    has c rows, all with pivots among the normal columns.
+    has c rows, all with pivots among the normal columns. A level is closed
+    only when the caller asks for the next one.
     """
     n = arr.n
     rows = [_wall_row(c.hyperplane) for c in arr.components]
     level = {frozenset([i]): [(_pivot(r), r)] for i, r in enumerate(rows)}
-    flats = []
     while level:
+        yield level
         covers = {}
         for members, basis in level.items():
             classes = {}
@@ -228,9 +230,32 @@ def _flat_lattice(arr):
                 key = members.union(walls)
                 if key not in covers:
                     covers[key] = sorted(basis + [(_pivot(res), res)])
-        flats.extend(covers.items())
         level = covers
-    return flats
+
+
+def _multi_incidence_flats(arr):
+    """(members, echelon basis) of every flat with >= 2 members."""
+    for level in islice(_flat_lattice(arr), 1, None):
+        yield from level.items()
+
+
+def circuits(B: IntMatrix):
+    """The circuits of the column lattice of B (primitive rows, full column
+    rank): its nonzero vectors of minimal support, one per sign pair.
+
+    A circuit vanishes on n - 1 independent rows, so it is B x for x spanning
+    a line (a codimension n - 1 flat) of the central discriminant of B. Only
+    the levels up to the lines are closed.
+    """
+    n = B.cols
+    if n == 1:
+        return [B.column(0)]
+    lines = next(islice(_flat_lattice(build_discriminant(B)), n - 2, None))
+    out = []
+    for basis in lines.values():
+        x = kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).row(0)
+        out.append(B.mat_vec(x))
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,7 +286,7 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
     basis of the saturated direction lattice."""
     n = arr.n
     result = FlatList()
-    for members, basis in _flat_lattice(arr):
+    for members, basis in _multi_incidence_flats(arr):
         normals = [r[:n] for _, r in basis]
         _, point, _ = _solve_affine(normals, [r[n] for _, r in basis], n)
         result.append(
@@ -308,7 +333,7 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     n = arr.n
     normals = [c.hyperplane.normal for c in arr.components]
     violations_a, violations_b = set(), set()
-    for members, basis in _flat_lattice(arr):
+    for members, basis in _multi_incidence_flats(arr):
         members = sorted(members)
         violations_a.update(combinations(members, n + 1))
         if _extends_to_basis([normals[i] for i in members], n):

@@ -23,10 +23,8 @@ from .characterization import DivisorData, classify_case, reconstruct_B, round_t
 from .errors import HkitError, UnsupportedDimension
 from .hypertoric import (
     DEFAULT_CANDIDATE_BUDGET,
-    DEFAULT_DEGREE_LIMIT,
     HypertoricData,
     coordinate_dimension,
-    hilbert_basis,
     leaf_classification,
     presentation,
 )
@@ -59,7 +57,6 @@ class JobSpec:
     input_source: str
     output_path: str = None
     fmt: str = "json"
-    degree_cap: int = DEFAULT_DEGREE_LIMIT
     budget: int = DEFAULT_CANDIDATE_BUDGET
     basis_rows: tuple = None
     shifts: tuple = None
@@ -233,8 +230,8 @@ def _cmd_discriminant(payload, job, notes):
 def _cmd_build(payload, job, notes):
     B = _parse_matrix(payload)
     H = HypertoricData.from_matrix(B)
-    basis = hilbert_basis(H, candidate_budget=job.budget, degree_limit=job.degree_cap)
-    pres = presentation(H, candidate_budget=job.budget, degree_limit=job.degree_cap)
+    pres = presentation(H, candidate_budget=job.budget)
+    basis = pres.generators
     notes.append("relation set truncated at twice the maximal generator degree")
     return {
         "N": H.N,
@@ -465,9 +462,8 @@ def build_parser():
                        help="input file path or inline JSON")
         p.add_argument("--out", dest="output_path", default=None)
         p.add_argument("--format", dest="fmt", choices=("json", "svg"), default="json")
-        p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_LIMIT)
         p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget (default HKIT_BUDGET or "
+                       help="presentation search budget (default HKIT_BUDGET or "
                        f"{DEFAULT_CANDIDATE_BUDGET})")
         p.add_argument("--basis-rows", type=_parse_int_list, default=None,
                        help="comma-separated zero-based row indices (deform)")
@@ -488,7 +484,6 @@ def main(argv=None) -> int:
         input_source=args.input_source,
         output_path=args.output_path,
         fmt=args.fmt,
-        degree_cap=args.degree_cap,
         budget=budget,
         basis_rows=args.basis_rows,
         shifts=args.shifts,

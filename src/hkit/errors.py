@@ -37,16 +37,9 @@ class DimensionMismatch(HkitError):
 
 
 class BudgetExceeded(HkitError):
-    """Raised when an enumeration blows past its guard.
-
-    Carries whatever partial result was computed so callers can report it.
-    """
+    """Raised when an enumeration blows past its guard."""
 
     code = "budget_exceeded"
-
-    def __init__(self, message, partial=None):
-        self.partial = partial
-        super().__init__(message)
 
 
 class DuplicateShift(HkitError):

@@ -5,9 +5,10 @@ codimension-2 leaves with their Klein types.
 
 Monomials live on 2N coordinates z_1..z_N, w_1..w_N; an invariant monomial is
 an exponent pair (u, v) with u - v in the column lattice of B. The monoid of
-all such pairs is pointed and finitely generated; its unique minimal
-generating set is computed by a completion algorithm over the column lattice
-(conformal reduction of pairwise sums until stable, then minimalization).
+all such pairs is pointed and finitely generated. B is unimodular, so the
+sign-minimal vectors of its column lattice are its circuits (Sturmfels,
+Groebner Bases and Convex Polytopes, ch. 4 and 8), and the unique minimal
+generating set is read off the lines of the discriminant arrangement.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arrangement import circuits
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -32,7 +34,6 @@ from .intmat import (
 )
 
 DEFAULT_CANDIDATE_BUDGET = 10**5
-DEFAULT_DEGREE_LIMIT = 20
 BRUTE_FORCE_MAX_N = 6
 BRUTE_FORCE_MAX_DEGREE = 8
 
@@ -96,14 +97,6 @@ def moment_map_eval(A: IntMatrix, z, w):
     return tuple(out)
 
 
-def _in_column_image(H: HypertoricData, w):
-    """w in im(B)? The image is saturated, so rational solvability suffices."""
-    if not any(w):
-        return True
-    aug = IntMatrix([list(H.B.row(i)) + [w[i]] for i in range(H.N)], cols=H.n + 1)
-    return rank(aug) == H.n
-
-
 def brute_force_invariants(H: HypertoricData, d: int):
     """All nonzero invariant exponent pairs of degree <= d, graded-lex sorted.
 
@@ -145,101 +138,24 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
-# -- Hilbert basis via completion over the column lattice ----------------------
+# -- Hilbert basis from the circuits of the column lattice ----------------------
 
 
-def _conformal_leq(g, s):
-    """g below s in the sign-compatible partial order on Z^N."""
-    return all(gi * si >= 0 and abs(gi) <= abs(si) for gi, si in zip(g, s))
-
-
-def _normal_form(s, gens):
-    changed = True
-    while changed and any(s):
-        changed = False
-        for g in gens:
-            if _conformal_leq(g, s):
-                s = tuple(a - b for a, b in zip(s, g))
-                changed = True
-                break
-    return s
-
-
-def _minimal_conformal_elements(gens):
-    out = []
-    for g in sorted(gens, key=lambda v: (sum(abs(x) for x in v), v)):
-        if not any(_conformal_leq(h, g) for h in out):
-            out.append(g)
-    return out
-
-
-def graver_basis(
-    B: IntMatrix,
-    candidate_budget=DEFAULT_CANDIDATE_BUDGET,
-    degree_limit=DEFAULT_DEGREE_LIMIT,
-):
-    """Sign-minimal nonzero elements of the column lattice of B.
-
-    Completion algorithm: close {+-columns} under pairwise sums with conformal
-    reduction, then keep the minimal elements. Aborts loudly past the budget
-    so monoid blowups fail instead of hanging; the partial set rides along on
-    the exception.
-    """
-    cols = [B.column(j) for j in range(B.cols)]
-    gens = []
-    for c in cols:
-        if any(c) and c not in gens:
-            gens.append(c)
-            gens.append(tuple(-x for x in c))
-    queue = [
-        tuple(a + b for a, b in zip(f, g))
-        for f, g in itertools.combinations(gens, 2)
-    ]
-    processed = 0
-    while queue:
-        s = queue.pop()
-        processed += 1
-        if processed > candidate_budget:
-            raise BudgetExceeded(
-                f"completion exceeded {candidate_budget} candidates",
-                partial=_minimal_conformal_elements(gens),
-            )
-        s = _normal_form(s, gens)
-        if not any(s):
-            continue
-        if sum(abs(x) for x in s) > degree_limit:
-            raise BudgetExceeded(
-                f"completion exceeded degree {degree_limit}",
-                partial=_minimal_conformal_elements(gens),
-            )
-        queue.extend(tuple(a + b for a, b in zip(s, g)) for g in gens)
-        gens.append(s)
-    return _minimal_conformal_elements(gens)
-
-
-def hilbert_basis(
-    H: HypertoricData,
-    candidate_budget=DEFAULT_CANDIDATE_BUDGET,
-    degree_limit=DEFAULT_DEGREE_LIMIT,
-):
+def hilbert_basis(H: HypertoricData):
     """Unique minimal generating set of the invariant-monomial monoid.
 
-    The reduced generators are the sign-minimal lattice vectors g of im(B),
-    split as (g_+, g_-); the quadratic z_i w_i joins exactly when e_i is not
-    in im(B) (otherwise it splits as z_i * w_i).
+    The reduced generators are the circuits c of im(B), split as (c_+, c_-)
+    for both signs; the quadratic z_i w_i joins exactly when e_i is not in
+    im(B), which by exactness means column a_i of A is nonzero (otherwise it
+    splits as z_i * w_i).
     """
-    try:
-        graver = graver_basis(
-            H.B, candidate_budget=candidate_budget, degree_limit=degree_limit
-        )
-    except BudgetExceeded as err:
-        partial = [_split_monomial(g) for g in err.partial or []]
-        partial.sort(key=MonomialGen.sort_key)
-        raise BudgetExceeded(str(err), partial=partial) from None
-    gens = [_split_monomial(g) for g in graver]
+    gens = []
+    for c in circuits(H.B):
+        gens.append(_split_monomial(c))
+        gens.append(_split_monomial(tuple(-x for x in c)))
     for i in range(H.N):
-        e_i = tuple(1 if k == i else 0 for k in range(H.N))
-        if not _in_column_image(H, e_i):
+        if any(H.A.column(i)):
+            e_i = tuple(1 if k == i else 0 for k in range(H.N))
             gens.append(MonomialGen(u=e_i, v=e_i))
     gens.sort(key=MonomialGen.sort_key)
     return gens
@@ -363,7 +279,13 @@ def _multisets_by_total(gens, cap, budget):
             )
 
     N = len(gens[0].u) if gens else 0
-    extend(0, (0,) * N, (0,) * N, 0, [])
+    try:
+        extend(0, (0,) * N, (0,) * N, 0, [])
+    finally:
+        # extend reaches itself through its closure. Breaking that cycle lets
+        # the table be freed when the caller drops it, not at the next
+        # cyclic garbage collection.
+        del extend
     return table
 
 
@@ -379,11 +301,7 @@ def _cancel_common(left, right):
     return tuple(remaining), tuple(right)
 
 
-def presentation(
-    H: HypertoricData,
-    candidate_budget=DEFAULT_CANDIDATE_BUDGET,
-    degree_limit=DEFAULT_DEGREE_LIMIT,
-):
+def presentation(H: HypertoricData, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
     """Generators and relations for the invariant ring modulo the moment ideal.
 
     Binomial relations are the balanced coprime generator products up to twice
@@ -391,7 +309,7 @@ def presentation(
     parallel rows of B, which is exactly what the moment relations enforce on
     quadratic invariants.
     """
-    gens = hilbert_basis(H, candidate_budget=candidate_budget, degree_limit=degree_limit)
+    gens = hilbert_basis(H)
     cap = 2 * max((g.degree for g in gens), default=0)
     table = _multisets_by_total(gens, cap, candidate_budget)
 

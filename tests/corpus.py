@@ -68,6 +68,19 @@ def corpus_matrices(max_n=3, max_N=6):
                 yield IntMatrix(rows, cols=3)
 
 
+def complete_graph(m):
+    """K_m: one row e_b - e_a per edge a < b, vertex 0's coordinate dropped."""
+    rows = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            row = [0] * (m - 1)
+            row[b - 1] = 1
+            if a:
+                row[a - 1] = -1
+            rows.append(row)
+    return IntMatrix(rows, cols=m - 1)
+
+
 def valid_hypertoric(matrices):
     """Filter to HypertoricData-valid matrices, yielding the validated bundles."""
     for B in matrices:

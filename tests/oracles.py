@@ -1,15 +1,18 @@
-"""Subset-scan oracles for the flat engine in hkit.arrangement.
+"""Oracles for the flat engine in hkit.arrangement and for the Hilbert basis
+in hkit.hypertoric.
 
-These are the exhaustive enumerations that `f_locus` and `check_simplicity`
-used before the intersection-lattice engine: every subset of walls is solved
-on its own with Fraction elimination. They are exponential in the number of
-walls and serve only as test references.
+The subset scans are the exhaustive enumerations that `f_locus` and
+`check_simplicity` used before the intersection-lattice engine: every subset
+of walls is solved on its own with Fraction elimination. The Graver
+completion is how `hilbert_basis` was computed before it read the circuits
+off the flat engine. Both are exponential and serve only as test references.
 """
 
 import itertools
 from fractions import Fraction
 
 from hkit.arrangement import FlatDescriptor, SimplicityReport, _solve_affine
+from hkit.hypertoric import MonomialGen
 from hkit.intmat import IntMatrix, kernel_basis, rank, smith_normal_form
 
 
@@ -101,3 +104,69 @@ def check_simplicity_scan(arr):
         violations_a=tuple(violations_a),
         violations_b=tuple(violations_b),
     )
+
+
+# -- Graver completion ---------------------------------------------------------
+
+
+def _conformal_leq(g, s):
+    """g below s in the sign-compatible partial order on Z^N."""
+    return all(gi * si >= 0 and abs(gi) <= abs(si) for gi, si in zip(g, s))
+
+
+def _normal_form(s, gens):
+    changed = True
+    while changed and any(s):
+        changed = False
+        for g in gens:
+            if _conformal_leq(g, s):
+                s = tuple(a - b for a, b in zip(s, g))
+                changed = True
+                break
+    return s
+
+
+def _minimal_conformal_elements(gens):
+    out = []
+    for g in sorted(gens, key=lambda v: (sum(abs(x) for x in v), v)):
+        if not any(_conformal_leq(h, g) for h in out):
+            out.append(g)
+    return out
+
+
+def graver_basis(B):
+    """Sign-minimal nonzero elements of the column lattice of B.
+
+    Completion algorithm: close {+-columns} under pairwise sums with conformal
+    reduction, then keep the minimal elements.
+    """
+    gens = []
+    for j in range(B.cols):
+        c = B.column(j)
+        if any(c) and c not in gens:
+            gens.append(c)
+            gens.append(tuple(-x for x in c))
+    queue = [tuple(a + b for a, b in zip(f, g)) for f, g in itertools.combinations(gens, 2)]
+    while queue:
+        s = _normal_form(queue.pop(), gens)
+        if any(s):
+            queue.extend(tuple(a + b for a, b in zip(s, g)) for g in gens)
+            gens.append(s)
+    return _minimal_conformal_elements(gens)
+
+
+def hilbert_basis_completion(H):
+    """The invariant monoid's Hilbert basis from the Graver completion: each
+    Graver element g split as (g_+, g_-), plus z_i w_i whenever e_i is not in
+    the (saturated) column image of B, decided by a rank test."""
+    gens = [
+        MonomialGen(u=tuple(max(x, 0) for x in g), v=tuple(max(-x, 0) for x in g))
+        for g in graver_basis(H.B)
+    ]
+    for i in range(H.N):
+        e_i = tuple(1 if k == i else 0 for k in range(H.N))
+        augmented = IntMatrix([list(H.B.row(k)) + [e_i[k]] for k in range(H.N)], cols=H.n + 1)
+        if rank(augmented) > H.n:
+            gens.append(MonomialGen(u=e_i, v=e_i))
+    gens.sort(key=MonomialGen.sort_key)
+    return gens

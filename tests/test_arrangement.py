@@ -10,6 +10,7 @@ from hkit.arrangement import (
     Kind,
     build_discriminant,
     check_simplicity,
+    circuits,
     f_locus,
     generic_point_off,
     generic_point_on,
@@ -344,6 +345,27 @@ class TestSimplicity:
         assert rep.no_excess_intersections
         assert not rep.normals_extend_to_basis
         assert rep.violations_b == ((0, 1),)
+
+
+class TestCircuits:
+    def test_single_column(self):
+        assert circuits(IntMatrix([[1], [1], [-1]])) == [(1, 1, -1)]
+
+    def test_plane_lines_are_walls(self):
+        # n = 2: each wall is a line; parallel rows share one circuit
+        got = set(circuits(IntMatrix([[1, 0], [0, 1], [1, 1], [1, 0]])))
+        assert got == {(0, 1, 1, 0), (1, 0, 1, 1), (1, -1, 0, 1)}
+
+    def test_minimal_supports(self):
+        B = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]])
+        got = circuits(B)
+        supports = [frozenset(i for i, x in enumerate(c) if x) for c in got]
+        assert len(set(supports)) == len(got)
+        assert not any(s < t for s in supports for t in supports)
+        # every circuit vanishes on n - 1 = 2 independent rows
+        for c in got:
+            zero_rows = [B.row(i) for i, x in enumerate(c) if not x]
+            assert rank(IntMatrix(zero_rows, cols=3)) == 2
 
 
 class TestGenericPoints:

@@ -134,6 +134,12 @@ class TestCommands:
         )
         assert code == 0
 
+    def test_degree_cap_flag_is_rejected(self, capsys):
+        # the Hilbert basis has no degree cap, so the flag is an argparse error
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--in", '{"rows": [[1], [1]]}', "--degree-cap", "20"])
+        assert err.value.code == 2
+
     def test_deform_basis_rows_flag(self, capsys):
         code, out = run_cli(
             ["deform", "--in", '{"rows": [[1], [1]]}', "--basis-rows", "1"], capsys

@@ -10,25 +10,11 @@ from math import comb
 
 import pytest
 
-from corpus import corpus_matrices, valid_hypertoric
+from corpus import complete_graph, corpus_matrices, valid_hypertoric
 from hkit.arrangement import build_discriminant, check_simplicity, f_locus
 from hkit.hypertoric import HypertoricData
-from hkit.intmat import IntMatrix
 from hkit.localmodel import choose_deformation_line, family_f_locus_codimension, family_slice
 from oracles import check_simplicity_scan, f_locus_scan
-
-
-def complete_graph(m):
-    """K_m: one row e_b - e_a per edge a < b, vertex 0's coordinate dropped."""
-    rows = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            row = [0] * (m - 1)
-            row[b - 1] = 1
-            if a:
-                row[a - 1] = -1
-            rows.append(row)
-    return IntMatrix(rows, cols=m - 1)
 
 
 def bell(m):

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from corpus import complete_graph, corpus_matrices, valid_hypertoric
 from hkit.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -17,13 +19,13 @@ from hkit.hypertoric import (
     brute_force_invariants,
     coordinate_dimension,
     decompose_over_basis,
-    graver_basis,
     hilbert_basis,
     leaf_classification,
     moment_map_eval,
     presentation,
 )
 from hkit.intmat import IntMatrix
+from oracles import graver_basis, hilbert_basis_completion
 
 
 def H(rows, cols=None):
@@ -167,11 +169,6 @@ class TestGraver:
             bound = max(sum(abs(x) for x in g) for g in got) + 2
             assert got == brute_graver(B, bound)
 
-    def test_budget_exceeded_carries_partial(self):
-        with pytest.raises(BudgetExceeded) as err:
-            graver_basis(IntMatrix([[1, 0], [0, 1], [1, 1], [1, -1]]), degree_limit=1)
-        assert err.value.partial
-
 
 class TestHilbertBasis:
     def test_free_plane(self):
@@ -227,6 +224,35 @@ class TestHilbertBasis:
             data = H(rows)
             assert coordinate_dimension(data) == 2 * data.n
 
+    def test_theta_graph(self):
+        # three parallel classes of 11 rows: the three circuits have degree 22,
+        # and every z_i w_i is a generator
+        data = H([[1, 0]] * 11 + [[0, 1]] * 11 + [[1, 1]] * 11)
+        basis = hilbert_basis(data)
+        assert len(basis) == 39
+        assert max(g.degree for g in basis) == 22
+
+
+class TestHilbertBasisAgainstCompletion:
+    def test_corpus(self):
+        matrices = 0
+        for data in valid_hypertoric(corpus_matrices()):
+            matrices += 1
+            assert hilbert_basis(data) == hilbert_basis_completion(data), data.B
+        assert matrices == 1104
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+    def test_complete_graphs(self, m):
+        data = HypertoricData.from_matrix(complete_graph(m))
+        assert hilbert_basis(data) == hilbert_basis_completion(data)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    def test_complete_graph_count(self, m):
+        # the circuits of K_m are its 2^(m-1) - 1 bonds, with both signs, and
+        # every edge lies on a cycle, so each z_i w_i joins
+        data = HypertoricData.from_matrix(complete_graph(m))
+        assert len(hilbert_basis(data)) == 2 * (2 ** (m - 1) - 1) + m * (m - 1) // 2
+
 
 class TestPresentation:
     def test_a1_relation(self):
@@ -272,6 +298,18 @@ class TestPresentation:
         assert len(red.relations) == 1
         (_, _, sign) = red.relations[0]
         assert sign == -1
+
+    def test_multiset_table_freed_on_return(self):
+        # the relation search's table must not wait in a reference cycle for
+        # the cyclic garbage collector (K_5's holds over 10^5 objects)
+        data = HypertoricData.from_matrix(complete_graph(5))
+        gc.collect()
+        gc.disable()
+        try:
+            presentation(data)
+            assert gc.collect() < 1000
+        finally:
+            gc.enable()
 
     def test_relations_balance_exactly(self):
         for rows in ([[1], [1]], [[1], [1], [1]], [[1, 0], [0, 1], [1, 1]]):
