@@ -478,7 +478,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get("HKIT_BUDGET", DEFAULT_CANDIDATE_BUDGET))
+        try:
+            budget = int(os.environ.get("HKIT_BUDGET", DEFAULT_CANDIDATE_BUDGET))
+        except ValueError as err:
+            sys.stderr.write(f"input error: HKIT_BUDGET: {err}\n")
+            return 2
     job = JobSpec(
         command=args.command,
         input_source=args.input_source,

@@ -195,7 +195,12 @@ def decompose_over_basis(target: MonomialGen, basis):
                     return [i] + found
         return None
 
-    return search(target.u + target.v)
+    try:
+        return search(target.u + target.v)
+    finally:
+        # search reaches itself through its closure; breaking that cycle frees
+        # the seen set on return, not at the next cyclic garbage collection.
+        del search
 
 
 def coordinate_dimension(H: HypertoricData, basis=None):

@@ -1,6 +1,10 @@
 """Exact integer linear algebra: Hermite/Smith normal forms, primitivity,
 unimodularity, saturated kernels and Gale duality.
 
+Unimodularity is decided from one reduced echelon form [I | R] and a scan of
+the square minors of its non-pivot block R, never by one determinant per
+maximal minor; see unimodularity_report.
+
 Everything is arbitrary-precision (plain Python ints) and every value is
 immutable after construction, so all functions here are safe to call
 concurrently. No floating point anywhere.
@@ -14,8 +18,10 @@ from math import comb, gcd
 
 from .errors import NotInjective, TorsionCokernel
 
-# Refuse maximal-minor enumeration past this many minors; fall back to the
-# SNF criterion (necessary but not sufficient for rectangular matrices).
+# Past this many maximal minors, C(p, q) for a q x p matrix (the echelon
+# scan of unimodularity_report visits C(p, q) - 1 square minors of R), fall
+# back to the SNF criterion (necessary but not sufficient for rectangular
+# matrices).
 MINOR_BUDGET = 10**6
 
 
@@ -351,20 +357,6 @@ def max_minor_count(M: IntMatrix) -> int:
     return comb(max(M.rows, M.cols), m) if m else 0
 
 
-def iter_max_minors(M: IntMatrix):
-    """Yield all maximal (size min(rows, cols)) minors."""
-    m = min(M.rows, M.cols)
-    if m == 0:
-        return
-    if M.rows >= M.cols:
-        for combo in itertools.combinations(range(M.rows), m):
-            yield det(IntMatrix([M.row(i) for i in combo], cols=M.cols))
-    else:
-        T = M.transpose()
-        for combo in itertools.combinations(range(T.rows), m):
-            yield det(IntMatrix([T.row(i) for i in combo], cols=T.cols))
-
-
 def is_unimodular(M: IntMatrix, minor_budget: int = MINOR_BUDGET) -> bool:
     """True iff every maximal minor is in {-1, 0, 1} and at least one is nonzero.
 
@@ -378,6 +370,17 @@ def is_unimodular(M: IntMatrix, minor_budget: int = MINOR_BUDGET) -> bool:
 def unimodularity_report(M: IntMatrix, minor_budget: int = MINOR_BUDGET):
     """(verdict, method) where method is "minors" or "snf_fallback".
 
+    "minors" is exact. Integer row operations keep every maximal minor up to
+    sign, so M (oriented q x p with q <= p) is brought to reduced echelon
+    form. It fails at once if its rank is below q (every maximal minor is 0)
+    or a pivot is not 1 (the minor on the pivot columns is their product).
+    Otherwise it is [I | R] up to column order, each maximal minor is +- a
+    square minor of R, and M is unimodular iff R is totally unimodular
+    (Schrijver, Theory of Linear and Integer Programming, 1986, ch. 19). The
+    square minors of R are scanned one size at a time, each by Laplace
+    expansion along its first row over the nonzero minors of the size below,
+    stopping at the first one outside {-1, 0, 1}.
+
     The fallback criterion is necessary but not sufficient for rectangular
     matrices, hence the distinct method tag for reports.
     """
@@ -387,13 +390,86 @@ def unimodularity_report(M: IntMatrix, minor_budget: int = MINOR_BUDGET):
         res = smith_normal_form(M)
         full = len(res.invariant_factors) == min(M.rows, M.cols)
         return full and res.torsion_free, "snf_fallback"
-    saw_nonzero = False
-    for minor in iter_max_minors(M):
-        if minor not in (-1, 0, 1):
-            return False, "minors"
-        if minor != 0:
-            saw_nonzero = True
-    return saw_nonzero, "minors"
+    R = _non_pivot_block(M)
+    if R is None:
+        return False, "minors"
+    return _totally_unimodular(R), "minors"
+
+
+def _non_pivot_block(M: IntMatrix):
+    """The block R of the reduced echelon form [I | R] (up to column order)
+    of M or its transpose, whichever is wide; None if the rank is short or a
+    pivot is not a unit."""
+    a = [list(r) for r in (M.data if M.rows <= M.cols else zip(*M.data))]
+    q, p = len(a), len(a[0])
+    pivots = []
+    for c in range(p):
+        r = len(pivots)
+        if r == q:
+            break
+        # Euclid on column c below the pivots found so far, until the
+        # smallest entry is a unit or the only one left.
+        while True:
+            live = [i for i in range(r, q) if a[i][c]]
+            if not live:
+                break
+            top = min(live, key=lambda i: abs(a[i][c]))
+            a[r], a[top] = a[top], a[r]
+            pr, pc = a[r], a[r][c]
+            if len(live) == 1 or pc in (1, -1):
+                break
+            for i in range(r + 1, q):
+                f = a[i][c] // pc
+                if f:
+                    a[i] = [x - f * y for x, y in zip(a[i], pr)]
+        if not live:
+            continue
+        if a[r][c] not in (1, -1):
+            return None
+        if a[r][c] == -1:
+            a[r] = [-x for x in a[r]]
+        pr = a[r]
+        for i in range(q):
+            f = a[i][c]
+            if f and i != r:
+                a[i] = [x - f * y for x, y in zip(a[i], pr)]
+        pivots.append(c)
+    if len(pivots) < q:
+        return None
+    free = [c for c in range(p) if c not in pivots]
+    return [[row[c] for c in free] for row in a]
+
+
+def _totally_unimodular(R):
+    """True iff every square minor of R is in {-1, 0, 1}."""
+    q, k = len(R), len(R[0])
+    # prev[rows][cols] is a nonzero minor of the size below; absent means 0.
+    prev = {(): {(): 1}}
+    for s in range(1, min(q, k) + 1):
+        cur = {}
+        for rows in itertools.combinations(range(q), s):
+            below = prev.get(rows[1:])
+            if below is None:
+                continue
+            first = R[rows[0]]
+            found = {}
+            for cols in itertools.combinations(range(k), s):
+                d = 0
+                for j, c in enumerate(cols):
+                    if first[c]:
+                        sub = below.get(cols[:j] + cols[j + 1:])
+                        if sub:
+                            d += first[c] * sub if j % 2 == 0 else -first[c] * sub
+                if d:
+                    if d not in (1, -1):
+                        return False
+                    found[cols] = d
+            if found:
+                cur[rows] = found
+        if not cur:
+            break
+        prev = cur
+    return True
 
 
 # -- kernels and Gale duality --------------------------------------------------

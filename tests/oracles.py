@@ -1,11 +1,14 @@
-"""Oracles for the flat engine in hkit.arrangement and for the Hilbert basis
-in hkit.hypertoric.
+"""Oracles for the flat engine in hkit.arrangement, for the Hilbert basis in
+hkit.hypertoric and for unimodularity in hkit.intmat.
 
 The subset scans are the exhaustive enumerations that `f_locus` and
 `check_simplicity` used before the intersection-lattice engine: every subset
 of walls is solved on its own with Fraction elimination. The Graver
 completion is how `hilbert_basis` was computed before it read the circuits
-off the flat engine. Both are exponential and serve only as test references.
+off the flat engine. The minor enumeration is how `unimodularity_report`
+decided unimodularity before it scanned the non-pivot block of one echelon
+form: one Bareiss determinant per maximal minor. All are exponential and
+serve only as test references.
 """
 
 import itertools
@@ -13,7 +16,7 @@ from fractions import Fraction
 
 from hkit.arrangement import FlatDescriptor, SimplicityReport, _solve_affine
 from hkit.hypertoric import MonomialGen
-from hkit.intmat import IntMatrix, kernel_basis, rank, smith_normal_form
+from hkit.intmat import IntMatrix, det, kernel_basis, rank, smith_normal_form
 
 
 def _rref_key(normals, offsets, n):
@@ -170,3 +173,26 @@ def hilbert_basis_completion(H):
             gens.append(MonomialGen(u=e_i, v=e_i))
     gens.sort(key=MonomialGen.sort_key)
     return gens
+
+
+# -- maximal minors --------------------------------------------------------------
+
+
+def iter_max_minors(M):
+    """Yield all maximal (size min(rows, cols)) minors."""
+    m = min(M.rows, M.cols)
+    if m == 0:
+        return
+    T = M if M.rows >= M.cols else M.transpose()
+    for combo in itertools.combinations(range(T.rows), m):
+        yield det(IntMatrix([T.row(i) for i in combo], cols=T.cols))
+
+
+def unimodular_by_minors(M):
+    """Every maximal minor in {-1, 0, 1} and at least one nonzero."""
+    saw_nonzero = False
+    for minor in iter_max_minors(M):
+        if minor not in (-1, 0, 1):
+            return False
+        saw_nonzero = saw_nonzero or minor != 0
+    return saw_nonzero

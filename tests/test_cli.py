@@ -127,6 +127,14 @@ class TestCommands:
         assert code == 1
         assert report_of(out)["error"]["code"] == "budget_exceeded"
 
+    def test_malformed_budget_env_var_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("HKIT_BUDGET", "abc")
+        code = main(["build", "--in", '{"rows": [[1], [1]]}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: HKIT_BUDGET")
+
     def test_budget_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HKIT_BUDGET", "0")
         code, out = run_cli(

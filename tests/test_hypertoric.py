@@ -208,6 +208,25 @@ class TestHilbertBasis:
                 others = basis[:i] + basis[i + 1 :]
                 assert decompose_over_basis(g, others) is None, (rows, g)
 
+    def test_decomposition_search_freed_on_return(self):
+        # the search's seen set must not wait in a reference cycle for the
+        # cyclic garbage collector (criterion 4 runs ~5 * 10^5 searches)
+        basis = hilbert_basis(H(complete_graph(4).row_list()))
+        g = basis[-1]
+        pair = MonomialGen(
+            u=tuple(a + b for a, b in zip(basis[0].u, g.u)),
+            v=tuple(a + b for a, b in zip(basis[0].v, g.v)),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            assert decompose_over_basis(pair, basis) is not None
+            assert gc.collect() == 0
+            assert decompose_over_basis(g, basis[:-1]) is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_invariance_exact(self):
         data = H([[1, 0], [0, 1], [1, 1], [0, 1]])
         for g in hilbert_basis(data):

@@ -4,9 +4,12 @@ from math import gcd
 
 import pytest
 
+from corpus import complete_graph, corpus_matrices, is_valid_matrix
 from hkit.errors import NotInjective, TorsionCokernel
 from hkit.intmat import (
+    MINOR_BUDGET,
     IntMatrix,
+    _non_pivot_block,
     canonical_primitive,
     canonical_sign,
     det,
@@ -14,12 +17,13 @@ from hkit.intmat import (
     hermite_normal_form,
     is_primitive,
     is_unimodular,
-    iter_max_minors,
     kernel_basis,
+    max_minor_count,
     rank,
     smith_normal_form,
     unimodularity_report,
 )
+from oracles import iter_max_minors, unimodular_by_minors
 
 
 def snf_factors_by_minor_gcds(M):
@@ -199,6 +203,100 @@ class TestUnimodular:
             det(IntMatrix([M.row(i), M.row(j)]))
             for i, j in itertools.combinations(range(4), 2)
         )
+
+
+def graphic_with_planted_row(rng, vertices, extra):
+    """A connected multigraph's rows e_a - e_b (vertex 0's coordinate
+    dropped) plus one planted row e_a + e_p with a, p nonzero, at a random
+    position. Unimodular or not depending on the graph."""
+    edges = [(rng.randrange(v), v) for v in range(1, vertices)]
+    edges += [tuple(sorted(rng.sample(range(vertices), 2))) for _ in range(extra)]
+    rows = []
+    for a, b in edges:
+        row = [0] * vertices
+        row[a], row[b] = 1, -1
+        rows.append(row[1:])
+    a, p = rng.sample(range(1, vertices), 2)
+    planted = [0] * (vertices - 1)
+    planted[a - 1] = planted[p - 1] = 1
+    rows.insert(rng.randrange(len(rows) + 1), planted)
+    return IntMatrix(rows, cols=vertices - 1)
+
+
+class TestUnimodularityAgainstMinors:
+    """The echelon scan against the minor-enumeration oracle, verdict for
+    verdict and method for method."""
+
+    @staticmethod
+    def assert_agrees(M):
+        assert max_minor_count(M) <= MINOR_BUDGET
+        assert unimodularity_report(M) == (unimodular_by_minors(M), "minors"), M
+
+    def test_corpus_and_gale_duals(self):
+        verdicts = set()
+        for B in corpus_matrices():
+            self.assert_agrees(B)
+            if is_valid_matrix(B):
+                A = gale_dual(B)
+                if A.rows:
+                    self.assert_agrees(A)
+                    verdicts.add(unimodular_by_minors(A))
+        assert verdicts == {True, False}
+
+    def test_random_matrices(self):
+        rng = random.Random(31)
+        verdicts = set()
+        for _ in range(3000):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            M = IntMatrix([[rng.choice((-1, 0, 1, 2)) for _ in range(cols)] for _ in range(rows)])
+            self.assert_agrees(M)
+            verdicts.add(unimodular_by_minors(M))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_complete_graph_and_gale_dual(self, m):
+        B = complete_graph(m)
+        self.assert_agrees(B)
+        self.assert_agrees(gale_dual(B))
+        assert is_unimodular(B)
+
+    def test_graphic_multigraphs_with_planted_row(self):
+        rng = random.Random(37)
+        verdicts = set()
+        for idx in range(60):
+            M = graphic_with_planted_row(rng, 5 + idx % 3, 1 + idx % 3)
+            self.assert_agrees(M)
+            verdicts.add(unimodular_by_minors(M))
+        assert verdicts == {True, False}
+
+
+class TestUnimodularityExits:
+    def test_rank_deficient(self):
+        M = IntMatrix([[1, 1], [2, 2]])
+        assert _non_pivot_block(M) is None
+        assert unimodularity_report(M) == (False, "minors")
+
+    def test_pivot_of_two(self):
+        M = IntMatrix([[1, 1], [1, -1]])
+        assert _non_pivot_block(M) is None
+        assert unimodularity_report(M) == (False, "minors")
+
+    def test_entry_of_two_in_block(self):
+        M = IntMatrix([[1, 0], [0, 1], [1, 2]])
+        assert _non_pivot_block(M) == [[1], [2]]
+        assert unimodularity_report(M) == (False, "minors")
+
+    def test_two_by_two_minor_of_block(self):
+        # every entry of R is in {0, +-1}, but det R = -2
+        M = IntMatrix([[1, 0], [0, 1], [1, 1], [1, -1]])
+        assert _non_pivot_block(M) == [[1, 1], [1, -1]]
+        assert unimodularity_report(M) == (False, "minors")
+
+    def test_k8_minus_one_edge_under_budget(self):
+        K8 = complete_graph(8)
+        M = IntMatrix(K8.data[:-1], cols=K8.cols)
+        assert max_minor_count(M) == 888030 <= MINOR_BUDGET
+        assert unimodularity_report(M) == (True, "minors")
 
 
 class TestGaleDual:
