@@ -23,6 +23,7 @@ from itertools import combinations, islice
 from .errors import DimensionMismatch, NonPrimitiveRow
 from .intmat import (
     IntMatrix,
+    _echelon,
     canonical_primitive,
     canonical_sign,
     is_primitive,
@@ -317,6 +318,11 @@ class SimplicityReport:
 
 
 def _extends_to_basis(normals, n):
+    """Unit pivots decide: k normals extend iff the echelon has k of them.
+    A pivot that is not a unit leaves it to the invariant factors."""
+    pivots = _echelon([list(v) for v in normals])
+    if pivots is not None:
+        return len(pivots) == len(normals)
     snf = smith_normal_form(IntMatrix(normals, cols=n))
     return snf.torsion_free and len(snf.invariant_factors) == len(normals)
 

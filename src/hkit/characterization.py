@@ -13,11 +13,13 @@ from .arrangement import ArrangementSpec, build_discriminant
 from .errors import CaseRejected, NonPrimitiveRow
 from .intmat import (
     IntMatrix,
+    _echelon_of_transpose,
+    _kernel_of_transpose,
+    _rank_of,
+    _unimodularity_of,
     canonical_sign,
     is_primitive,
     is_unimodular,
-    kernel_basis,
-    rank,
     smith_normal_form,
 )
 
@@ -89,32 +91,39 @@ class CaseTag:
 
 
 def classify_case(B: IntMatrix) -> CaseTag:
+    return _classify(B)[0]
+
+
+def _classify(B):
+    """(case tag, echelon of B^T or None). With unit pivots the echelon
+    gives the rank, a torsion-free cokernel and unimodularity; a pivot that
+    is not a unit sends B through rank, the unimodularity test and SNF."""
     for i in range(B.rows):
         if not is_primitive(B.row(i)):
             raise NonPrimitiveRow(i, B.row(i))
     N, n = B.rows, B.cols
-    r = rank(B)
-    if r < n:
+    echelon = _echelon_of_transpose(B)
+    if _rank_of(B, echelon) < n:
         return CaseTag(
             case=REJECTED,
             reason="not injective: the stacked normals span a proper sublattice, "
             "which contradicts conical contractibility",
-        )
-    unimod = is_unimodular(B)
-    torsion_free = smith_normal_form(B).torsion_free
+        ), echelon
+    unimod = _unimodularity_of(B, echelon)[0]
+    torsion_free = echelon is not None or smith_normal_form(B).torsion_free
     if N == n and unimod:
         return CaseTag(
             case=SMOOTH,
             condition_star=False,
             unimodular=True,
             coker_torsion_free=True,
-        )
+        ), echelon
     return CaseTag(
         case=HYPERTORIC,
         condition_star=N > n,
         unimodular=unimod,
         coker_torsion_free=torsion_free,
-    )
+    ), echelon
 
 
 @dataclass(frozen=True)
@@ -138,13 +147,13 @@ def round_trip(d: DivisorData) -> RoundTripReport:
     warnings rather than errors.
     """
     B = reconstruct_B(d)
-    tag = classify_case(B)
+    tag, echelon = _classify(B)
     if tag.case == REJECTED:
         raise CaseRejected(tag.reason)
 
     # saturated integer kernel; coincides with the exact Gale dual whenever
     # the cokernel is torsion-free
-    A = kernel_basis(B.transpose())
+    A = _kernel_of_transpose(B, echelon)
     warnings = []
     if not tag.coker_torsion_free:
         warnings.append(
@@ -152,7 +161,14 @@ def round_trip(d: DivisorData) -> RoundTripReport:
             "A spans the saturated orthogonal lattice"
         )
     unimodular_B = tag.unimodular
-    unimodular_A = is_unimodular(A) if A.rows else (B.rows == B.cols)
+    if not A.rows:
+        unimodular_A = B.rows == B.cols
+    elif tag.coker_torsion_free:
+        # Gale duality: the complementary maximal minors of A and B agree up
+        # to one global sign, and both count C(N, n) against the budget.
+        unimodular_A = unimodular_B
+    else:
+        unimodular_A = is_unimodular(A)
     if not unimodular_B:
         warnings.append("B is not unimodular: no symplectic resolution hypothesis")
 

@@ -171,7 +171,9 @@ def _cmd_gale(payload, job, notes):
     if A.rows == 0:
         notes.append("N = n")
     ub, mb = unimodularity_report(B)
-    ua, ma = unimodularity_report(A) if A.rows else (B.rows == B.cols, "minors")
+    # gale_dual succeeded, so the cokernel is torsion-free and A's verdict is
+    # B's (Gale duality, the same C(N, n) minors against the budget).
+    ua, ma = (ub, mb) if A.rows else (B.rows == B.cols, "minors")
     if mb != "minors" or ma != "minors":
         notes.append("unimodularity checked via SNF fallback (minor budget hit)")
     return {

@@ -26,10 +26,10 @@ from .errors import (
 )
 from .intmat import (
     IntMatrix,
+    _gale,
+    _unimodularity_of,
     canonical_sign,
-    gale_dual,
     is_primitive,
-    is_unimodular,
     rank,
 )
 
@@ -53,8 +53,8 @@ class HypertoricData:
         for i in range(B.rows):
             if not is_primitive(B.row(i)):
                 raise NonPrimitiveRow(i, B.row(i))
-        A = gale_dual(B)  # raises NotInjective / TorsionCokernel
-        if not is_unimodular(B):
+        A, echelon = _gale(B)  # raises NotInjective / TorsionCokernel
+        if not _unimodularity_of(B, echelon)[0]:
             raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
         classes = {}
         for i in range(B.rows):

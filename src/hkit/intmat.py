@@ -1,9 +1,13 @@
 """Exact integer linear algebra: Hermite/Smith normal forms, primitivity,
 unimodularity, saturated kernels and Gale duality.
 
-Unimodularity is decided from one reduced echelon form [I | R] and a scan of
-the square minors of its non-pivot block R, never by one determinant per
-maximal minor; see unimodularity_report.
+One reduced echelon form [I | R] with unit pivots (_echelon) does the work
+of validation. For B^T it gives the rank of B, a torsion-free cokernel (the
+pivot minor is 1), the Gale dual A (x_free = e_j, x_pivot = -R e_j) and
+B's unimodularity (R totally unimodular, decided by a scan of R's square
+minors one size at a time, never one determinant per maximal minor); see
+gale_dual and unimodularity_report. Only a pivot that is not a unit falls
+back to the Hermite and Smith normal forms.
 
 Everything is arbitrary-precision (plain Python ints) and every value is
 immutable after construction, so all functions here are safe to call
@@ -161,59 +165,52 @@ def hermite_normal_form(M: IntMatrix):
 
     Returns (H, U) with U unimodular, U @ M = H, pivot entries positive and
     entries above each pivot reduced into [0, pivot). Zero rows sink to the
-    bottom. H is the unique HNF of the row lattice of M.
+    bottom. H is the unique HNF of the row lattice of M. U is carried along
+    as extra columns of [M | I].
     """
     m, n = M.rows, M.cols
-    H = M.row_list()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    H = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(M.data)]
+    _hermite(H, n)
+    return IntMatrix([row[:n] for row in H], cols=n), IntMatrix([row[n:] for row in H], cols=m)
 
-    def row_sub(i, j, q):
-        # row_i -= q * row_j
-        Hi, Hj = H[i], H[j]
-        for k in range(n):
-            Hi[k] -= q * Hj[k]
-        Ui, Uj = U[i], U[j]
-        for k in range(m):
-            Ui[k] -= q * Uj[k]
 
-    def row_swap(i, j):
-        H[i], H[j] = H[j], H[i]
-        U[i], U[j] = U[j], U[i]
-
-    def row_neg(i):
-        H[i] = [-x for x in H[i]]
-        U[i] = [-x for x in U[i]]
-
+def _hermite(H, n):
+    """Bring the rows H (lists, changed in place) to row Hermite normal form
+    on their first n columns; the row operations act on whole rows. Returns
+    the rank, the number of nonzero rows on those columns."""
+    m = len(H)
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, m) if H[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            row_swap(r, pivot)
-        # Euclidean elimination below the pivot.
-        while True:
-            done = True
-            for i in range(r + 1, m):
-                if H[i][c] != 0:
-                    q = H[i][c] // H[r][c]
-                    row_sub(i, r, q)
-                    if H[i][c] != 0:
-                        row_swap(r, i)
-                        done = False
-            if done:
-                break
-        if H[r][c] < 0:
-            row_neg(r)
-        for i in range(r):
-            q = H[i][c] // H[r][c]
-            if q:
-                row_sub(i, r, q)
-        r += 1
         if r == m:
             break
-
-    return IntMatrix(H, cols=n), IntMatrix(U, cols=m)
+        pivot = r
+        while pivot < m and not H[pivot][c]:
+            pivot += 1
+        if pivot == m:
+            continue
+        H[r], H[pivot] = H[pivot], H[r]
+        # Euclidean elimination below the pivot.
+        done = False
+        while not done:
+            done = True
+            for i in range(r + 1, m):
+                if H[i][c]:
+                    hr = H[r]
+                    q = H[i][c] // hr[c]
+                    if q:
+                        H[i] = [x - q * y for x, y in zip(H[i], hr)]
+                    if H[i][c]:
+                        H[r], H[i] = H[i], H[r]
+                        done = False
+        if H[r][c] < 0:
+            H[r] = [-x for x in H[r]]
+        hr = H[r]
+        for i in range(r):
+            q = H[i][c] // hr[c]
+            if q:
+                H[i] = [x - q * y for x, y in zip(H[i], hr)]
+        r += 1
+    return r
 
 
 @dataclass(frozen=True)
@@ -323,8 +320,7 @@ def smith_normal_form(M: IntMatrix) -> SmithResult:
 
 
 def rank(M: IntMatrix) -> int:
-    H, _ = hermite_normal_form(M)
-    return sum(1 for row in H.data if any(x != 0 for x in row))
+    return _hermite(M.row_list(), M.cols)
 
 
 def det(M: IntMatrix) -> int:
@@ -401,9 +397,20 @@ def _non_pivot_block(M: IntMatrix):
     of M or its transpose, whichever is wide; None if the rank is short or a
     pivot is not a unit."""
     a = [list(r) for r in (M.data if M.rows <= M.cols else zip(*M.data))]
-    q, p = len(a), len(a[0])
+    pivots = _echelon(a)
+    if pivots is None or len(pivots) < len(a):
+        return None
+    return _free_block(a, pivots)
+
+
+def _echelon(a):
+    """Bring the rows a (lists, changed in place) to reduced echelon form by
+    integer row operations, every pivot scaled to 1. Returns the pivot
+    columns, in order, with the pivot rows first and zero rows below them;
+    None as soon as a pivot is not a unit."""
+    q = len(a)
     pivots = []
-    for c in range(p):
+    for c in range(len(a[0]) if a else 0):
         r = len(pivots)
         if r == q:
             break
@@ -434,10 +441,14 @@ def _non_pivot_block(M: IntMatrix):
             if f and i != r:
                 a[i] = [x - f * y for x, y in zip(a[i], pr)]
         pivots.append(c)
-    if len(pivots) < q:
-        return None
-    free = [c for c in range(p) if c not in pivots]
-    return [[row[c] for c in free] for row in a]
+    return pivots
+
+
+def _free_block(a, pivots):
+    """R of a reduced echelon form: the pivot rows on the non-pivot columns."""
+    taken = set(pivots)
+    free = [c for c in range(len(a[0])) if c not in taken]
+    return [[row[c] for c in free] for row in a[: len(pivots)]]
 
 
 def _totally_unimodular(R):
@@ -478,16 +489,40 @@ def _totally_unimodular(R):
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Basis of the saturated right kernel {x : M x = 0}, as rows, HNF-canonical.
 
-    The rows of the HNF transform that map M^T onto zero HNF rows form a basis
-    of the kernel lattice; it is automatically saturated because it is a direct
-    summand of the ambient lattice.
+    With unit pivots the reduced echelon form [I | R] of M (up to column
+    order) gives it directly: one row per non-pivot column j, with x_j = 1,
+    x_pivot = -R e_j and 0 elsewhere. Otherwise the rows of the HNF transform
+    that map M^T onto zero HNF rows form a basis; it is saturated because it
+    is a direct summand of the ambient lattice.
     """
+    a = M.row_list()
+    pivots = _echelon(a)
+    if pivots is None:
+        return _kernel_by_transform(M)
+    return _kernel_from_echelon(a, pivots, M.cols)
+
+
+def _kernel_from_echelon(a, pivots, width):
+    """kernel_basis read off the reduced echelon rows a with unit pivots."""
+    taken = set(pivots)
+    rows = []
+    for j in range(width):
+        if j in taken:
+            continue
+        x = [0] * width
+        x[j] = 1
+        for c, row in zip(pivots, a):
+            x[c] = -row[j]
+        rows.append(x)
+    _hermite(rows, width)
+    return IntMatrix(rows, cols=width)
+
+
+def _kernel_by_transform(M):
     H, U = hermite_normal_form(M.transpose())
-    kernel_rows = [U.row(i) for i in range(H.rows) if all(x == 0 for x in H.row(i))]
-    if not kernel_rows:
-        return IntMatrix([], cols=M.cols)
-    K, _ = hermite_normal_form(IntMatrix(kernel_rows, cols=M.cols))
-    return K
+    rows = [list(U.row(i)) for i in range(H.rows) if not any(H.row(i))]
+    _hermite(rows, M.cols)
+    return IntMatrix(rows, cols=M.cols)
 
 
 def gale_dual(B: IntMatrix) -> IntMatrix:
@@ -496,12 +531,55 @@ def gale_dual(B: IntMatrix) -> IntMatrix:
     Rows of A are the HNF-canonical basis of the saturated left-orthogonal
     lattice of B, so A @ B = 0 exactly and A is surjective.
     """
+    return _gale(B)[0]
+
+
+def _echelon_of_transpose(B):
+    """(a, pivots): the reduced echelon form of B^T with unit pivots, or None
+    when a pivot is not a unit."""
+    a = [list(col) for col in zip(*B.data)]
+    pivots = _echelon(a)
+    return None if pivots is None else (a, pivots)
+
+
+def _gale(B):
+    """(gale_dual(B), the echelon of B^T or None).
+
+    One reduced echelon form of B^T settles everything when its pivots are
+    units: the rank is the number of pivots, the cokernel is torsion-free
+    (the pivot minor is 1), and A is its kernel. Only a pivot that is not a
+    unit sends B through rank, SNF and the HNF transform, in that order.
+    """
     N, n = B.rows, B.cols
-    if n > N or rank(B) < n:
+    echelon = None if n > N else _echelon_of_transpose(B)
+    if n > N or _rank_of(B, echelon) < n:
         raise NotInjective(f"matrix of shape {B.shape} has rank below {n}")
-    snf = smith_normal_form(B)
-    if not snf.torsion_free:
-        raise TorsionCokernel(
-            f"invariant factors {list(snf.invariant_factors)} contain an entry > 1"
-        )
-    return kernel_basis(B.transpose())
+    if echelon is None:
+        snf = smith_normal_form(B)
+        if not snf.torsion_free:
+            raise TorsionCokernel(
+                f"invariant factors {list(snf.invariant_factors)} contain an entry > 1"
+            )
+    return _kernel_of_transpose(B, echelon), echelon
+
+
+def _rank_of(B, echelon):
+    """rank(B), counted off the echelon of B^T when there is one."""
+    return rank(B) if echelon is None else len(echelon[1])
+
+
+def _kernel_of_transpose(B, echelon):
+    """kernel_basis(B^T), from the echelon of B^T when there is one."""
+    if echelon is None:
+        return _kernel_by_transform(B.transpose())
+    return _kernel_from_echelon(*echelon, B.rows)
+
+
+def _unimodularity_of(B, echelon):
+    """unimodularity_report(B) for B of full column rank, with R taken from
+    the echelon of B^T (the matrix _non_pivot_block reduces, or for square B
+    its transpose, which has the same determinant)."""
+    if echelon is None or min(B.rows, B.cols) == 0 or max_minor_count(B) > MINOR_BUDGET:
+        return unimodularity_report(B)
+    a, pivots = echelon
+    return _totally_unimodular(_free_block(a, pivots)), "minors"

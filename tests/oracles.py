@@ -1,5 +1,6 @@
 """Oracles for the flat engine in hkit.arrangement, for the Hilbert basis in
-hkit.hypertoric and for unimodularity in hkit.intmat.
+hkit.hypertoric, for unimodularity in hkit.intmat and for validation, the
+Gale dual and the round trip.
 
 The subset scans are the exhaustive enumerations that `f_locus` and
 `check_simplicity` used before the intersection-lattice engine: every subset
@@ -7,16 +8,44 @@ of walls is solved on its own with Fraction elimination. The Graver
 completion is how `hilbert_basis` was computed before it read the circuits
 off the flat engine. The minor enumeration is how `unimodularity_report`
 decided unimodularity before it scanned the non-pivot block of one echelon
-form: one Bareiss determinant per maximal minor. All are exponential and
-serve only as test references.
+form: one Bareiss determinant per maximal minor. The normal-form path is how
+validation, `gale_dual`, `kernel_basis`, `classify_case` and `round_trip`
+worked before they read everything off one reduced echelon form of B^T:
+rank from a full HNF, torsion from an SNF, kernels from the HNF transform,
+and A's unimodularity scanned on its own. The enumerations are exponential;
+all of these serve only as test references.
 """
 
 import itertools
 from fractions import Fraction
 
-from hkit.arrangement import FlatDescriptor, SimplicityReport, _solve_affine
-from hkit.hypertoric import MonomialGen
-from hkit.intmat import IntMatrix, det, kernel_basis, rank, smith_normal_form
+from hkit.arrangement import FlatDescriptor, SimplicityReport, _solve_affine, build_discriminant
+from hkit.characterization import (
+    HYPERTORIC,
+    REJECTED,
+    SMOOTH,
+    CaseTag,
+    RoundTripReport,
+    reconstruct_B,
+)
+from hkit.errors import (
+    CaseRejected,
+    NonPrimitiveRow,
+    NotInjective,
+    NotUnimodular,
+    TorsionCokernel,
+)
+from hkit.hypertoric import HypertoricData, MonomialGen
+from hkit.intmat import (
+    IntMatrix,
+    canonical_sign,
+    det,
+    is_primitive,
+    is_unimodular,
+    kernel_basis,
+    rank,
+    smith_normal_form,
+)
 
 
 def _rref_key(normals, offsets, n):
@@ -196,3 +225,159 @@ def unimodular_by_minors(M):
             return False
         saw_nonzero = saw_nonzero or minor != 0
     return saw_nonzero
+
+
+# -- validation and the Gale dual by normal forms ---------------------------------
+
+
+def hermite_normal_form_by_closures(M):
+    """Row-style HNF (H, U) with U @ M = H, row operations as closures that
+    update H and U separately."""
+    m, n = M.rows, M.cols
+    H = M.row_list()
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def row_sub(i, j, q):
+        Hi, Hj = H[i], H[j]
+        for k in range(n):
+            Hi[k] -= q * Hj[k]
+        Ui, Uj = U[i], U[j]
+        for k in range(m):
+            Ui[k] -= q * Uj[k]
+
+    def row_swap(i, j):
+        H[i], H[j] = H[j], H[i]
+        U[i], U[j] = U[j], U[i]
+
+    def row_neg(i):
+        H[i] = [-x for x in H[i]]
+        U[i] = [-x for x in U[i]]
+
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if H[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            row_swap(r, pivot)
+        while True:
+            done = True
+            for i in range(r + 1, m):
+                if H[i][c] != 0:
+                    q = H[i][c] // H[r][c]
+                    row_sub(i, r, q)
+                    if H[i][c] != 0:
+                        row_swap(r, i)
+                        done = False
+            if done:
+                break
+        if H[r][c] < 0:
+            row_neg(r)
+        for i in range(r):
+            q = H[i][c] // H[r][c]
+            if q:
+                row_sub(i, r, q)
+        r += 1
+        if r == m:
+            break
+
+    return IntMatrix(H, cols=n), IntMatrix(U, cols=m)
+
+
+def rank_by_hnf(M):
+    H, _ = hermite_normal_form_by_closures(M)
+    return sum(1 for row in H.data if any(x != 0 for x in row))
+
+
+def kernel_basis_by_transform(M):
+    """The rows of the HNF transform of M^T that map onto zero rows, put in
+    HNF."""
+    H, U = hermite_normal_form_by_closures(M.transpose())
+    kernel_rows = [U.row(i) for i in range(H.rows) if all(x == 0 for x in H.row(i))]
+    if not kernel_rows:
+        return IntMatrix([], cols=M.cols)
+    K, _ = hermite_normal_form_by_closures(IntMatrix(kernel_rows, cols=M.cols))
+    return K
+
+
+def gale_dual_by_normal_forms(B):
+    """Rank, then SNF, then the kernel of B^T from the HNF transform."""
+    N, n = B.rows, B.cols
+    if n > N or rank_by_hnf(B) < n:
+        raise NotInjective(f"matrix of shape {B.shape} has rank below {n}")
+    snf = smith_normal_form(B)
+    if not snf.torsion_free:
+        raise TorsionCokernel(
+            f"invariant factors {list(snf.invariant_factors)} contain an entry > 1"
+        )
+    return kernel_basis_by_transform(B.transpose())
+
+
+def from_matrix_by_normal_forms(B):
+    """HypertoricData.from_matrix with the Gale dual above and B's
+    unimodularity tested on its own."""
+    for i in range(B.rows):
+        if not is_primitive(B.row(i)):
+            raise NonPrimitiveRow(i, B.row(i))
+    A = gale_dual_by_normal_forms(B)
+    if not is_unimodular(B):
+        raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
+    classes = {}
+    for i in range(B.rows):
+        classes.setdefault(canonical_sign(B.row(i)), []).append(i)
+    groups = tuple((normal, tuple(rows)) for normal, rows in sorted(classes.items()))
+    return HypertoricData(B=B, A=A, N=B.rows, n=B.cols, groups=groups)
+
+
+def classify_case_by_normal_forms(B):
+    for i in range(B.rows):
+        if not is_primitive(B.row(i)):
+            raise NonPrimitiveRow(i, B.row(i))
+    N, n = B.rows, B.cols
+    if rank_by_hnf(B) < n:
+        return CaseTag(
+            case=REJECTED,
+            reason="not injective: the stacked normals span a proper sublattice, "
+            "which contradicts conical contractibility",
+        )
+    unimod = is_unimodular(B)
+    torsion_free = smith_normal_form(B).torsion_free
+    if N == n and unimod:
+        return CaseTag(case=SMOOTH, condition_star=False, unimodular=True, coker_torsion_free=True)
+    return CaseTag(
+        case=HYPERTORIC,
+        condition_star=N > n,
+        unimodular=unimod,
+        coker_torsion_free=torsion_free,
+    )
+
+
+def round_trip_by_normal_forms(d):
+    """round_trip with the case split above, A from the HNF transform and A's
+    unimodularity scanned whatever the cokernel."""
+    B = reconstruct_B(d)
+    tag = classify_case_by_normal_forms(B)
+    if tag.case == REJECTED:
+        raise CaseRejected(tag.reason)
+    A = kernel_basis_by_transform(B.transpose())
+    warnings = []
+    if not tag.coker_torsion_free:
+        warnings.append(
+            "cokernel has torsion: the two-step sequence is not exact over Z; "
+            "A spans the saturated orthogonal lattice"
+        )
+    unimodular_A = is_unimodular(A) if A.rows else (B.rows == B.cols)
+    if not tag.unimodular:
+        warnings.append("B is not unimodular: no symplectic resolution hypothesis")
+    disc = build_discriminant(B)
+    return RoundTripReport(
+        divisor=d,
+        B=B,
+        A=A,
+        case=tag,
+        unimodular_B=tag.unimodular,
+        unimodular_A=unimodular_A,
+        discriminant=disc,
+        equal=disc.wall_multiset() == d.wall_multiset(),
+        warnings=tuple(warnings),
+    )

@@ -1,14 +1,18 @@
 import itertools
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
 
 from corpus import complete_graph, corpus_matrices, is_valid_matrix
-from hkit.errors import NotInjective, TorsionCokernel
+from hkit.characterization import DivisorData, classify_case, round_trip
+from hkit.errors import HkitError, NotInjective, NotUnimodular, TorsionCokernel
+from hkit.hypertoric import HypertoricData
 from hkit.intmat import (
     MINOR_BUDGET,
     IntMatrix,
+    _echelon_of_transpose,
     _non_pivot_block,
     canonical_primitive,
     canonical_sign,
@@ -23,7 +27,17 @@ from hkit.intmat import (
     smith_normal_form,
     unimodularity_report,
 )
-from oracles import iter_max_minors, unimodular_by_minors
+from oracles import (
+    classify_case_by_normal_forms,
+    from_matrix_by_normal_forms,
+    gale_dual_by_normal_forms,
+    hermite_normal_form_by_closures,
+    iter_max_minors,
+    kernel_basis_by_transform,
+    rank_by_hnf,
+    round_trip_by_normal_forms,
+    unimodular_by_minors,
+)
 
 
 def snf_factors_by_minor_gcds(M):
@@ -268,6 +282,106 @@ class TestUnimodularityAgainstMinors:
             self.assert_agrees(M)
             verdicts.add(unimodular_by_minors(M))
         assert verdicts == {True, False}
+
+
+def outcome(fn, arg):
+    """fn(arg) as ("ok", value), or ("error", class name, message)."""
+    try:
+        return "ok", fn(arg)
+    except HkitError as err:
+        return "error", type(err).__name__, str(err)
+
+
+def divisor_of(B):
+    """B's rows as divisor data (parallel rows merged), or None when a row is
+    not primitive."""
+    if not all(is_primitive(B.row(i)) for i in range(B.rows)):
+        return None
+    return DivisorData.make(B.cols, Counter(canonical_sign(B.row(i)) for i in range(B.rows)).items())
+
+
+class TestEchelonAgainstNormalForms:
+    """Validation, the Gale dual, kernels and the round trip read off one
+    reduced echelon form of B^T, against the normal-form path they replaced,
+    field for field (values, error classes and messages)."""
+
+    PAIRS = (
+        (gale_dual, gale_dual_by_normal_forms),
+        (kernel_basis, kernel_basis_by_transform),
+        (lambda M: kernel_basis(M.transpose()), lambda M: kernel_basis_by_transform(M.transpose())),
+        (rank, rank_by_hnf),
+        (hermite_normal_form, hermite_normal_form_by_closures),
+        (HypertoricData.from_matrix, from_matrix_by_normal_forms),
+        (classify_case, classify_case_by_normal_forms),
+    )
+
+    @classmethod
+    def assert_agrees(cls, B):
+        """(unit-pivot echelon of B^T, "ok" or gale_dual's error class), for
+        coverage."""
+        for fn, oracle in cls.PAIRS:
+            assert outcome(fn, B) == outcome(oracle, B), (fn, B)
+        d = divisor_of(B)
+        if d is not None:
+            assert outcome(round_trip, d) == outcome(round_trip_by_normal_forms, d), B
+        gale = outcome(gale_dual, B)
+        return _echelon_of_transpose(B) is not None, gale[0] if gale[0] == "ok" else gale[1]
+
+    def test_corpus(self):
+        seen = {self.assert_agrees(B) for B in corpus_matrices()}
+        # every way out of gale_dual, on both paths where it can occur
+        assert seen == {
+            (True, "ok"),
+            (True, "NotInjective"),
+            (False, "ok"),
+            (False, "NotInjective"),
+            (False, "TorsionCokernel"),
+        }
+
+    def test_random_matrices(self):
+        rng = random.Random(41)
+        for _ in range(3000):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            self.assert_agrees(
+                IntMatrix([[rng.choice((-1, 0, 1, 2)) for _ in range(cols)] for _ in range(rows)])
+            )
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_complete_graph(self, m):
+        assert self.assert_agrees(complete_graph(m)) == (True, "ok")
+
+    def test_graphic_multigraphs_with_planted_row(self):
+        rng = random.Random(37)
+        for idx in range(60):
+            self.assert_agrees(graphic_with_planted_row(rng, 5 + idx % 3, 1 + idx % 3))
+
+    def test_non_unit_pivot_torsion_free(self):
+        # B^T = [[1, 1, 0], [1, -1, 1]] reduces to a pivot of -2, yet the
+        # 2 x 2 minors -2, 1, 1 have gcd 1: a Gale dual, but not unimodular.
+        B = IntMatrix([[1, 1], [1, -1], [0, 1]])
+        assert _echelon_of_transpose(B) is None
+        assert gale_dual(B) == IntMatrix([[1, -1, -2]])
+        with pytest.raises(NotUnimodular):
+            HypertoricData.from_matrix(B)
+        self.assert_agrees(B)
+
+    def test_torsion_cokernel(self):
+        B = IntMatrix([[1, -1], [1, 1], [1, 1]])
+        assert _echelon_of_transpose(B) is None
+        with pytest.raises(TorsionCokernel):
+            gale_dual(B)
+        assert not classify_case(B).coker_torsion_free
+        self.assert_agrees(B)
+
+    def test_round_trip_with_torsion_scans_A(self):
+        # B = [[1, -1], [1, 1], [1, 1]] has the minor 2 and torsion Z/2;
+        # A = [[0, 1, -1]] is unimodular all the same.
+        d = DivisorData.make(2, [((1, 1), 2), ((1, -1), 1)])
+        rt = round_trip(d)
+        assert not rt.case.coker_torsion_free
+        assert rt.A == IntMatrix([[0, 1, -1]])
+        assert (rt.unimodular_B, rt.unimodular_A) == (False, True)
+        assert rt == round_trip_by_normal_forms(d)
 
 
 class TestUnimodularityExits:
