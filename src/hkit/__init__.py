@@ -27,7 +27,6 @@ from .errors import HkitError
 from .hypertoric import (
     HypertoricData,
     MonomialGen,
-    brute_force_invariants,
     hilbert_basis,
     leaf_classification,
     moment_map_eval,
@@ -66,7 +65,6 @@ __all__ = [
     "Kind",
     "MonomialGen",
     "SmithResult",
-    "brute_force_invariants",
     "build_discriminant",
     "check_simplicity",
     "choose_deformation_line",

@@ -23,13 +23,13 @@ from itertools import combinations, islice
 from .errors import DimensionMismatch, NonPrimitiveRow
 from .intmat import (
     IntMatrix,
-    _echelon,
+    _hermite,
+    _unit,
     canonical_primitive,
     canonical_sign,
     is_primitive,
     kernel_basis,
     rank,
-    smith_normal_form,
 )
 
 
@@ -148,40 +148,6 @@ def stabilizer_rank(arr: ArrangementSpec, eta):
     return rank(IntMatrix(incident, cols=arr.n)), incident
 
 
-# -- exact affine solving ------------------------------------------------------
-
-
-def _solve_affine(normals, offsets, n):
-    """Solve <b_i, eta> = offset_i exactly over Q.
-
-    Returns (consistent, particular point or None, rank).
-    """
-    rows = [[Fraction(x) for x in b] + [Fraction(o)] for b, o in zip(normals, offsets)]
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return False, None, r
-    point = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        point[c] = rows[i][n]
-    return True, tuple(point), r
-
-
 def _wall_row(h):
     """Integer augmented row (normal, offset) of <normal, eta> = offset."""
     d = h.offset.denominator
@@ -232,6 +198,16 @@ def _flat_lattice(arr):
                 if key not in covers:
                     covers[key] = sorted(basis + [(_pivot(res), res)])
         level = covers
+
+
+def _point_of(basis, n):
+    """The point of a flat with free coordinates 0, by back-substitution in
+    its echelon basis: each row is zero before its pivot."""
+    point = [Fraction(0)] * n
+    for p, row in reversed(basis):
+        rest = sum(row[j] * point[j] for j in range(p + 1, n))
+        point[p] = Fraction(row[n] - rest, row[p])
+    return tuple(point)
 
 
 def _multi_incidence_flats(arr):
@@ -289,12 +265,11 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
     result = FlatList()
     for members, basis in _multi_incidence_flats(arr):
         normals = [r[:n] for _, r in basis]
-        _, point, _ = _solve_affine(normals, [r[n] for _, r in basis], n)
         result.append(
             FlatDescriptor(
                 members=members,
                 direction=kernel_basis(IntMatrix(normals, cols=n)),
-                point=point,
+                point=_point_of(basis, n),
                 codimension=len(basis),
             )
         )
@@ -317,14 +292,12 @@ class SimplicityReport:
         return self.no_excess_intersections and self.normals_extend_to_basis
 
 
-def _extends_to_basis(normals, n):
-    """Unit pivots decide: k normals extend iff the echelon has k of them.
-    A pivot that is not a unit leaves it to the invariant factors."""
-    pivots = _echelon([list(v) for v in normals])
-    if pivots is not None:
-        return len(pivots) == len(normals)
-    snf = smith_normal_form(IntMatrix(normals, cols=n))
-    return snf.torsion_free and len(snf.invariant_factors) == len(normals)
+def _extends_to_basis(normals):
+    """k normals extend to a Z-basis iff the n x k matrix with them as
+    columns maps Z^n onto Z^k, that is iff its HNF has k pivots, all 1."""
+    a = [list(col) for col in zip(*normals)]
+    pivots = _hermite(a, len(normals))
+    return len(pivots) == len(normals) and _unit(a, pivots)
 
 
 def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
@@ -342,13 +315,13 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     for members, basis in _multi_incidence_flats(arr):
         members = sorted(members)
         violations_a.update(combinations(members, n + 1))
-        if _extends_to_basis([normals[i] for i in members], n):
+        if _extends_to_basis([normals[i] for i in members]):
             continue
         for k in range(2, len(members) + 1):
             violations_b.update(
                 s
                 for s in combinations(members, k)
-                if k > len(basis) or not _extends_to_basis([normals[i] for i in s], n)
+                if k > len(basis) or not _extends_to_basis([normals[i] for i in s])
             )
     return SimplicityReport(
         no_excess_intersections=not violations_a,
@@ -356,55 +329,3 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
         violations_a=tuple(sorted(violations_a)),
         violations_b=tuple(sorted(violations_b, key=lambda s: (len(s), s))),
     )
-
-
-# -- deterministic generic sampling --------------------------------------------
-
-
-def _primes():
-    yield 2
-    found = [2]
-    candidate = 3
-    while True:
-        if all(candidate % p for p in found if p * p <= candidate):
-            found.append(candidate)
-            yield candidate
-        candidate += 2
-
-
-def _prime_window(window, n):
-    gen = _primes()
-    for _ in range(window * n):
-        next(gen)
-    return tuple(Fraction(next(gen)) for _ in range(n))
-
-
-def generic_point_off(arr: ArrangementSpec, max_windows=1000):
-    """Deterministic rational point lying on no wall of the arrangement.
-
-    Coordinates come from consecutive prime windows; on accidental incidence
-    the next window is tried.
-    """
-    for window in range(max_windows):
-        p = _prime_window(window, arr.n)
-        if all(not c.hyperplane.contains(p) for c in arr.components):
-            return p
-    raise RuntimeError("no generic point found within the window budget")
-
-
-def generic_point_on(arr: ArrangementSpec, index, max_windows=1000):
-    """Deterministic rational point on wall `index` and off all other walls."""
-    target = arr.components[index].hyperplane
-    b = target.normal
-    bb = sum(x * x for x in b)
-    for window in range(max_windows):
-        p = _prime_window(window, arr.n)
-        shift = (target.offset - sum(x * y for x, y in zip(b, p))) / bb
-        eta = tuple(x + shift * y for x, y in zip(p, b))
-        if all(
-            not c.hyperplane.contains(eta)
-            for i, c in enumerate(arr.components)
-            if i != index
-        ):
-            return eta
-    raise RuntimeError("no on-wall generic point found within the window budget")

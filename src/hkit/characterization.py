@@ -11,17 +11,7 @@ from fractions import Fraction
 
 from .arrangement import ArrangementSpec, build_discriminant
 from .errors import CaseRejected, NonPrimitiveRow
-from .intmat import (
-    IntMatrix,
-    _echelon_of_transpose,
-    _kernel_of_transpose,
-    _rank_of,
-    _unimodularity_of,
-    canonical_sign,
-    is_primitive,
-    is_unimodular,
-    smith_normal_form,
-)
+from .intmat import IntMatrix, _Forms, canonical_sign, is_primitive, is_unimodular
 
 SMOOTH = "smooth_affine_space"
 HYPERTORIC = "hypertoric"
@@ -95,35 +85,35 @@ def classify_case(B: IntMatrix) -> CaseTag:
 
 
 def _classify(B):
-    """(case tag, echelon of B^T or None). With unit pivots the echelon
-    gives the rank, a torsion-free cokernel and unimodularity; a pivot that
-    is not a unit sends B through rank, the unimodularity test and SNF."""
+    """(case tag, the _Forms of B): the HNF of B^T gives the rank, and with
+    unit pivots a torsion-free cokernel and unimodularity; a pivot that is not
+    1 means B is not unimodular, and one HNF of B settles the torsion."""
     for i in range(B.rows):
         if not is_primitive(B.row(i)):
             raise NonPrimitiveRow(i, B.row(i))
     N, n = B.rows, B.cols
-    echelon = _echelon_of_transpose(B)
-    if _rank_of(B, echelon) < n:
+    forms = _Forms(B)
+    if forms.rank < n:
         return CaseTag(
             case=REJECTED,
             reason="not injective: the stacked normals span a proper sublattice, "
             "which contradicts conical contractibility",
-        ), echelon
-    unimod = _unimodularity_of(B, echelon)[0]
-    torsion_free = echelon is not None or smith_normal_form(B).torsion_free
+        ), forms
+    unimod = forms.unimodularity()[0]
+    torsion_free = forms.torsion_free
     if N == n and unimod:
         return CaseTag(
             case=SMOOTH,
             condition_star=False,
             unimodular=True,
             coker_torsion_free=True,
-        ), echelon
+        ), forms
     return CaseTag(
         case=HYPERTORIC,
         condition_star=N > n,
         unimodular=unimod,
         coker_torsion_free=torsion_free,
-    ), echelon
+    ), forms
 
 
 @dataclass(frozen=True)
@@ -147,13 +137,13 @@ def round_trip(d: DivisorData) -> RoundTripReport:
     warnings rather than errors.
     """
     B = reconstruct_B(d)
-    tag, echelon = _classify(B)
+    tag, forms = _classify(B)
     if tag.case == REJECTED:
         raise CaseRejected(tag.reason)
 
     # saturated integer kernel; coincides with the exact Gale dual whenever
     # the cokernel is torsion-free
-    A = _kernel_of_transpose(B, echelon)
+    A = forms.kernel()
     warnings = []
     if not tag.coker_torsion_free:
         warnings.append(

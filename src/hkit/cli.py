@@ -28,13 +28,7 @@ from .hypertoric import (
     leaf_classification,
     presentation,
 )
-from .intmat import (
-    IntMatrix,
-    is_primitive,
-    rank,
-    smith_normal_form,
-    unimodularity_report,
-)
+from .intmat import IntMatrix, is_primitive, smith_normal_form, unimodularity_report
 from .plot import plot_arrangement
 
 SCHEMA_VERSION = 2
@@ -188,8 +182,8 @@ def _cmd_gale(payload, job, notes):
 def _cmd_check(payload, job, notes):
     B = _parse_matrix(payload)
     bad_rows = [i for i in range(B.rows) if not is_primitive(B.row(i))]
-    r = rank(B)
     snf = smith_normal_form(B)
+    r = len(snf.invariant_factors)
     result = {
         "N": B.rows,
         "n": B.cols,

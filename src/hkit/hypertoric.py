@@ -24,18 +24,9 @@ from .errors import (
     NonPrimitiveRow,
     NotUnimodular,
 )
-from .intmat import (
-    IntMatrix,
-    _gale,
-    _unimodularity_of,
-    canonical_sign,
-    is_primitive,
-    rank,
-)
+from .intmat import IntMatrix, _gale, canonical_sign, is_primitive, rank
 
 DEFAULT_CANDIDATE_BUDGET = 10**5
-BRUTE_FORCE_MAX_N = 6
-BRUTE_FORCE_MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -53,8 +44,8 @@ class HypertoricData:
         for i in range(B.rows):
             if not is_primitive(B.row(i)):
                 raise NonPrimitiveRow(i, B.row(i))
-        A, echelon = _gale(B)  # raises NotInjective / TorsionCokernel
-        if not _unimodularity_of(B, echelon)[0]:
+        A, forms = _gale(B)  # raises NotInjective / TorsionCokernel
+        if not forms.unimodularity()[0]:
             raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
         classes = {}
         for i in range(B.rows):
@@ -97,47 +88,6 @@ def moment_map_eval(A: IntMatrix, z, w):
     return tuple(out)
 
 
-def brute_force_invariants(H: HypertoricData, d: int):
-    """All nonzero invariant exponent pairs of degree <= d, graded-lex sorted.
-
-    Independent oracle for the invariant monoid: plain enumeration of exponent
-    vectors with the membership test A u = A v, met in the middle (every u of
-    degree <= d is bucketed by its weight A u, and pairs within a bucket are
-    kept while their total degree stays <= d).
-    """
-    if d < 1:
-        raise ValueError("degree cap must be >= 1")
-    if H.N > BRUTE_FORCE_MAX_N or d > BRUTE_FORCE_MAX_DEGREE:
-        raise BudgetExceeded(
-            f"enumeration guard: N <= {BRUTE_FORCE_MAX_N}, d <= {BRUTE_FORCE_MAX_DEGREE}"
-        )
-    weight_rows = [H.A.row(j) for j in range(H.A.rows)]
-    buckets = {}
-    for total in range(d + 1):
-        for exps in _compositions(total, H.N):
-            weight = tuple(sum(a * x for a, x in zip(row, exps)) for row in weight_rows)
-            buckets.setdefault(weight, []).append((total, exps))
-    out = [
-        MonomialGen(u=u, v=v)
-        for half in buckets.values()
-        for du, u in half
-        for dv, v in half
-        if 1 <= du + dv <= d
-    ]
-    out.sort(key=MonomialGen.sort_key)
-    return out
-
-
-def _compositions(total, parts):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 # -- Hilbert basis from the circuits of the column lattice ----------------------
 
 
@@ -166,41 +116,6 @@ def _split_monomial(g):
         u=tuple(x if x > 0 else 0 for x in g),
         v=tuple(-x if x < 0 else 0 for x in g),
     )
-
-
-def decompose_over_basis(target: MonomialGen, basis):
-    """Exhaustive search for a representation of target as a sum of basis
-    elements; returns the list of basis indices or None."""
-    order = sorted(range(len(basis)), key=lambda i: -basis[i].degree)
-    # Each basis element as its nonzero entries of the concatenated (u, v).
-    supports = [
-        (i, [(k, e) for k, e in enumerate(basis[i].u + basis[i].v) if e])
-        for i in order
-    ]
-    seen = set()
-
-    def search(t):
-        if not any(t):
-            return []
-        if t in seen:
-            return None
-        seen.add(t)
-        for i, support in supports:
-            if all(t[k] >= e for k, e in support):
-                rest = list(t)
-                for k, e in support:
-                    rest[k] -= e
-                found = search(tuple(rest))
-                if found is not None:
-                    return [i] + found
-        return None
-
-    try:
-        return search(target.u + target.v)
-    finally:
-        # search reaches itself through its closure; breaking that cycle frees
-        # the seen set on return, not at the next cyclic garbage collection.
-        del search
 
 
 def coordinate_dimension(H: HypertoricData, basis=None):

@@ -1,13 +1,20 @@
 """Exact integer linear algebra: Hermite/Smith normal forms, primitivity,
 unimodularity, saturated kernels and Gale duality.
 
-One reduced echelon form [I | R] with unit pivots (_echelon) does the work
-of validation. For B^T it gives the rank of B, a torsion-free cokernel (the
-pivot minor is 1), the Gale dual A (x_free = e_j, x_pivot = -R e_j) and
-B's unimodularity (R totally unimodular, decided by a scan of R's square
-minors one size at a time, never one determinant per maximal minor); see
-gale_dual and unimodularity_report. Only a pivot that is not a unit falls
-back to the Hermite and Smith normal forms.
+One elimination loop, the row Hermite normal form (_hermite), does all the
+work. An HNF whose pivots are all 1 is the reduced echelon form [I | R] up to
+column order, and the HNF of a matrix of full column rank has pivots that
+multiply to the gcd of its maximal minors (Schrijver, Theory of Linear and
+Integer Programming, 1986, ch. 4; Cohen, A Course in Computational Algebraic
+Number Theory, 1993, 2.4). So one HNF of B^T gives the rank of B, and when
+its pivots are 1 also a torsion-free cokernel (the pivot minor is 1), the
+Gale dual A (x_free = e_j, x_pivot = -R e_j) and B's unimodularity (R
+totally unimodular, decided by a scan of R's square minors one size at a
+time); see gale_dual and unimodularity_report. A pivot that is not 1 makes B
+not unimodular and costs one HNF of B with its transform, which gives the
+torsion test and the kernel. The Smith normal form runs the same loop on
+rows and columns in turn; only `hkit check` and the TorsionCokernel message
+call it.
 
 Everything is arbitrary-precision (plain Python ints) and every value is
 immutable after construction, so all functions here are safe to call
@@ -23,9 +30,9 @@ from math import comb, gcd
 from .errors import NotInjective, TorsionCokernel
 
 # Past this many maximal minors, C(p, q) for a q x p matrix (the echelon
-# scan of unimodularity_report visits C(p, q) - 1 square minors of R), fall
-# back to the SNF criterion (necessary but not sufficient for rectangular
-# matrices).
+# scan of unimodularity_report visits C(p, q) - 1 square minors of R), unit
+# pivots are accepted without the scan (necessary but not sufficient for
+# rectangular matrices).
 MINOR_BUDGET = 10**6
 
 
@@ -168,19 +175,27 @@ def hermite_normal_form(M: IntMatrix):
     bottom. H is the unique HNF of the row lattice of M. U is carried along
     as extra columns of [M | I].
     """
-    m, n = M.rows, M.cols
+    n = M.cols
+    H, _ = _with_transform(M)
+    return IntMatrix([row[:n] for row in H], cols=n), IntMatrix([row[n:] for row in H], cols=M.rows)
+
+
+def _with_transform(M):
+    """(rows [H | U], pivot columns of H) for the HNF U @ M = H."""
+    m = M.rows
     H = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(M.data)]
-    _hermite(H, n)
-    return IntMatrix([row[:n] for row in H], cols=n), IntMatrix([row[n:] for row in H], cols=m)
+    return H, _hermite(H, M.cols)
 
 
 def _hermite(H, n):
     """Bring the rows H (lists, changed in place) to row Hermite normal form
     on their first n columns; the row operations act on whole rows. Returns
-    the rank, the number of nonzero rows on those columns."""
+    the pivot columns, in order: the pivot rows come first and the rows below
+    them are zero on the first n columns. Their number is the rank."""
     m = len(H)
-    r = 0
+    pivots = []
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
         pivot = r
@@ -209,8 +224,15 @@ def _hermite(H, n):
             q = H[i][c] // hr[c]
             if q:
                 H[i] = [x - q * y for x, y in zip(H[i], hr)]
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def _unit(H, pivots):
+    """True iff every pivot of the HNF rows H is 1. Entries above a pivot lie
+    in [0, pivot), so H is then the reduced echelon form [I | R] up to column
+    order."""
+    return all(H[i][c] == 1 for i, c in enumerate(pivots))
 
 
 @dataclass(frozen=True)
@@ -228,99 +250,41 @@ class SmithResult:
 
 
 def smith_normal_form(M: IntMatrix) -> SmithResult:
+    """Row and column HNFs in turn until S is diagonal, with U carried as
+    extra columns of the rows and V as extra columns of the columns. When a
+    diagonal entry does not divide the next one, the next column is added
+    into its column and the loop goes on: the next row HNF puts their gcd on
+    the diagonal."""
     m, n = M.rows, M.cols
-    S = M.row_list()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_sub(i, j, q):
-        for k in range(n):
-            S[i][k] -= q * S[j][k]
-        for k in range(m):
-            U[i][k] -= q * U[j][k]
-
-    def col_sub(i, j, q):
-        # col_i -= q * col_j
-        for k in range(m):
-            S[k][i] -= q * S[k][j]
-        for k in range(n):
-            V[k][i] -= q * V[k][j]
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for k in range(m):
-            S[k][i], S[k][j] = S[k][j], S[k][i]
-        for k in range(n):
-            V[k][i], V[k][j] = V[k][j], V[k][i]
-
-    def row_neg(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        # Bring a nonzero entry to (t, t).
-        pos = next(
-            ((i, j) for i in range(t, m) for j in range(t, n) if S[i][j] != 0), None
-        )
-        if pos is None:
+    SU = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(M.data)]
+    VT = [[int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        _hermite(SU, n)
+        # The columns of S with those of V: [S^T | V^T].
+        SV = [[row[j] for row in SU] + v for j, v in enumerate(VT)]
+        _hermite(SV, m)
+        VT = [col[m:] for col in SV]
+        for i, row in enumerate(SU):
+            row[:n] = [col[i] for col in SV]
+        if any(col[i] for j, col in enumerate(SV) for i in range(m) if i != j):
+            continue
+        d = [SV[k][k] for k in range(min(m, n))]
+        k = next((k for k in range(len(d) - 1) if d[k] and d[k + 1] % d[k]), None)
+        if k is None:
             break
-        if pos[0] != t:
-            row_swap(t, pos[0])
-        if pos[1] != t:
-            col_swap(t, pos[1])
-        while True:
-            # Clear column t.
-            for i in range(t + 1, m):
-                while S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    row_sub(i, t, q)
-                    if S[i][t] != 0:
-                        row_swap(t, i)
-            # Clear row t; may reintroduce column entries.
-            dirty = False
-            for j in range(t + 1, n):
-                while S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    col_sub(j, t, q)
-                    if S[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            if any(S[i][t] != 0 for i in range(t + 1, m)):
-                continue
-            # Enforce divisibility of the remaining block by S[t][t].
-            offender = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, m)
-                    for j in range(t + 1, n)
-                    if S[i][j] % S[t][t] != 0
-                ),
-                None,
-            )
-            if offender is None:
-                break
-            row_sub(t, offender[0], -1)  # add offending row into row t
-        if S[t][t] < 0:
-            row_neg(t)
-        t += 1
-
-    factors = tuple(S[i][i] for i in range(min(m, n)) if S[i][i] != 0)
+        for row in SU:
+            row[k] += row[k + 1]
+        VT[k] = [x + y for x, y in zip(VT[k], VT[k + 1])]
     return SmithResult(
-        S=IntMatrix(S, cols=n),
-        U=IntMatrix(U, cols=m),
-        V=IntMatrix(V, cols=n),
-        invariant_factors=factors,
+        S=IntMatrix([row[:n] for row in SU], cols=n),
+        U=IntMatrix([row[n:] for row in SU], cols=m),
+        V=IntMatrix(zip(*VT), cols=n),
+        invariant_factors=tuple(x for x in d if x),
     )
 
 
 def rank(M: IntMatrix) -> int:
-    return _hermite(M.row_list(), M.cols)
+    return len(_hermite(M.row_list(), M.cols))
 
 
 def det(M: IntMatrix) -> int:
@@ -353,21 +317,20 @@ def max_minor_count(M: IntMatrix) -> int:
     return comb(max(M.rows, M.cols), m) if m else 0
 
 
-def is_unimodular(M: IntMatrix, minor_budget: int = MINOR_BUDGET) -> bool:
+def is_unimodular(M: IntMatrix) -> bool:
     """True iff every maximal minor is in {-1, 0, 1} and at least one is nonzero.
 
-    For square M this is |det M| = 1. Past the minor budget the SNF fallback
-    (full rank, all invariant factors 1) is used; see unimodularity_report.
+    For square M this is |det M| = 1. Past the minor budget a matrix of full
+    rank with unit pivots is accepted; see unimodularity_report.
     """
-    verdict, _ = unimodularity_report(M, minor_budget=minor_budget)
-    return verdict
+    return unimodularity_report(M)[0]
 
 
-def unimodularity_report(M: IntMatrix, minor_budget: int = MINOR_BUDGET):
+def unimodularity_report(M: IntMatrix):
     """(verdict, method) where method is "minors" or "snf_fallback".
 
     "minors" is exact. Integer row operations keep every maximal minor up to
-    sign, so M (oriented q x p with q <= p) is brought to reduced echelon
+    sign, so M (oriented q x p with q <= p) is brought to Hermite normal
     form. It fails at once if its rank is below q (every maximal minor is 0)
     or a pivot is not 1 (the minor on the pivot columns is their product).
     Otherwise it is [I | R] up to column order, each maximal minor is +- a
@@ -377,18 +340,18 @@ def unimodularity_report(M: IntMatrix, minor_budget: int = MINOR_BUDGET):
     expansion along its first row over the nonzero minors of the size below,
     stopping at the first one outside {-1, 0, 1}.
 
-    The fallback criterion is necessary but not sufficient for rectangular
-    matrices, hence the distinct method tag for reports.
+    Past MINOR_BUDGET maximal minors, unit pivots are accepted without the
+    scan as "snf_fallback": they make every invariant factor 1, a criterion
+    that is necessary but not sufficient for rectangular matrices, hence the
+    distinct method tag for reports.
     """
     if min(M.rows, M.cols) == 0:
         return False, "minors"
-    if max_minor_count(M) > minor_budget:
-        res = smith_normal_form(M)
-        full = len(res.invariant_factors) == min(M.rows, M.cols)
-        return full and res.torsion_free, "snf_fallback"
     R = _non_pivot_block(M)
     if R is None:
         return False, "minors"
+    if max_minor_count(M) > MINOR_BUDGET:
+        return True, "snf_fallback"
     return _totally_unimodular(R), "minors"
 
 
@@ -397,51 +360,10 @@ def _non_pivot_block(M: IntMatrix):
     of M or its transpose, whichever is wide; None if the rank is short or a
     pivot is not a unit."""
     a = [list(r) for r in (M.data if M.rows <= M.cols else zip(*M.data))]
-    pivots = _echelon(a)
-    if pivots is None or len(pivots) < len(a):
+    pivots = _hermite(a, len(a[0]))
+    if len(pivots) < len(a) or not _unit(a, pivots):
         return None
     return _free_block(a, pivots)
-
-
-def _echelon(a):
-    """Bring the rows a (lists, changed in place) to reduced echelon form by
-    integer row operations, every pivot scaled to 1. Returns the pivot
-    columns, in order, with the pivot rows first and zero rows below them;
-    None as soon as a pivot is not a unit."""
-    q = len(a)
-    pivots = []
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        if r == q:
-            break
-        # Euclid on column c below the pivots found so far, until the
-        # smallest entry is a unit or the only one left.
-        while True:
-            live = [i for i in range(r, q) if a[i][c]]
-            if not live:
-                break
-            top = min(live, key=lambda i: abs(a[i][c]))
-            a[r], a[top] = a[top], a[r]
-            pr, pc = a[r], a[r][c]
-            if len(live) == 1 or pc in (1, -1):
-                break
-            for i in range(r + 1, q):
-                f = a[i][c] // pc
-                if f:
-                    a[i] = [x - f * y for x, y in zip(a[i], pr)]
-        if not live:
-            continue
-        if a[r][c] not in (1, -1):
-            return None
-        if a[r][c] == -1:
-            a[r] = [-x for x in a[r]]
-        pr = a[r]
-        for i in range(q):
-            f = a[i][c]
-            if f and i != r:
-                a[i] = [x - f * y for x, y in zip(a[i], pr)]
-        pivots.append(c)
-    return pivots
 
 
 def _free_block(a, pivots):
@@ -496,10 +418,10 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     is a direct summand of the ambient lattice.
     """
     a = M.row_list()
-    pivots = _echelon(a)
-    if pivots is None:
-        return _kernel_by_transform(M)
-    return _kernel_from_echelon(a, pivots, M.cols)
+    pivots = _hermite(a, M.cols)
+    if _unit(a, pivots):
+        return _kernel_from_echelon(a, pivots, M.cols)
+    return _left_kernel(*_with_transform(M.transpose()), M.rows)
 
 
 def _kernel_from_echelon(a, pivots, width):
@@ -518,11 +440,13 @@ def _kernel_from_echelon(a, pivots, width):
     return IntMatrix(rows, cols=width)
 
 
-def _kernel_by_transform(M):
-    H, U = hermite_normal_form(M.transpose())
-    rows = [list(U.row(i)) for i in range(H.rows) if not any(H.row(i))]
-    _hermite(rows, M.cols)
-    return IntMatrix(rows, cols=M.cols)
+def _left_kernel(H, pivots, n):
+    """{u : u M = 0} in HNF, for M with n columns, from the rows [H | U] of
+    its HNF U @ M = H: the rows of U on H's zero rows."""
+    width = len(H)
+    rows = [row[n:] for row in H[len(pivots):]]
+    _hermite(rows, width)
+    return IntMatrix(rows, cols=width)
 
 
 def gale_dual(B: IntMatrix) -> IntMatrix:
@@ -534,52 +458,61 @@ def gale_dual(B: IntMatrix) -> IntMatrix:
     return _gale(B)[0]
 
 
-def _echelon_of_transpose(B):
-    """(a, pivots): the reduced echelon form of B^T with unit pivots, or None
-    when a pivot is not a unit."""
-    a = [list(col) for col in zip(*B.data)]
-    pivots = _echelon(a)
-    return None if pivots is None else (a, pivots)
+class _Forms:
+    """The normal forms that validation reads for B (N x n): the HNF of B^T,
+    and, only when one of its pivots is not 1 and B has rank n, one HNF of B
+    with its transform.
+
+    Pivots of B^T's HNF that are all 1 make it [I | R] up to column order
+    with pivot minor 1: the cokernel is torsion-free, the kernel of B^T is
+    read off R and B is unimodular iff R is totally unimodular. A pivot d > 1
+    puts d in the pivot minor, so B is not unimodular; then the HNF of B has
+    pivots that multiply to the gcd of B's maximal minors, so the cokernel is
+    torsion-free iff they are all 1, and its transform gives the kernel.
+    """
+
+    def __init__(self, B):
+        self.B = B
+        self.echelon = [list(col) for col in zip(*B.data)]
+        self.pivots = _hermite(self.echelon, B.rows)
+        self.rank = len(self.pivots)
+        self.unit = _unit(self.echelon, self.pivots)
+        full_rank = self.rank == B.cols
+        self.transform = _with_transform(B) if full_rank and not self.unit else None
+
+    @property
+    def torsion_free(self):
+        """For B of rank n: whether the cokernel is torsion-free."""
+        return self.transform is None or _unit(*self.transform)
+
+    def kernel(self):
+        """kernel_basis(B^T), for B of rank n."""
+        if self.transform is None:
+            return _kernel_from_echelon(self.echelon, self.pivots, self.B.rows)
+        return _left_kernel(*self.transform, self.B.cols)
+
+    def unimodularity(self):
+        """unimodularity_report(B), for B of rank n (for square B the HNF of
+        B^T stands in for that of B: the determinant is the same). Past the
+        budget the verdict comes from unimodularity_report itself, so that
+        every "snf_fallback" verdict is one of its results."""
+        B = self.B
+        if min(B.shape) == 0 or not self.unit:
+            return False, "minors"
+        if max_minor_count(B) > MINOR_BUDGET:
+            return unimodularity_report(B)
+        return _totally_unimodular(_free_block(self.echelon, self.pivots)), "minors"
 
 
 def _gale(B):
-    """(gale_dual(B), the echelon of B^T or None).
-
-    One reduced echelon form of B^T settles everything when its pivots are
-    units: the rank is the number of pivots, the cokernel is torsion-free
-    (the pivot minor is 1), and A is its kernel. Only a pivot that is not a
-    unit sends B through rank, SNF and the HNF transform, in that order.
-    """
-    N, n = B.rows, B.cols
-    echelon = None if n > N else _echelon_of_transpose(B)
-    if n > N or _rank_of(B, echelon) < n:
-        raise NotInjective(f"matrix of shape {B.shape} has rank below {n}")
-    if echelon is None:
+    """(gale_dual(B), the _Forms of B). Errors come in the order rank,
+    torsion; the Smith normal form only words the torsion message."""
+    forms = _Forms(B)
+    if forms.rank < B.cols:
+        raise NotInjective(f"matrix of shape {B.shape} has rank below {B.cols}")
+    if not forms.torsion_free:
         snf = smith_normal_form(B)
-        if not snf.torsion_free:
-            raise TorsionCokernel(
-                f"invariant factors {list(snf.invariant_factors)} contain an entry > 1"
-            )
-    return _kernel_of_transpose(B, echelon), echelon
-
-
-def _rank_of(B, echelon):
-    """rank(B), counted off the echelon of B^T when there is one."""
-    return rank(B) if echelon is None else len(echelon[1])
-
-
-def _kernel_of_transpose(B, echelon):
-    """kernel_basis(B^T), from the echelon of B^T when there is one."""
-    if echelon is None:
-        return _kernel_by_transform(B.transpose())
-    return _kernel_from_echelon(*echelon, B.rows)
-
-
-def _unimodularity_of(B, echelon):
-    """unimodularity_report(B) for B of full column rank, with R taken from
-    the echelon of B^T (the matrix _non_pivot_block reduces, or for square B
-    its transpose, which has the same determinant)."""
-    if echelon is None or min(B.rows, B.cols) == 0 or max_minor_count(B) > MINOR_BUDGET:
-        return unimodularity_report(B)
-    a, pivots = echelon
-    return _totally_unimodular(_free_block(a, pivots)), "minors"
+        raise TorsionCokernel(
+            f"invariant factors {list(snf.invariant_factors)} contain an entry > 1"
+        )
+    return forms.kernel(), forms

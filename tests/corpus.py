@@ -14,12 +14,22 @@ deduplicated by construction:
 
 import itertools
 import random
+from collections import Counter
 from math import gcd
 
 from hkit.arrangement import build_discriminant, group_hyperplanes, stabilizer_rank
+from hkit.characterization import DivisorData
 from hkit.hypertoric import HypertoricData
-from hkit.intmat import IntMatrix, canonical_primitive, rank, smith_normal_form
+from hkit.intmat import (
+    IntMatrix,
+    canonical_primitive,
+    canonical_sign,
+    is_primitive,
+    rank,
+    smith_normal_form,
+)
 from hkit.errors import HkitError
+from oracles import generic_point_on
 
 SAMPLE_SEED = 2024
 SAMPLES_PER_SIZE = 150
@@ -81,6 +91,14 @@ def complete_graph(m):
     return IntMatrix(rows, cols=m - 1)
 
 
+def divisor_of(B):
+    """B's rows as divisor data (parallel rows merged), or None when a row is
+    not primitive."""
+    if not all(is_primitive(B.row(i)) for i in range(B.rows)):
+        return None
+    return DivisorData.make(B.cols, Counter(canonical_sign(B.row(i)) for i in range(B.rows)).items())
+
+
 def valid_hypertoric(matrices):
     """Filter to HypertoricData-valid matrices, yielding the validated bundles."""
     for B in matrices:
@@ -99,7 +117,7 @@ def probe_discriminant(B):
     built = build_discriminant(B)
     out = {}
     for idx, cand in enumerate(candidates):
-        eta = _point_on(reference, idx)
+        eta = generic_point_on(reference, idx)
         r, normals = stabilizer_rank(built, eta)
         if r != 1 or normals != [cand]:
             raise AssertionError(f"probe failed at wall {cand} of {B!r}")
@@ -107,12 +125,6 @@ def probe_discriminant(B):
             1 for i in range(B.rows) if sum(b * x for b, x in zip(B.row(i), eta)) == 0
         )
     return out
-
-
-def _point_on(reference, idx):
-    from hkit.arrangement import generic_point_on
-
-    return generic_point_on(reference, idx)
 
 
 def probe_matches(B):

@@ -1,6 +1,7 @@
 """Oracles for the flat engine in hkit.arrangement, for the Hilbert basis in
-hkit.hypertoric, for unimodularity in hkit.intmat and for validation, the
-Gale dual and the round trip.
+hkit.hypertoric, for unimodularity and the Smith normal form in hkit.intmat
+and for validation, the Gale dual and the round trip, plus the enumerations
+and generic points that only tests use.
 
 The subset scans are the exhaustive enumerations that `f_locus` and
 `check_simplicity` used before the intersection-lattice engine: every subset
@@ -12,14 +13,17 @@ form: one Bareiss determinant per maximal minor. The normal-form path is how
 validation, `gale_dual`, `kernel_basis`, `classify_case` and `round_trip`
 worked before they read everything off one reduced echelon form of B^T:
 rank from a full HNF, torsion from an SNF, kernels from the HNF transform,
-and A's unimodularity scanned on its own. The enumerations are exponential;
-all of these serve only as test references.
+and A's unimodularity scanned on its own. The Smith normal form by closures
+is how `smith_normal_form` worked before it ran the Hermite loop on rows and
+columns in turn. The brute-force invariants enumerate the invariant monoid
+degree by degree, and the generic points come from windows of primes. The
+enumerations are exponential; all of these serve only as test references.
 """
 
 import itertools
 from fractions import Fraction
 
-from hkit.arrangement import FlatDescriptor, SimplicityReport, _solve_affine, build_discriminant
+from hkit.arrangement import ArrangementSpec, FlatDescriptor, SimplicityReport, build_discriminant
 from hkit.characterization import (
     HYPERTORIC,
     REJECTED,
@@ -29,6 +33,7 @@ from hkit.characterization import (
     reconstruct_B,
 )
 from hkit.errors import (
+    BudgetExceeded,
     CaseRejected,
     NonPrimitiveRow,
     NotInjective,
@@ -38,14 +43,45 @@ from hkit.errors import (
 from hkit.hypertoric import HypertoricData, MonomialGen
 from hkit.intmat import (
     IntMatrix,
+    SmithResult,
     canonical_sign,
     det,
     is_primitive,
     is_unimodular,
     kernel_basis,
     rank,
-    smith_normal_form,
 )
+
+
+def _solve_affine(normals, offsets, n):
+    """Solve <b_i, eta> = offset_i exactly over Q.
+
+    Returns (consistent, particular point or None, rank).
+    """
+    rows = [[Fraction(x) for x in b] + [Fraction(o)] for b, o in zip(normals, offsets)]
+    m = len(rows)
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, m):
+        if rows[i][n] != 0:
+            return False, None, r
+    point = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        point[c] = rows[i][n]
+    return True, tuple(point), r
 
 
 def _rref_key(normals, offsets, n):
@@ -125,7 +161,7 @@ def check_simplicity_scan(arr):
             if not consistent:
                 continue
             stacked = IntMatrix(normals, cols=n)
-            snf = smith_normal_form(stacked)
+            snf = smith_normal_form_by_closures(stacked)
             part_of_basis = snf.torsion_free and len(snf.invariant_factors) == k
             if not part_of_basis:
                 violations_b.append(subset)
@@ -284,6 +320,100 @@ def hermite_normal_form_by_closures(M):
     return IntMatrix(H, cols=n), IntMatrix(U, cols=m)
 
 
+def smith_normal_form_by_closures(M):
+    """U @ M @ V = S by one pivot at a time, the row and column operations as
+    closures that update S, U and V separately."""
+    m, n = M.rows, M.cols
+    S = M.row_list()
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_sub(i, j, q):
+        for k in range(n):
+            S[i][k] -= q * S[j][k]
+        for k in range(m):
+            U[i][k] -= q * U[j][k]
+
+    def col_sub(i, j, q):
+        # col_i -= q * col_j
+        for k in range(m):
+            S[k][i] -= q * S[k][j]
+        for k in range(n):
+            V[k][i] -= q * V[k][j]
+
+    def row_swap(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        for k in range(m):
+            S[k][i], S[k][j] = S[k][j], S[k][i]
+        for k in range(n):
+            V[k][i], V[k][j] = V[k][j], V[k][i]
+
+    def row_neg(i):
+        S[i] = [-x for x in S[i]]
+        U[i] = [-x for x in U[i]]
+
+    t = 0
+    while t < min(m, n):
+        # Bring a nonzero entry to (t, t).
+        pos = next(
+            ((i, j) for i in range(t, m) for j in range(t, n) if S[i][j] != 0), None
+        )
+        if pos is None:
+            break
+        if pos[0] != t:
+            row_swap(t, pos[0])
+        if pos[1] != t:
+            col_swap(t, pos[1])
+        while True:
+            # Clear column t.
+            for i in range(t + 1, m):
+                while S[i][t] != 0:
+                    q = S[i][t] // S[t][t]
+                    row_sub(i, t, q)
+                    if S[i][t] != 0:
+                        row_swap(t, i)
+            # Clear row t; may reintroduce column entries.
+            dirty = False
+            for j in range(t + 1, n):
+                while S[t][j] != 0:
+                    q = S[t][j] // S[t][t]
+                    col_sub(j, t, q)
+                    if S[t][j] != 0:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            if any(S[i][t] != 0 for i in range(t + 1, m)):
+                continue
+            # Enforce divisibility of the remaining block by S[t][t].
+            offender = next(
+                (
+                    (i, j)
+                    for i in range(t + 1, m)
+                    for j in range(t + 1, n)
+                    if S[i][j] % S[t][t] != 0
+                ),
+                None,
+            )
+            if offender is None:
+                break
+            row_sub(t, offender[0], -1)  # add offending row into row t
+        if S[t][t] < 0:
+            row_neg(t)
+        t += 1
+
+    factors = tuple(S[i][i] for i in range(min(m, n)) if S[i][i] != 0)
+    return SmithResult(
+        S=IntMatrix(S, cols=n),
+        U=IntMatrix(U, cols=m),
+        V=IntMatrix(V, cols=n),
+        invariant_factors=factors,
+    )
+
+
 def rank_by_hnf(M):
     H, _ = hermite_normal_form_by_closures(M)
     return sum(1 for row in H.data if any(x != 0 for x in row))
@@ -305,7 +435,7 @@ def gale_dual_by_normal_forms(B):
     N, n = B.rows, B.cols
     if n > N or rank_by_hnf(B) < n:
         raise NotInjective(f"matrix of shape {B.shape} has rank below {n}")
-    snf = smith_normal_form(B)
+    snf = smith_normal_form_by_closures(B)
     if not snf.torsion_free:
         raise TorsionCokernel(
             f"invariant factors {list(snf.invariant_factors)} contain an entry > 1"
@@ -341,7 +471,7 @@ def classify_case_by_normal_forms(B):
             "which contradicts conical contractibility",
         )
     unimod = is_unimodular(B)
-    torsion_free = smith_normal_form(B).torsion_free
+    torsion_free = smith_normal_form_by_closures(B).torsion_free
     if N == n and unimod:
         return CaseTag(case=SMOOTH, condition_star=False, unimodular=True, coker_torsion_free=True)
     return CaseTag(
@@ -381,3 +511,137 @@ def round_trip_by_normal_forms(d):
         equal=disc.wall_multiset() == d.wall_multiset(),
         warnings=tuple(warnings),
     )
+
+
+# -- the invariant monoid by enumeration -----------------------------------------
+
+BRUTE_FORCE_MAX_N = 6
+BRUTE_FORCE_MAX_DEGREE = 8
+
+
+def brute_force_invariants(H: HypertoricData, d: int):
+    """All nonzero invariant exponent pairs of degree <= d, graded-lex sorted.
+
+    Independent oracle for the invariant monoid: plain enumeration of exponent
+    vectors with the membership test A u = A v, met in the middle (every u of
+    degree <= d is bucketed by its weight A u, and pairs within a bucket are
+    kept while their total degree stays <= d).
+    """
+    if d < 1:
+        raise ValueError("degree cap must be >= 1")
+    if H.N > BRUTE_FORCE_MAX_N or d > BRUTE_FORCE_MAX_DEGREE:
+        raise BudgetExceeded(
+            f"enumeration guard: N <= {BRUTE_FORCE_MAX_N}, d <= {BRUTE_FORCE_MAX_DEGREE}"
+        )
+    weight_rows = [H.A.row(j) for j in range(H.A.rows)]
+    buckets = {}
+    for total in range(d + 1):
+        for exps in _compositions(total, H.N):
+            weight = tuple(sum(a * x for a, x in zip(row, exps)) for row in weight_rows)
+            buckets.setdefault(weight, []).append((total, exps))
+    out = [
+        MonomialGen(u=u, v=v)
+        for half in buckets.values()
+        for du, u in half
+        for dv, v in half
+        if 1 <= du + dv <= d
+    ]
+    out.sort(key=MonomialGen.sort_key)
+    return out
+
+
+def _compositions(total, parts):
+    """All tuples of `parts` nonnegative ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def decompose_over_basis(target: MonomialGen, basis):
+    """Exhaustive search for a representation of target as a sum of basis
+    elements; returns the list of basis indices or None."""
+    order = sorted(range(len(basis)), key=lambda i: -basis[i].degree)
+    # Each basis element as its nonzero entries of the concatenated (u, v).
+    supports = [
+        (i, [(k, e) for k, e in enumerate(basis[i].u + basis[i].v) if e])
+        for i in order
+    ]
+    seen = set()
+
+    def search(t):
+        if not any(t):
+            return []
+        if t in seen:
+            return None
+        seen.add(t)
+        for i, support in supports:
+            if all(t[k] >= e for k, e in support):
+                rest = list(t)
+                for k, e in support:
+                    rest[k] -= e
+                found = search(tuple(rest))
+                if found is not None:
+                    return [i] + found
+        return None
+
+    try:
+        return search(target.u + target.v)
+    finally:
+        # search reaches itself through its closure; breaking that cycle frees
+        # the seen set on return, not at the next cyclic garbage collection.
+        del search
+
+
+# -- deterministic generic points -------------------------------------------------
+
+
+def _primes():
+    yield 2
+    found = [2]
+    candidate = 3
+    while True:
+        if all(candidate % p for p in found if p * p <= candidate):
+            found.append(candidate)
+            yield candidate
+        candidate += 2
+
+
+def _prime_window(window, n):
+    gen = _primes()
+    for _ in range(window * n):
+        next(gen)
+    return tuple(Fraction(next(gen)) for _ in range(n))
+
+
+def generic_point_off(arr: ArrangementSpec, max_windows=1000):
+    """Deterministic rational point lying on no wall of the arrangement.
+
+    Coordinates come from consecutive prime windows; on accidental incidence
+    the next window is tried.
+    """
+    for window in range(max_windows):
+        p = _prime_window(window, arr.n)
+        if all(not c.hyperplane.contains(p) for c in arr.components):
+            return p
+    raise RuntimeError("no generic point found within the window budget")
+
+
+def generic_point_on(arr: ArrangementSpec, index, max_windows=1000):
+    """Deterministic rational point on wall `index` and off all other walls."""
+    target = arr.components[index].hyperplane
+    b = target.normal
+    bb = sum(x * x for x in b)
+    for window in range(max_windows):
+        p = _prime_window(window, arr.n)
+        shift = (target.offset - sum(x * y for x, y in zip(b, p))) / bb
+        eta = tuple(x + shift * y for x, y in zip(p, b))
+        if all(
+            not c.hyperplane.contains(eta)
+            for i, c in enumerate(arr.components)
+            if i != index
+        ):
+            return eta
+    raise RuntimeError("no on-wall generic point found within the window budget")

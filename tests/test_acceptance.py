@@ -25,12 +25,7 @@ from hkit.characterization import (
     round_trip,
 )
 from hkit.cli import main
-from hkit.hypertoric import (
-    brute_force_invariants,
-    decompose_over_basis,
-    hilbert_basis,
-    presentation,
-)
+from hkit.hypertoric import hilbert_basis, presentation
 from hkit.intmat import (
     IntMatrix,
     gale_dual,
@@ -46,6 +41,7 @@ from hkit.localmodel import (
     family_slice,
     verify_genericity,
 )
+from oracles import brute_force_invariants, decompose_over_basis
 
 
 def report(number, title, failures, elapsed, budget, detail=""):

@@ -8,17 +8,17 @@ from hkit.arrangement import (
     ArrangementSpec,
     Hyperplane,
     Kind,
+    _extends_to_basis,
     build_discriminant,
     check_simplicity,
     circuits,
     f_locus,
-    generic_point_off,
-    generic_point_on,
     group_hyperplanes,
     stabilizer_rank,
 )
 from hkit.errors import DimensionMismatch, NonPrimitiveRow
-from hkit.intmat import IntMatrix, canonical_primitive, det, rank
+from hkit.intmat import IntMatrix, canonical_primitive, det, is_primitive, rank
+from oracles import generic_point_off, generic_point_on, smith_normal_form_by_closures
 
 
 def walls(arr):
@@ -345,6 +345,25 @@ class TestSimplicity:
         assert rep.no_excess_intersections
         assert not rep.normals_extend_to_basis
         assert rep.violations_b == ((0, 1),)
+
+    def test_extends_to_basis_against_invariant_factors(self):
+        # k primitive normals extend to a Z-basis iff the k x n matrix they
+        # form has k invariant factors, all 1.
+        rng = random.Random(47)
+        verdicts = set()
+        for _ in range(5000):
+            n = rng.randint(1, 4)
+            k = rng.randint(1, n + 1)
+            normals = []
+            while len(normals) < k:
+                v = tuple(rng.randint(-3, 3) for _ in range(n))
+                if is_primitive(v):
+                    normals.append(v)
+            snf = smith_normal_form_by_closures(IntMatrix(normals, cols=n))
+            expected = snf.torsion_free and len(snf.invariant_factors) == k
+            assert _extends_to_basis(normals) == expected, normals
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestCircuits:

@@ -16,16 +16,19 @@ from hkit.errors import (
 from hkit.hypertoric import (
     HypertoricData,
     MonomialGen,
-    brute_force_invariants,
     coordinate_dimension,
-    decompose_over_basis,
     hilbert_basis,
     leaf_classification,
     moment_map_eval,
     presentation,
 )
 from hkit.intmat import IntMatrix
-from oracles import graver_basis, hilbert_basis_completion
+from oracles import (
+    brute_force_invariants,
+    decompose_over_basis,
+    graver_basis,
+    hilbert_basis_completion,
+)
 
 
 def H(rows, cols=None):

@@ -1,18 +1,18 @@
 import itertools
 import random
-from collections import Counter
 from math import gcd
 
 import pytest
 
-from corpus import complete_graph, corpus_matrices, is_valid_matrix
+from corpus import complete_graph, corpus_matrices, divisor_of, is_valid_matrix
+from hkit import intmat
 from hkit.characterization import DivisorData, classify_case, round_trip
 from hkit.errors import HkitError, NotInjective, NotUnimodular, TorsionCokernel
 from hkit.hypertoric import HypertoricData
 from hkit.intmat import (
     MINOR_BUDGET,
     IntMatrix,
-    _echelon_of_transpose,
+    _Forms,
     _non_pivot_block,
     canonical_primitive,
     canonical_sign,
@@ -36,6 +36,7 @@ from oracles import (
     kernel_basis_by_transform,
     rank_by_hnf,
     round_trip_by_normal_forms,
+    smith_normal_form_by_closures,
     unimodular_by_minors,
 )
 
@@ -182,6 +183,46 @@ class TestSmith:
             assert prod == abs(det(M))
 
 
+class TestSmithAgainstClosures:
+    """The Smith normal form by alternating row and column HNFs against the
+    closure-based one it replaced: the same S and invariant factors, and
+    unimodular U, V with U M V = S."""
+
+    @staticmethod
+    def assert_agrees(M):
+        res, oracle = smith_normal_form(M), smith_normal_form_by_closures(M)
+        assert (res.S, res.invariant_factors) == (oracle.S, oracle.invariant_factors), M
+        assert res.U @ M @ res.V == res.S, M
+        assert abs(det(res.U)) == abs(det(res.V)) == 1, M
+
+    def test_corpus_and_transposes(self):
+        for B in corpus_matrices():
+            self.assert_agrees(B)
+            self.assert_agrees(B.transpose())
+
+    def test_random_matrices(self):
+        rng = random.Random(43)
+        for _ in range(3000):
+            self.assert_agrees(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_complete_graph(self, m):
+        self.assert_agrees(complete_graph(m))
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_empty(self, k):
+        self.assert_agrees(IntMatrix([], cols=k))
+        self.assert_agrees(IntMatrix([[]] * k, cols=0))
+
+    def test_divisibility_by_a_column(self):
+        # The diagonal reaches (1, 3, 1). Adding row 2 into row 1 is undone
+        # by the next row HNF, so that loop never ends; adding column 2 into
+        # column 1 puts gcd(3, 1) on the diagonal.
+        M = IntMatrix([[-2, 0, 1], [1, 0, -2], [3, 0, 2], [0, 3, -2]])
+        assert smith_normal_form(M).invariant_factors == snf_factors_by_minor_gcds(M)
+        self.assert_agrees(M)
+
+
 class TestUnimodular:
     def test_identity(self):
         assert is_unimodular(IntMatrix.identity(4))
@@ -204,10 +245,11 @@ class TestUnimodular:
             snf_verdict = res.torsion_free and len(res.invariant_factors) == n
             assert is_unimodular(M) == snf_verdict
 
-    def test_fallback_method_tag(self):
+    def test_fallback_method_tag(self, monkeypatch):
         verdict, method = unimodularity_report(IntMatrix.identity(3))
         assert verdict and method == "minors"
-        verdict, method = unimodularity_report(IntMatrix.identity(3), minor_budget=0)
+        monkeypatch.setattr(intmat, "MINOR_BUDGET", 0)
+        verdict, method = unimodularity_report(IntMatrix.identity(3))
         assert verdict and method == "snf_fallback"
 
     def test_minor_enumeration_matches_brute(self):
@@ -292,14 +334,6 @@ def outcome(fn, arg):
         return "error", type(err).__name__, str(err)
 
 
-def divisor_of(B):
-    """B's rows as divisor data (parallel rows merged), or None when a row is
-    not primitive."""
-    if not all(is_primitive(B.row(i)) for i in range(B.rows)):
-        return None
-    return DivisorData.make(B.cols, Counter(canonical_sign(B.row(i)) for i in range(B.rows)).items())
-
-
 class TestEchelonAgainstNormalForms:
     """Validation, the Gale dual, kernels and the round trip read off one
     reduced echelon form of B^T, against the normal-form path they replaced,
@@ -317,15 +351,15 @@ class TestEchelonAgainstNormalForms:
 
     @classmethod
     def assert_agrees(cls, B):
-        """(unit-pivot echelon of B^T, "ok" or gale_dual's error class), for
-        coverage."""
+        """(whether the HNF of B^T has unit pivots, "ok" or gale_dual's
+        error class), for coverage."""
         for fn, oracle in cls.PAIRS:
             assert outcome(fn, B) == outcome(oracle, B), (fn, B)
         d = divisor_of(B)
         if d is not None:
             assert outcome(round_trip, d) == outcome(round_trip_by_normal_forms, d), B
         gale = outcome(gale_dual, B)
-        return _echelon_of_transpose(B) is not None, gale[0] if gale[0] == "ok" else gale[1]
+        return _Forms(B).unit, gale[0] if gale[0] == "ok" else gale[1]
 
     def test_corpus(self):
         seen = {self.assert_agrees(B) for B in corpus_matrices()}
@@ -356,10 +390,10 @@ class TestEchelonAgainstNormalForms:
             self.assert_agrees(graphic_with_planted_row(rng, 5 + idx % 3, 1 + idx % 3))
 
     def test_non_unit_pivot_torsion_free(self):
-        # B^T = [[1, 1, 0], [1, -1, 1]] reduces to a pivot of -2, yet the
+        # B^T = [[1, 1, 0], [1, -1, 1]] reduces to a pivot of 2, yet the
         # 2 x 2 minors -2, 1, 1 have gcd 1: a Gale dual, but not unimodular.
         B = IntMatrix([[1, 1], [1, -1], [0, 1]])
-        assert _echelon_of_transpose(B) is None
+        assert not _Forms(B).unit
         assert gale_dual(B) == IntMatrix([[1, -1, -2]])
         with pytest.raises(NotUnimodular):
             HypertoricData.from_matrix(B)
@@ -367,7 +401,7 @@ class TestEchelonAgainstNormalForms:
 
     def test_torsion_cokernel(self):
         B = IntMatrix([[1, -1], [1, 1], [1, 1]])
-        assert _echelon_of_transpose(B) is None
+        assert not _Forms(B).unit
         with pytest.raises(TorsionCokernel):
             gale_dual(B)
         assert not classify_case(B).coker_torsion_free
@@ -411,6 +445,29 @@ class TestUnimodularityExits:
         M = IntMatrix(K8.data[:-1], cols=K8.cols)
         assert max_minor_count(M) == 888030 <= MINOR_BUDGET
         assert unimodularity_report(M) == (True, "minors")
+
+    def test_k8_and_k8_hole_past_budget(self):
+        # Past the budget unit pivots are accepted without the scan, though
+        # the hole has a maximal minor -2 (ROADMAP item 1).
+        K8 = complete_graph(8)
+        hole = IntMatrix(K8.data[:-1] + ((1, 1, 1, 0, 0, 0, 0),), cols=7)
+        for M in (K8, hole):
+            assert max_minor_count(M) == 1184040 > MINOR_BUDGET
+            assert unimodularity_report(M) == (True, "snf_fallback")
+
+    def test_non_unit_pivot_past_budget(self):
+        # Rows 0 and 1 with K_8's unit rows -e_3 .. -e_7 have a maximal
+        # minor of +-2, so the HNF of B^T has a pivot 2: an exact "no" at
+        # any size, not the SNF verdict.
+        K8 = complete_graph(8)
+        B = IntMatrix(((1, 1, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0)) + K8.data, cols=7)
+        assert max_minor_count(B) == 2035800 > MINOR_BUDGET
+        assert unimodularity_report(B) == (False, "minors")
+        assert not is_unimodular(B)
+        with pytest.raises(NotUnimodular) as err:
+            HypertoricData.from_matrix(B)
+        assert err.value.code == "not_unimodular"
+        assert not classify_case(B).unimodular
 
 
 class TestGaleDual:
