@@ -28,7 +28,7 @@ from .hypertoric import (
     leaf_classification,
     presentation,
 )
-from .intmat import IntMatrix, is_primitive, smith_normal_form, unimodularity_report
+from .intmat import IntMatrix, _gale, is_primitive, smith_normal_form, unimodularity_report
 from .plot import plot_arrangement
 
 SCHEMA_VERSION = 2
@@ -158,15 +158,13 @@ def _flats(arr):
 
 
 def _cmd_gale(payload, job, notes):
-    from .intmat import gale_dual
-
     B = _parse_matrix(payload)
-    A = gale_dual(B)
+    A, forms = _gale(B)
     if A.rows == 0:
         notes.append("N = n")
-    ub, mb = unimodularity_report(B)
-    # gale_dual succeeded, so the cokernel is torsion-free and A's verdict is
-    # B's (Gale duality, the same C(N, n) minors against the budget).
+    ub, mb = forms.unimodularity()
+    # _gale succeeded, so B has rank n, the cokernel is torsion-free and A's
+    # verdict is B's (Gale duality, the same C(N, n) minors against the budget).
     ua, ma = (ub, mb) if A.rows else (B.rows == B.cols, "minors")
     if mb != "minors" or ma != "minors":
         notes.append("unimodularity checked via SNF fallback (minor budget hit)")

@@ -13,7 +13,6 @@ generating set is read off the lines of the discriminant arrangement.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,83 +171,69 @@ def _s_index(gen: MonomialGen):
     return gen.u.index(1)
 
 
-def _multisets_by_total(gens, cap, budget):
-    """Group all generator multisets of total degree <= cap by their
-    total exponent pair."""
-    table = {}
-    count = 0
+def _relations(gens, cap, budget):
+    """Every unordered pair of disjoint generator multisets with one total
+    exponent pair and total degree <= cap, as (left, right) with left < right,
+    both sorted index tuples; the pairs come sorted.
 
-    def extend(start, u, v, degree, chosen):
-        nonlocal count
-        if chosen:
-            key = (u, v)
-            table.setdefault(key, []).append(tuple(chosen))
+    The multisets are nondecreasing index tuples, visited once each by a
+    depth-first search on an explicit stack; gens must come in nondecreasing
+    degree, as hilbert_basis returns them. A multiset's total exponent pair
+    (u, v) is packed into one int with coordinate j in bits [b*j, b*(j+1)),
+    b = cap.bit_length(): no exponent exceeds cap < 2^b, so sums never carry
+    and the key of a multiset is the sum of its generators' keys. A multiset
+    that lands in an occupied fiber is paired with each earlier member that
+    shares no generator with it. These are exactly the pairs of the fiber
+    with their common part cancelled: if a and b share c, then a - c and
+    b - c form a disjoint pair of degree <= cap in a lower fiber.
+    """
+    bits = cap.bit_length()
+    keys = [sum(e << bits * j for j, e in enumerate(g.u + g.v)) for g in gens]
+    degrees = [g.degree for g in gens]
+    fibers = {}  # packed key -> the multisets landed there so far
+    relations = []
+    count = 0
+    stack = [(0, 0, 0, ())]  # (first index allowed, packed key, degree, multiset)
+    while stack:
+        start, key, degree, chosen = stack.pop()
+        for i in range(start, len(gens)):
+            total = degree + degrees[i]
+            if total > cap:
+                break  # and so for every later, no lighter, generator
             count += 1
             if count > budget:
                 raise BudgetExceeded(f"relation search exceeded {budget} multisets")
-        for i in range(start, len(gens)):
-            g = gens[i]
-            if degree + g.degree > cap:
-                continue
-            extend(
-                i,
-                tuple(a + b for a, b in zip(u, g.u)),
-                tuple(a + b for a, b in zip(v, g.v)),
-                degree + g.degree,
-                chosen + [i],
-            )
-
-    N = len(gens[0].u) if gens else 0
-    try:
-        extend(0, (0,) * N, (0,) * N, 0, [])
-    finally:
-        # extend reaches itself through its closure. Breaking that cycle lets
-        # the table be freed when the caller drops it, not at the next
-        # cyclic garbage collection.
-        del extend
-    return table
-
-
-def _cancel_common(left, right):
-    left = list(left)
-    remaining = []
-    right = list(right)
-    for x in left:
-        if x in right:
-            right.remove(x)
-        else:
-            remaining.append(x)
-    return tuple(remaining), tuple(right)
+            multiset, total_key = chosen + (i,), key + keys[i]
+            fiber = fibers.setdefault(total_key, [])
+            for other in fiber:
+                if set(other).isdisjoint(multiset):
+                    relations.append((other, multiset) if other < multiset else (multiset, other))
+            fiber.append(multiset)
+            if total + degrees[i] <= cap:
+                stack.append((i, total_key, total, multiset))
+    relations.sort()
+    return relations
 
 
 def presentation(H: HypertoricData, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
     """Generators and relations for the invariant ring modulo the moment ideal.
 
-    Binomial relations are the balanced coprime generator products up to twice
-    the maximal generator degree; the reduced view identifies the s_i along
-    parallel rows of B, which is exactly what the moment relations enforce on
-    quadratic invariants.
+    The binomial relations are every unordered pair of disjoint generator
+    multisets with one total exponent pair and total degree at most twice the
+    largest generator degree (`relation_degree_cap`). That set is not proven
+    to generate the relation ideal, nor to be minimal (ROADMAP item 3). The
+    reduced view identifies the s_i along parallel rows of B, which is
+    exactly what the moment relations enforce on quadratic invariants.
     """
     gens = hilbert_basis(H)
     cap = 2 * max((g.degree for g in gens), default=0)
-    table = _multisets_by_total(gens, cap, candidate_budget)
-
-    relations = set()
-    for multisets in table.values():
-        if len(multisets) < 2:
-            continue
-        for a, b in itertools.combinations(multisets, 2):
-            left, right = _cancel_common(a, b)
-            if left and right:
-                relations.add((left, right) if left <= right else (right, left))
-
-    reduced = _reduce_presentation(H, gens, sorted(relations))
+    relations = _relations(gens, cap, candidate_budget)
     return Presentation(
         generators=tuple(gens),
         moment_rows=H.A,
-        binomial_relations=tuple(sorted(relations)),
+        binomial_relations=tuple(relations),
         relation_degree_cap=cap,
-        reduced=reduced,
+        reduced=_reduce_presentation(H, gens, relations),
     )
 
 

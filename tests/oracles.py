@@ -17,6 +17,10 @@ and A's unimodularity scanned on its own. The Smith normal form by closures
 is how `smith_normal_form` worked before it ran the Hermite loop on rows and
 columns in turn. The brute-force invariants enumerate the invariant monoid
 degree by degree, and the generic points come from windows of primes. The
+relation search by fibers is how `presentation` found its relations before
+it paired disjoint multisets as they arrived in a fiber: a recursive
+enumeration of every multiset with its exponent pair as two tuples, then
+every two members of each fiber with their common part cancelled. The
 enumerations are exponential; all of these serve only as test references.
 """
 
@@ -593,6 +597,73 @@ def decompose_over_basis(target: MonomialGen, basis):
         # search reaches itself through its closure; breaking that cycle frees
         # the seen set on return, not at the next cyclic garbage collection.
         del search
+
+
+# -- the relation search by fibers -----------------------------------------------
+
+
+def _multisets_by_total(gens, cap, budget):
+    """Group all generator multisets of total degree <= cap by their
+    total exponent pair."""
+    table = {}
+    count = 0
+
+    def extend(start, u, v, degree, chosen):
+        nonlocal count
+        if chosen:
+            key = (u, v)
+            table.setdefault(key, []).append(tuple(chosen))
+            count += 1
+            if count > budget:
+                raise BudgetExceeded(f"relation search exceeded {budget} multisets")
+        for i in range(start, len(gens)):
+            g = gens[i]
+            if degree + g.degree > cap:
+                continue
+            extend(
+                i,
+                tuple(a + b for a, b in zip(u, g.u)),
+                tuple(a + b for a, b in zip(v, g.v)),
+                degree + g.degree,
+                chosen + [i],
+            )
+
+    N = len(gens[0].u) if gens else 0
+    try:
+        extend(0, (0,) * N, (0,) * N, 0, [])
+    finally:
+        # extend reaches itself through its closure. Breaking that cycle lets
+        # the table be freed when the caller drops it, not at the next
+        # cyclic garbage collection.
+        del extend
+    return table
+
+
+def _cancel_common(left, right):
+    left = list(left)
+    remaining = []
+    right = list(right)
+    for x in left:
+        if x in right:
+            right.remove(x)
+        else:
+            remaining.append(x)
+    return tuple(remaining), tuple(right)
+
+
+def relations_by_fibers(gens, cap, budget):
+    """The binomial relations of `presentation`, sorted: every two
+    multisets of one fiber, common part cancelled, smaller side first."""
+    table = _multisets_by_total(gens, cap, budget)
+    relations = set()
+    for multisets in table.values():
+        if len(multisets) < 2:
+            continue
+        for a, b in itertools.combinations(multisets, 2):
+            left, right = _cancel_common(a, b)
+            if left and right:
+                relations.add((left, right) if left <= right else (right, left))
+    return sorted(relations)
 
 
 # -- deterministic generic points -------------------------------------------------

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hkit import intmat
 from hkit.arrangement import build_discriminant, group_hyperplanes
 from hkit.cli import main
 from hkit.errors import UnsupportedDimension
@@ -31,6 +32,21 @@ class TestCommands:
         assert rep["schema_version"] == 2
         assert rep["result"]["A"] == {"rows": [], "cols": 2}
         assert "N = n" in rep["notes"]
+
+    def test_gale_reduces_transpose_once(self, capsys, monkeypatch):
+        # one HNF of B^T gives A and both verdicts; one more reduces A's rows
+        calls = []
+        hermite = intmat._hermite
+
+        def counted(H, n):
+            calls.append(n)
+            return hermite(H, n)
+
+        monkeypatch.setattr(intmat, "_hermite", counted)
+        code, out = run_cli(["gale", "--in", '{"rows": [[1, 0], [0, 1], [1, 1]]}'], capsys)
+        assert code == 0
+        assert report_of(out)["result"]["unimodular_B"] is True
+        assert len(calls) == 2
 
     def test_gale_domain_error(self, capsys):
         code, out = run_cli(["gale", "--in", '{"rows": [[1, 0], [1, 0]]}'], capsys)

@@ -14,8 +14,10 @@ from hkit.errors import (
     NotUnimodular,
 )
 from hkit.hypertoric import (
+    DEFAULT_CANDIDATE_BUDGET,
     HypertoricData,
     MonomialGen,
+    _reduce_presentation,
     coordinate_dimension,
     hilbert_basis,
     leaf_classification,
@@ -28,6 +30,7 @@ from oracles import (
     decompose_over_basis,
     graver_basis,
     hilbert_basis_completion,
+    relations_by_fibers,
 )
 
 
@@ -323,7 +326,8 @@ class TestPresentation:
 
     def test_multiset_table_freed_on_return(self):
         # the relation search's table must not wait in a reference cycle for
-        # the cyclic garbage collector (K_5's holds over 10^5 objects)
+        # the cyclic garbage collector (K_5's holds over 10^5 objects); the
+        # search runs on an explicit stack, so no closure exists to form one
         data = HypertoricData.from_matrix(complete_graph(5))
         gc.collect()
         gc.disable()
@@ -348,7 +352,59 @@ class TestPresentation:
                     ),
                 )
                 assert total(left) == total(right)
-                assert not set(left) & set(right) or sorted(left) != sorted(right)
+                assert set(left).isdisjoint(right)
+                assert left < right
+                for side in (left, right):
+                    degree = sum(pres.generators[i].degree for i in side)
+                    assert degree <= pres.relation_degree_cap
+
+
+class TestRelationsAgainstFibers:
+    """The relation search against the fiber enumeration it replaced."""
+
+    @staticmethod
+    def oracle(data, budget=DEFAULT_CANDIDATE_BUDGET):
+        gens = hilbert_basis(data)
+        cap = 2 * max((g.degree for g in gens), default=0)
+        relations = relations_by_fibers(gens, cap, budget)
+        return tuple(relations), _reduce_presentation(data, gens, relations)
+
+    def assert_agrees(self, data, budget=DEFAULT_CANDIDATE_BUDGET):
+        pres = presentation(data, candidate_budget=budget)
+        assert (pres.binomial_relations, pres.reduced) == self.oracle(data, budget), data.B
+
+    def test_corpus(self):
+        matrices = 0
+        for data in valid_hypertoric(corpus_matrices()):
+            matrices += 1
+            self.assert_agrees(data)
+        assert matrices == 1104
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_complete_graphs(self, m):
+        self.assert_agrees(HypertoricData.from_matrix(complete_graph(m)))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_ones(self, m):
+        self.assert_agrees(ones(m))
+
+    def test_budget_boundary(self):
+        # K_5 has 29997 generator multisets of degree <= 12
+        data = HypertoricData.from_matrix(complete_graph(5))
+        with pytest.raises(BudgetExceeded, match="exceeded 29996 multisets"):
+            presentation(data, candidate_budget=29996)
+        with pytest.raises(BudgetExceeded, match="exceeded 29996 multisets"):
+            self.oracle(data, 29996)
+        self.assert_agrees(data, budget=29997)
+
+    def test_k6_exceeds_default_budget(self):
+        data = HypertoricData.from_matrix(complete_graph(6))
+        with pytest.raises(BudgetExceeded) as ours:
+            presentation(data)
+        with pytest.raises(BudgetExceeded) as theirs:
+            self.oracle(data)
+        assert str(ours.value) == str(theirs.value)
+        assert str(ours.value) == f"relation search exceeded {DEFAULT_CANDIDATE_BUDGET} multisets"
 
 
 class TestMomentRelations:

@@ -5,7 +5,9 @@ Calls `hkit.cli.main` in process: `check` and `gale` on every corpus matrix
 (tests/corpus.py), `build`, `discriminant` and `deform` on the ones that pass
 validation, and `reconstruct` and `round-trip` on the divisor of every corpus
 matrix whose rows are primitive (parallel rows merged into one wall with
-their count as multiplicity). Each report is hashed with its exit status,
+their count as multiplicity). `build-km` is `build` on the complete-graph
+matrices K_3, K_4 and K_5: the corpus has no presentation with more than a
+few dozen relations, K_5's has 425 on 40 generators. Each report is hashed with its exit status,
 after dropping every line that contains "timing_ms", so a digest changes
 exactly when some report changes apart from its timing. Run it on two
 checkouts, for example a parent commit and a change on top of it, and compare
@@ -27,12 +29,13 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from corpus import corpus_matrices, divisor_of, valid_hypertoric  # noqa: E402
+from corpus import complete_graph, corpus_matrices, divisor_of, valid_hypertoric  # noqa: E402
 from hkit import cli  # noqa: E402
 
 ALL_MATRICES = ("check", "gale")
 VALID_MATRICES = ("build", "discriminant", "deform")
 DIVISORS = ("reconstruct", "round-trip")
+KM = (3, 4, 5)
 
 
 def report(command, payload):
@@ -70,6 +73,8 @@ def main():
     for commands, payloads in groups:
         for command in commands:
             print(f"{command} {len(payloads)} {digest(command, payloads)}")
+    km = [matrix_json(complete_graph(m)) for m in KM]
+    print(f"build-km {len(km)} {digest('build', km)}")
 
 
 if __name__ == "__main__":
