@@ -9,8 +9,14 @@ or affine for slices of a deformation family. All arithmetic is exact
 Flats come from one engine that closes the intersection lattice cover by
 cover (Orlik and Terao, Arrangements of Hyperplanes, ch. 2), so the F-locus
 is complete for any number of walls and the simplicity conditions are read
-off the flats instead of scanning wall subsets. The lines of the central
-arrangement of B's rows give the circuits of B's column lattice.
+off the flats instead of scanning wall subsets. The closure is a depth-first
+search up to a top codimension, and each flat is expanded once. A flat keeps
+the residuals of the walls against its echelon basis, and a new flat's
+residuals come from its parent's in one reduction step against its one new
+row; that is exact because the residual is the unique primitive vector of
+span(wall, basis) that is zero on the basis's pivot columns. Points come
+from integer back-substitution over one common denominator. The lines of the
+central arrangement of B's rows give the circuits of B's column lattice.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 
 from .errors import DimensionMismatch, NonPrimitiveRow
 from .intmat import (
@@ -158,62 +164,86 @@ def _pivot(row):
     return next(j for j, x in enumerate(row) if x)
 
 
-def _residual(v, basis):
-    """Fraction-free reduction of v against an echelon basis of (pivot, row)
-    pairs sorted by pivot; primitive, first nonzero entry positive."""
-    for p, row in basis:
-        if v[p]:
-            a, b = row[p], v[p]
-            v = [a * x - b * y for x, y in zip(v, row)]
-    return canonical_primitive(v)
+def _reduce(v, p, row):
+    """One fraction-free step: v with its entry at row's pivot p cleared by
+    row, primitive with first nonzero entry positive; v itself when that
+    entry is already 0."""
+    b = v[p]
+    if not b:
+        return v
+    a = row[p]
+    return canonical_primitive([a * x - b * y for x, y in zip(v, row)])
 
 
-def _flat_lattice(arr):
-    """The intersection lattice one level at a time, from codimension 1 (the
-    single walls) up: each level maps a flat's member set to its echelon basis.
+def _flats(arr, top):
+    """Every flat of codimension 1 to top as (member set, echelon basis of
+    (pivot, augmented row) pairs sorted by pivot), depth first. Each member
+    set comes exactly once, in no particular order.
 
-    For a flat F each non-member wall is reduced once against F's augmented
-    echelon basis. A residual with zero normal part means the wall is parallel
-    to F. Otherwise walls with equal residuals are exactly the walls that
-    contain the cover F ∩ H, so each residual class gives one cover, and
-    covers are deduplicated by member set. The basis of a codimension-c flat
-    has c rows, all with pivots among the normal columns. A level is closed
-    only when the caller asks for the next one.
+    A flat F carries the residual classes of the walls that are neither its
+    members nor parallel to it: the residual of a wall is the primitive,
+    sign-normalised vector of span(wall, F's basis) that is zero on F's
+    pivot columns, and walls with equal residuals are exactly the walls that
+    contain the cover F ∩ H. A residual with zero normal part means the wall
+    is parallel to F, and then to every flat inside F, so it is dropped.
+
+    The first time a cover G = F ∩ H is reached, its new basis row is the
+    class residual r at pivot q, and each of F's residuals needs one step,
+    `_reduce(res, q, r)`, to become G's: the result lies in span(wall, G's
+    basis) and is zero on G's pivots, and that vector is unique up to scale
+    because G's basis restricted to its pivot columns is triangular with a
+    nonzero diagonal. Walls in one class of F stay in one class of G, so a
+    class takes one step whatever its size. A `seen` set of member sets
+    makes each flat expanded once, from its first parent; children wait on
+    the stack with their parent's classes, and a flat's classes are made
+    only when it is taken off the stack, so only the flats along one path
+    hold them.
     """
     n = arr.n
     rows = [_wall_row(c.hyperplane) for c in arr.components]
-    level = {frozenset([i]): [(_pivot(r), r)] for i, r in enumerate(rows)}
-    while level:
-        yield level
-        covers = {}
-        for members, basis in level.items():
-            classes = {}
-            for k, r in enumerate(rows):
-                if k not in members:
-                    res = _residual(r, basis)
-                    if any(res[:n]):
-                        classes.setdefault(res, []).append(k)
-            for res, walls in classes.items():
-                key = members.union(walls)
-                if key not in covers:
-                    covers[key] = sorted(basis + [(_pivot(res), res)])
-        level = covers
+    walls = [(r, (k,)) for k, r in enumerate(rows)]
+    stack = [(frozenset(ks), r, [], walls) for r, ks in reversed(walls)]
+    seen = set()
+    while stack:
+        members, row, parent_basis, parent_classes = stack.pop()
+        q = _pivot(row)
+        basis = sorted(parent_basis + [(q, row)])
+        yield members, basis
+        if len(basis) == top:
+            continue
+        classes = {}
+        for res, ks in parent_classes:
+            # the class whose residual is the new row joined the members
+            if res is not row:
+                res = _reduce(res, q, row)
+                if any(res[:n]):
+                    classes.setdefault(res, []).extend(ks)
+        classes = list(classes.items())
+        for res, ks in reversed(classes):
+            key = members.union(ks)
+            if key not in seen:
+                seen.add(key)
+                stack.append((key, res, basis, classes))
 
 
 def _point_of(basis, n):
     """The point of a flat with free coordinates 0, by back-substitution in
-    its echelon basis: each row is zero before its pivot."""
-    point = [Fraction(0)] * n
+    its echelon basis (each row is zero before its pivot), in integers over
+    one common denominator."""
+    x, d = [0] * n, 1
     for p, row in reversed(basis):
-        rest = sum(row[j] * point[j] for j in range(p + 1, n))
-        point[p] = Fraction(row[n] - rest, row[p])
-    return tuple(point)
+        num = row[n] * d - sum(row[j] * x[j] for j in range(p + 1, n))
+        a = row[p]
+        if a != 1:
+            x = [a * v for v in x]
+            d *= a
+        x[p] = num
+    return tuple(Fraction(v, d) for v in x)
 
 
 def _multi_incidence_flats(arr):
     """(members, echelon basis) of every flat with >= 2 members."""
-    for level in islice(_flat_lattice(arr), 1, None):
-        yield from level.items()
+    return ((m, b) for m, b in _flats(arr, arr.n) if len(b) > 1)
 
 
 def circuits(B: IntMatrix):
@@ -221,17 +251,17 @@ def circuits(B: IntMatrix):
     rank): its nonzero vectors of minimal support, one per sign pair.
 
     A circuit vanishes on n - 1 independent rows, so it is B x for x spanning
-    a line (a codimension n - 1 flat) of the central discriminant of B. Only
-    the levels up to the lines are closed.
+    a line (a codimension n - 1 flat) of the central discriminant of B. The
+    search stops at the lines.
     """
     n = B.cols
     if n == 1:
         return [B.column(0)]
-    lines = next(islice(_flat_lattice(build_discriminant(B)), n - 2, None))
     out = []
-    for basis in lines.values():
-        x = kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).row(0)
-        out.append(B.mat_vec(x))
+    for _, basis in _flats(build_discriminant(B), n - 1):
+        if len(basis) == n - 1:
+            x = kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).row(0)
+            out.append(B.mat_vec(x))
     return out
 
 
@@ -262,6 +292,7 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
     equations with free coordinates zero; direction is the HNF-canonical
     basis of the saturated direction lattice."""
     n = arr.n
+    origin = (Fraction(0),) * n
     result = FlatList()
     for members, basis in _multi_incidence_flats(arr):
         normals = [r[:n] for _, r in basis]
@@ -269,7 +300,7 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
             FlatDescriptor(
                 members=members,
                 direction=kernel_basis(IntMatrix(normals, cols=n)),
-                point=_point_of(basis, n),
+                point=_point_of(basis, n) if any(r[n] for _, r in basis) else origin,
                 codimension=len(basis),
             )
         )

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import localmodel
 from .arrangement import build_discriminant, check_simplicity, f_locus
-from .characterization import DivisorData, classify_case, reconstruct_B, round_trip
+from .characterization import DivisorData, _classify, classify_case, reconstruct_B, round_trip
 from .errors import HkitError, UnsupportedDimension
 from .hypertoric import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -192,11 +192,19 @@ def _cmd_check(payload, job, notes):
         "invariant_factors": list(snf.invariant_factors),
         "coker_torsion_free": snf.torsion_free,
     }
-    verdict, method = unimodularity_report(B)
+    if bad_rows:
+        verdict, method = unimodularity_report(B)
+    else:
+        # the case split's HNF of B^T gives the verdict too, unless the rank
+        # is below n (a wide B can still be unimodular)
+        tag, forms = _classify(B)
+        result["case"] = _case(tag)
+        if forms.rank == B.cols:
+            verdict, method = forms.unimodularity()
+        else:
+            verdict, method = unimodularity_report(B)
     result["unimodular"] = verdict
     result["unimodularity_method"] = method
-    if not bad_rows:
-        result["case"] = _case(classify_case(B))
     return result
 
 

@@ -131,10 +131,7 @@ class IntMatrix:
 
 
 def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def is_primitive(v):

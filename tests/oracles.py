@@ -5,7 +5,10 @@ and generic points that only tests use.
 
 The subset scans are the exhaustive enumerations that `f_locus` and
 `check_simplicity` used before the intersection-lattice engine: every subset
-of walls is solved on its own with Fraction elimination. The Graver
+of walls is solved on its own with Fraction elimination. The closure by
+levels is that engine before it went depth first: a whole codimension held
+at once, every non-member wall reduced against all rows of each flat's
+basis. The Graver
 completion is how `hilbert_basis` was computed before it read the circuits
 off the flat engine. The minor enumeration is how `unimodularity_report`
 decided unimodularity before it scanned the non-pivot block of one echelon
@@ -27,7 +30,14 @@ enumerations are exponential; all of these serve only as test references.
 import itertools
 from fractions import Fraction
 
-from hkit.arrangement import ArrangementSpec, FlatDescriptor, SimplicityReport, build_discriminant
+from hkit.arrangement import (
+    ArrangementSpec,
+    FlatDescriptor,
+    SimplicityReport,
+    _pivot,
+    _wall_row,
+    build_discriminant,
+)
 from hkit.characterization import (
     HYPERTORIC,
     REJECTED,
@@ -48,6 +58,7 @@ from hkit.hypertoric import HypertoricData, MonomialGen
 from hkit.intmat import (
     IntMatrix,
     SmithResult,
+    canonical_primitive,
     canonical_sign,
     det,
     is_primitive,
@@ -107,6 +118,48 @@ def _rref_key(normals, offsets, n):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return tuple(tuple(row) for row in rows[:r])
+
+
+def _residual(v, basis):
+    """Fraction-free reduction of v against an echelon basis of (pivot, row)
+    pairs sorted by pivot; primitive, first nonzero entry positive."""
+    for p, row in basis:
+        if v[p]:
+            a, b = row[p], v[p]
+            v = [a * x - b * y for x, y in zip(v, row)]
+    return canonical_primitive(v)
+
+
+def flat_lattice_by_levels(arr):
+    """The intersection lattice one level at a time, from codimension 1 (the
+    single walls) up: each level maps a flat's member set to its echelon basis.
+
+    For a flat F each non-member wall is reduced once against F's augmented
+    echelon basis. A residual with zero normal part means the wall is parallel
+    to F. Otherwise walls with equal residuals are exactly the walls that
+    contain the cover F ∩ H, so each residual class gives one cover, and
+    covers are deduplicated by member set. The basis of a codimension-c flat
+    has c rows, all with pivots among the normal columns. A level is closed
+    only when the caller asks for the next one.
+    """
+    n = arr.n
+    rows = [_wall_row(c.hyperplane) for c in arr.components]
+    level = {frozenset([i]): [(_pivot(r), r)] for i, r in enumerate(rows)}
+    while level:
+        yield level
+        covers = {}
+        for members, basis in level.items():
+            classes = {}
+            for k, r in enumerate(rows):
+                if k not in members:
+                    res = _residual(r, basis)
+                    if any(res[:n]):
+                        classes.setdefault(res, []).append(k)
+            for res, walls in classes.items():
+                key = members.union(walls)
+                if key not in covers:
+                    covers[key] = sorted(basis + [(_pivot(res), res)])
+        level = covers
 
 
 def f_locus_scan(arr):

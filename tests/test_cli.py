@@ -79,6 +79,32 @@ class TestCommands:
         assert rep["result"]["unimodular"] is True
         assert rep["result"]["case"]["case"] == "hypertoric"
 
+    def test_check_reduces_transpose_once(self, capsys, monkeypatch):
+        # the Smith form takes two reductions and the HNF of B^T gives the
+        # case and the unimodularity verdict
+        calls = []
+        hermite = intmat._hermite
+
+        def counted(H, n):
+            calls.append(n)
+            return hermite(H, n)
+
+        monkeypatch.setattr(intmat, "_hermite", counted)
+        code, out = run_cli(["check", "--in", '{"rows": [[1, 0], [0, 1], [1, 1]]}'], capsys)
+        assert code == 0
+        result = report_of(out)["result"]
+        assert result["unimodular"] is True
+        assert result["unimodularity_method"] == "minors"
+        assert len(calls) == 3
+
+    def test_check_wide_matrix(self, capsys):
+        # rank below n: the case is rejected, but [[1, 0]] is unimodular
+        code, out = run_cli(["check", "--in", '{"rows": [[1, 0]]}'], capsys)
+        assert code == 0
+        result = report_of(out)["result"]
+        assert result["unimodular"] is True
+        assert result["case"]["case"] == "rejected"
+
     def test_build_a1(self, capsys):
         code, out = run_cli(["build", "--in", '{"rows": [[1], [1]]}'], capsys)
         assert code == 0

@@ -1,20 +1,32 @@
-"""The intersection-lattice engine against the subset-scan oracles.
+"""The intersection-lattice engine against the subset-scan oracles and the
+closure by levels.
 
 `f_locus` and `check_simplicity` must agree field for field with the
 exhaustive scans in oracles.py on the corpus discriminants, on the t = 0 and
 t = 1 slices of every deformable corpus family, and on the t = 1 slices of
-the complete-graph matrices K_3..K_5.
+the complete-graph matrices K_3..K_5. The depth-first search must yield each
+flat exactly once, with the member set and echelon basis of the closure by
+levels, and `circuits` must be read off the same lines.
 """
 
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from corpus import complete_graph, corpus_matrices, valid_hypertoric
-from hkit.arrangement import build_discriminant, check_simplicity, f_locus
+from hkit.arrangement import (
+    _flats,
+    build_discriminant,
+    check_simplicity,
+    circuits,
+    f_locus,
+    group_hyperplanes,
+)
 from hkit.hypertoric import HypertoricData
+from hkit.intmat import IntMatrix, kernel_basis
 from hkit.localmodel import choose_deformation_line, family_f_locus_codimension, family_slice
-from oracles import check_simplicity_scan, f_locus_scan
+from oracles import _solve_affine, check_simplicity_scan, f_locus_scan, flat_lattice_by_levels
 
 
 def bell(m):
@@ -50,8 +62,12 @@ def corpus_slices():
 
 @pytest.fixture(scope="module")
 def km_slices():
+    return complete_graph_slices((3, 4, 5))
+
+
+def complete_graph_slices(ms):
     out = []
-    for m in (3, 4, 5):
+    for m in ms:
         H = HypertoricData.from_matrix(complete_graph(m))
         out.append(family_slice(H, choose_deformation_line(H), 1))
     return out
@@ -93,3 +109,73 @@ def test_complete_graph_flats_are_set_partitions(m):
     flats = f_locus(build_discriminant(complete_graph(m)))
     assert len(flats) == bell(m) - 1 - comb(m, 2)
     assert not flats.truncated
+
+
+def test_points_with_non_unit_pivots():
+    # pivots 2, 3, 4, ... and nonzero offsets: the integer back-substitution
+    # needs a common denominator other than 1
+    arr = group_hyperplanes(
+        3,
+        [((2, 3, 0), 1), ((3, -5, 0), 2), ((4, 1, 2), 3), ((0, 3, 4), 5), ((5, 0, 2), 7)],
+    )
+    flats = f_locus(arr)
+    assert any(x.denominator > 1 for f in flats for x in f.point)
+    for f in flats:
+        walls = [arr.components[i].hyperplane for i in f.sorted_members()]
+        consistent, point, rank = _solve_affine(
+            [h.normal for h in walls], [h.offset for h in walls], arr.n
+        )
+        assert consistent and rank == f.codimension, f
+        assert f.point == point, f
+        assert all(isinstance(x, Fraction) for x in f.point)
+
+
+class TestFlatsAgainstLevels:
+    """The depth-first search against the closure by levels in oracles.py."""
+
+    @staticmethod
+    def assert_same_flats(arr):
+        want = {}
+        for level in flat_lattice_by_levels(arr):
+            want.update(level)
+        got = {}
+        for members, basis in _flats(arr, arr.n):
+            assert members not in got, (arr, members)
+            got[members] = basis
+        assert got == want, arr
+
+    @staticmethod
+    def assert_same_circuits(B):
+        n = B.cols
+        lines = list(flat_lattice_by_levels(build_discriminant(B)))[n - 2]
+        want = {
+            B.mat_vec(kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).row(0))
+            for basis in lines.values()
+        }
+        assert set(circuits(B)) == want, B
+
+    def test_corpus_discriminants(self, corpus_discriminants):
+        for arr in corpus_discriminants:
+            self.assert_same_flats(arr)
+
+    def test_corpus_slices(self, corpus_slices):
+        assert len(corpus_slices) == 1890
+        for arr in corpus_slices:
+            self.assert_same_flats(arr)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    def test_complete_graph_discriminants(self, m):
+        self.assert_same_flats(build_discriminant(complete_graph(m)))
+
+    def test_complete_graph_slices(self):
+        for arr in complete_graph_slices((3, 4, 5, 6)):
+            self.assert_same_flats(arr)
+
+    def test_circuits_on_corpus(self):
+        for H in valid_hypertoric(corpus_matrices()):
+            if H.n > 1:
+                self.assert_same_circuits(H.B)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    def test_circuits_on_complete_graphs(self, m):
+        self.assert_same_circuits(complete_graph(m))

@@ -5,9 +5,13 @@ Calls `hkit.cli.main` in process: `check` and `gale` on every corpus matrix
 (tests/corpus.py), `build`, `discriminant` and `deform` on the ones that pass
 validation, and `reconstruct` and `round-trip` on the divisor of every corpus
 matrix whose rows are primitive (parallel rows merged into one wall with
-their count as multiplicity). `build-km` is `build` on the complete-graph
-matrices K_3, K_4 and K_5: the corpus has no presentation with more than a
-few dozen relations, K_5's has 425 on 40 generators. Each report is hashed with its exit status,
+their count as multiplicity). The corpus has n <= 3, so three digests run on
+the complete-graph matrices K_m: `build-km` is `build` on K_3..K_5 (the
+corpus has no presentation with more than a few dozen relations, K_5's has
+425 on 40 generators), `discriminant-km` is `discriminant` on K_3..K_8
+(deep central lattices; K_8 has 4111 flats) and `deform-km` is `deform` on
+K_3..K_6 (affine slices with many walls, their simplicity and its
+violations). Each report is hashed with its exit status,
 after dropping every line that contains "timing_ms", so a digest changes
 exactly when some report changes apart from its timing. Run it on two
 checkouts, for example a parent commit and a change on top of it, and compare
@@ -35,7 +39,7 @@ from hkit import cli  # noqa: E402
 ALL_MATRICES = ("check", "gale")
 VALID_MATRICES = ("build", "discriminant", "deform")
 DIVISORS = ("reconstruct", "round-trip")
-KM = (3, 4, 5)
+KM = {"build": (3, 4, 5), "discriminant": (3, 4, 5, 6, 7, 8), "deform": (3, 4, 5, 6)}
 
 
 def report(command, payload):
@@ -73,8 +77,9 @@ def main():
     for commands, payloads in groups:
         for command in commands:
             print(f"{command} {len(payloads)} {digest(command, payloads)}")
-    km = [matrix_json(complete_graph(m)) for m in KM]
-    print(f"build-km {len(km)} {digest('build', km)}")
+    for command, ms in KM.items():
+        km = [matrix_json(complete_graph(m)) for m in ms]
+        print(f"{command}-km {len(km)} {digest(command, km)}")
 
 
 if __name__ == "__main__":
