@@ -58,10 +58,6 @@ class NotABasis(HkitError):
         super().__init__(f"rows {list(rows)} do not form a Z-basis")
 
 
-class GenericityUnattainable(HkitError):
-    code = "genericity_unattainable"
-
-
 class CaseRejected(HkitError):
     code = "case_rejected"
 

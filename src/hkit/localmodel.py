@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 from .arrangement import ArrangementSpec, build_discriminant, group_hyperplanes
 from .errors import ArityMismatch, DuplicateShift, NotABasis
 from .hypertoric import HypertoricData
-from .intmat import IntMatrix, det, rank
+from .intmat import IntMatrix, _Forms, det, rank
 
 
 def _elementary_symmetric(values):
@@ -123,7 +122,8 @@ def deform_local_model(model: LocalModel, shifts) -> DeformedLocalModel:
 class DeformationLine:
     """Offsets lambda_i of the family <b_i, eta> = t lambda_i, normalized to
     vanish on a chosen Z-basis of rows; direction is the induced line in the
-    (N-n)-dimensional deformation base."""
+    (N-n)-dimensional deformation base. `adjusted` is True when the line
+    has offsets off the basis, that is when N > n."""
 
     basis_rows: tuple
     offsets: tuple
@@ -132,12 +132,16 @@ class DeformationLine:
 
 
 def default_basis_rows(B: IntMatrix):
-    """Lexicographically first row subset forming a Z-basis of Z^n."""
-    for subset in combinations(range(B.rows), B.cols):
-        sub = IntMatrix([B.row(i) for i in subset], cols=B.cols)
-        if abs(det(sub)) == 1:
-            return subset
-    raise NotABasis(tuple(range(B.rows)))
+    """The pivot columns of the HNF of B^T, when there are n of them and
+    every pivot is 1: the lexicographically first row subset that is a
+    Z-basis of Z^n. The pivots are the first basis of the row matroid (every
+    earlier n-subset is dependent), and their minor is the product of the
+    pivots. Raises NotABasis otherwise, also when a later row subset would be
+    a Z-basis; `HypertoricData.from_matrix` accepts no such B."""
+    forms = _Forms(B)
+    if forms.rank < B.cols or not forms.unit:
+        raise NotABasis(tuple(range(B.rows)))
+    return tuple(forms.pivots)
 
 
 def _line_direction(H: HypertoricData, offsets):
@@ -147,10 +151,13 @@ def _line_direction(H: HypertoricData, offsets):
     )
 
 
-def choose_deformation_line(H: HypertoricData, basis_rows=None, seed_offsets=None):
-    """Normalize offsets to zero on the basis rows and repair the rest until
-    the genericity report passes (replacement values 1, 2, 3, ... in index
-    order); deterministic for fixed inputs."""
+def choose_deformation_line(H: HypertoricData, basis_rows=None):
+    """The line with offsets 0 on the basis rows and 1, 2, 3, ... on the
+    other rows in index order; deterministic for fixed inputs.
+
+    It passes `verify_genericity` by construction: the basis rows force
+    eta = 0 in B eta = lambda, so (a)-(c) hold as soon as one offset off the
+    basis is nonzero, which is every line with N > n."""
     if basis_rows is None:
         basis_rows = default_basis_rows(H.B)
     basis_rows = tuple(int(i) for i in basis_rows)
@@ -162,33 +169,15 @@ def choose_deformation_line(H: HypertoricData, basis_rows=None, seed_offsets=Non
     if abs(det(sub)) != 1:
         raise NotABasis(basis_rows)
 
-    if seed_offsets is None:
-        seed_offsets = (Fraction(0),) * H.N
-    if len(seed_offsets) != H.N:
-        raise ArityMismatch(f"expected {H.N} seed offsets, got {len(seed_offsets)}")
-
-    offsets = [Fraction(x) for x in seed_offsets]
-    for i in basis_rows:
-        offsets[i] = Fraction(0)
-
-    line = DeformationLine(
-        basis_rows=basis_rows,
-        offsets=tuple(offsets),
-        direction=_line_direction(H, offsets),
-    )
-    if H.N == H.n or verify_genericity(H, line).all_pass:
-        return line
-
-    value = 1
-    for i in range(H.N):
-        if i not in basis_rows:
-            offsets[i] = Fraction(value)
-            value += 1
+    rest = [i for i in range(H.N) if i not in basis_rows]
+    offsets = [Fraction(0)] * H.N
+    for k, i in enumerate(rest):
+        offsets[i] = Fraction(k + 1)
     return DeformationLine(
         basis_rows=basis_rows,
         offsets=tuple(offsets),
         direction=_line_direction(H, offsets),
-        adjusted=True,
+        adjusted=H.N > H.n,
     )
 
 
@@ -259,6 +248,6 @@ def family_f_locus_codimension(H: HypertoricData):
     Any two distinct central walls meet in codimension 2, and every flat has
     codimension >= 2, so the answer is 3 whenever there are two walls.
     """
-    if len(build_discriminant(H.B)) < 2:
+    if len(H.groups) < 2:
         return None
     return 3

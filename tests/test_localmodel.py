@@ -87,25 +87,22 @@ class TestDeformation:
 
 
 class TestDeformationLine:
-    def test_spec_pair(self):
-        data = H([[1], [1]])
-        line = choose_deformation_line(data, (0,), (0, 1))
-        assert line.offsets == (Fraction(0), Fraction(1))
-        assert not line.adjusted
-
     def test_identity_empty_family(self):
         data = H([[1, 0], [0, 1]])
         line = choose_deformation_line(data)
         assert line.offsets == (Fraction(0), Fraction(0))
         assert line.direction == ()
+        assert not line.adjusted
         report = verify_genericity(data, line)
         assert report.all_pass
 
-    def test_zero_seeds_repaired(self):
+    def test_pair_line(self):
         data = H([[1], [1]])
-        line = choose_deformation_line(data, (0,), (0, 0))
-        assert line.adjusted
+        line = choose_deformation_line(data)
+        assert line.basis_rows == (0,)
         assert line.offsets == (Fraction(0), Fraction(1))
+        assert line.adjusted
+        assert verify_genericity(data, line).all_pass
 
     def test_not_a_basis(self):
         data = H([[1, 0], [0, 1], [1, 1]])
