@@ -26,6 +26,7 @@ from .hypertoric import (
     HypertoricData,
     coordinate_dimension,
     leaf_classification,
+    leaf_descriptors,
     presentation,
 )
 from .intmat import IntMatrix, _gale, is_primitive, smith_normal_form, unimodularity_report
@@ -215,15 +216,9 @@ def _cmd_discriminant(payload, job, notes):
     result = {
         "n": arr.n,
         "components": _arrangement(arr),
-        "leaves": [
-            {
-                "normal": list(c.hyperplane.normal),
-                "multiplicity": c.multiplicity,
-                "singularity": f"A{c.multiplicity - 1}" if c.multiplicity >= 2 else None,
-                "kind": c.kind.value,
-            }
-            for c in arr.components
-        ],
+        "leaves": _leaves(
+            leaf_descriptors((c.hyperplane.normal, c.multiplicity) for c in arr.components)
+        ),
         "f_locus": _flats(arr),
     }
     return result
@@ -286,7 +281,7 @@ def _cmd_deform(payload, job, notes):
     H = HypertoricData.from_matrix(B)
     line = localmodel.choose_deformation_line(H, basis_rows=job.basis_rows)
     if line.adjusted:
-        notes.append("offsets adjusted by the deterministic genericity repair")
+        notes.append("offsets 0 on the basis rows and 2^k on the k-th other row")
     report = localmodel.verify_genericity(H, line)
     slice0 = localmodel.family_slice(H, line, 0)
     slice1 = localmodel.family_slice(H, line, 1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import circuits
+from .arrangement import _kind_from_multiplicity, circuits
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -303,20 +303,23 @@ class LeafDescriptor:
         return self.multiplicity >= 2
 
 
-def leaf_classification(H: HypertoricData):
-    """One descriptor per parallel class: multiplicity m >= 2 gives a
-    codimension-2 leaf with transverse Klein type A_{m-1}; multiplicity 1
-    classes are smooth walls."""
-    out = []
-    for gid, (normal, rows) in enumerate(H.groups):
-        m = len(rows)
-        out.append(
-            LeafDescriptor(
-                group_id=gid,
-                normal=normal,
-                multiplicity=m,
-                singularity=f"A{m - 1}" if m >= 2 else None,
-                kind="first" if m >= 2 else "second",
-            )
+def leaf_descriptors(classes):
+    """One descriptor per parallel class, given in order as (normal,
+    multiplicity) pairs: multiplicity m >= 2 gives a codimension-2 leaf with
+    transverse Klein type A_{m-1} and a wall of the first kind; multiplicity
+    1 classes are smooth walls."""
+    return [
+        LeafDescriptor(
+            group_id=gid,
+            normal=normal,
+            multiplicity=m,
+            singularity=f"A{m - 1}" if m >= 2 else None,
+            kind=_kind_from_multiplicity(m).value,
         )
-    return out
+        for gid, (normal, m) in enumerate(classes)
+    ]
+
+
+def leaf_classification(H: HypertoricData):
+    """The leaf descriptors of the parallel classes of B's rows."""
+    return leaf_descriptors((normal, len(rows)) for normal, rows in H.groups)

@@ -1,7 +1,9 @@
 """Symbolic local normal forms of the moment map around a codimension-2 leaf
 (x1 x2 = x3^m over (x3, t_1, ..., t_{n-1})), their one-parameter deformations
 x1' x2' = prod(x3 + a_i t), and generic deformation lines for the whole
-family arrangement <b_i, eta> = t lambda_i.
+family arrangement <b_i, eta> = t lambda_i. A line is built, not searched
+for: its basis rows are the pivots of one HNF of B^T and its offsets follow
+one rule that makes the t = 1 slice simple.
 
 Equations are stored as exact coefficient lists of the x3-polynomial in the
 two variables (x3, t): coefficient of x3^(m-k) t^k is the k-th elementary
@@ -152,12 +154,16 @@ def _line_direction(H: HypertoricData, offsets):
 
 
 def choose_deformation_line(H: HypertoricData, basis_rows=None):
-    """The line with offsets 0 on the basis rows and 1, 2, 3, ... on the
-    other rows in index order; deterministic for fixed inputs.
+    """The line with offsets 0 on the basis rows and 2^k on the k-th other
+    row (1, 2, 4, ... in index order); deterministic for fixed inputs.
 
     It passes `verify_genericity` by construction: the basis rows force
     eta = 0 in B eta = lambda, so (a)-(c) hold as soon as one offset off the
-    basis is nonzero, which is every line with N > n."""
+    basis is nonzero, which is every line with N > n. Its t = 1 slice is
+    simple: that holds iff <c, lambda> != 0 for every circuit c of B's row
+    dependencies (Bielawski and Dancer; Hausel and Sturmfels), and for
+    unimodular B each circuit is a {0, +-1} vector that meets a row off the
+    basis, where the largest power of 2 it meets outweighs the others."""
     if basis_rows is None:
         basis_rows = default_basis_rows(H.B)
     basis_rows = tuple(int(i) for i in basis_rows)
@@ -172,7 +178,7 @@ def choose_deformation_line(H: HypertoricData, basis_rows=None):
     rest = [i for i in range(H.N) if i not in basis_rows]
     offsets = [Fraction(0)] * H.N
     for k, i in enumerate(rest):
-        offsets[i] = Fraction(k + 1)
+        offsets[i] = Fraction(2**k)
     return DeformationLine(
         basis_rows=basis_rows,
         offsets=tuple(offsets),

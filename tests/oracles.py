@@ -12,7 +12,9 @@ basis. The Graver
 completion is how `hilbert_basis` was computed before it read the circuits
 off the flat engine. The minor enumeration is how `unimodularity_report`
 decided unimodularity before it scanned the non-pivot block of one echelon
-form: one Bareiss determinant per maximal minor. The normal-form path is how
+form: one Bareiss determinant per maximal minor, and the same determinant
+scan is how `default_basis_rows` found its rows before it read them off the
+pivots of B^T's HNF. The normal-form path is how
 validation, `gale_dual`, `kernel_basis`, `classify_case` and `round_trip`
 worked before they read everything off one reduced echelon form of B^T:
 rank from a full HNF, torsion from an SNF, kernels from the HNF transform,
@@ -50,6 +52,7 @@ from hkit.errors import (
     BudgetExceeded,
     CaseRejected,
     NonPrimitiveRow,
+    NotABasis,
     NotInjective,
     NotUnimodular,
     TorsionCokernel,
@@ -308,6 +311,16 @@ def iter_max_minors(M):
     T = M if M.rows >= M.cols else M.transpose()
     for combo in itertools.combinations(range(T.rows), m):
         yield det(IntMatrix([T.row(i) for i in combo], cols=T.cols))
+
+
+def default_basis_rows_by_det(B):
+    """Lexicographically first row subset of B that is a Z-basis of Z^n: one
+    Bareiss determinant per n-subset until one is +-1."""
+    for subset in itertools.combinations(range(B.rows), B.cols):
+        sub = IntMatrix([B.row(i) for i in subset], cols=B.cols)
+        if abs(det(sub)) == 1:
+            return subset
+    raise NotABasis(tuple(range(B.rows)))
 
 
 def unimodular_by_minors(M):

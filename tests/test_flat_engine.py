@@ -4,9 +4,12 @@ closure by levels.
 `f_locus` and `check_simplicity` must agree field for field with the
 exhaustive scans in oracles.py on the corpus discriminants, on the t = 0 and
 t = 1 slices of every deformable corpus family, and on the t = 1 slices of
-the complete-graph matrices K_3..K_5. The depth-first search must yield each
-flat exactly once, with the member set and echelon basis of the closure by
-levels, and `circuits` must be read off the same lines.
+the complete-graph matrices K_3..K_5. The t = 1 slices come from the default
+line, whose slice is simple, and from offsets 1, 2, 3, ... off the same
+basis rows, whose slice is not always simple, so the comparison still meets
+violations. The depth-first search must yield each flat exactly once, with
+the member set and echelon basis of the closure by levels, and `circuits`
+must be read off the same lines.
 """
 
 from fractions import Fraction
@@ -25,7 +28,13 @@ from hkit.arrangement import (
 )
 from hkit.hypertoric import HypertoricData
 from hkit.intmat import IntMatrix, kernel_basis
-from hkit.localmodel import choose_deformation_line, family_f_locus_codimension, family_slice
+from hkit.localmodel import (
+    DeformationLine,
+    _line_direction,
+    choose_deformation_line,
+    family_f_locus_codimension,
+    family_slice,
+)
 from oracles import _solve_affine, check_simplicity_scan, f_locus_scan, flat_lattice_by_levels
 
 
@@ -50,13 +59,35 @@ def corpus_discriminants():
     return list(out.values())
 
 
+def lines(H):
+    """The default line, and the line with offsets 1, 2, 3, ... off the same
+    basis rows where that differs (N - n >= 3). The default line's t = 1
+    slice is always simple; the other one's is not on 24 corpus families,
+    K_5 and K_6, so the engine still meets violations."""
+    line = choose_deformation_line(H)
+    rest = [i for i in range(H.N) if i not in line.basis_rows]
+    offsets = [Fraction(0)] * H.N
+    for k, i in enumerate(rest):
+        offsets[i] = Fraction(k + 1)
+    if tuple(offsets) == line.offsets:
+        return [line]
+    consecutive = DeformationLine(
+        basis_rows=line.basis_rows,
+        offsets=tuple(offsets),
+        direction=_line_direction(H, offsets),
+        adjusted=True,
+    )
+    return [line, consecutive]
+
+
 @pytest.fixture(scope="module")
 def corpus_slices():
     slices = []
     for H in valid_hypertoric(corpus_matrices()):
         if H.N > H.n:
-            line = choose_deformation_line(H)
-            slices += [family_slice(H, line, 0), family_slice(H, line, 1)]
+            found = lines(H)
+            slices.append(family_slice(H, found[0], 0))
+            slices += [family_slice(H, line, 1) for line in found]
     return slices
 
 
@@ -69,8 +100,12 @@ def complete_graph_slices(ms):
     out = []
     for m in ms:
         H = HypertoricData.from_matrix(complete_graph(m))
-        out.append(family_slice(H, choose_deformation_line(H), 1))
+        out += [family_slice(H, line, 1) for line in lines(H)]
     return out
+
+
+def affine(arr):
+    return any(c.hyperplane.offset for c in arr.components)
 
 
 def test_f_locus_matches_scan_on_corpus_discriminants(corpus_discriminants):
@@ -80,15 +115,23 @@ def test_f_locus_matches_scan_on_corpus_discriminants(corpus_discriminants):
 
 
 def test_engine_matches_scans_on_corpus_slices(corpus_slices):
+    not_simple = 0
     for arr in corpus_slices:
         assert list(f_locus(arr)) == f_locus_scan(arr), arr
-        assert check_simplicity(arr) == check_simplicity_scan(arr), arr
+        report = check_simplicity(arr)
+        assert report == check_simplicity_scan(arr), arr
+        not_simple += affine(arr) and not report.simple
+    assert not_simple == 24
 
 
 def test_engine_matches_scans_on_complete_graph_slices(km_slices):
+    violations = []
     for arr in km_slices:
         assert list(f_locus(arr)) == f_locus_scan(arr), arr
-        assert check_simplicity(arr) == check_simplicity_scan(arr), arr
+        report = check_simplicity(arr)
+        assert report == check_simplicity_scan(arr), arr
+        violations.append(len(report.violations_b))
+    assert violations == [0, 0, 0, 0, 6]
 
 
 def test_family_codimension_matches_scan():
@@ -159,7 +202,7 @@ class TestFlatsAgainstLevels:
             self.assert_same_flats(arr)
 
     def test_corpus_slices(self, corpus_slices):
-        assert len(corpus_slices) == 1890
+        assert len(corpus_slices) == 2106
         for arr in corpus_slices:
             self.assert_same_flats(arr)
 

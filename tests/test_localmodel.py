@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from hkit.arrangement import Kind, build_discriminant
+from corpus import complete_graph, corpus_matrices, valid_hypertoric
+from hkit.arrangement import Kind, build_discriminant, check_simplicity
 from hkit.errors import ArityMismatch, DuplicateShift, NotABasis
 from hkit.hypertoric import HypertoricData, leaf_classification
-from hkit.intmat import IntMatrix
+from hkit.intmat import IntMatrix, det
 from hkit.localmodel import (
     DeformationLine,
     choose_deformation_line,
@@ -17,6 +19,7 @@ from hkit.localmodel import (
     local_model,
     verify_genericity,
 )
+from oracles import default_basis_rows_by_det
 
 
 def H(rows, cols=None):
@@ -104,6 +107,12 @@ class TestDeformationLine:
         assert line.adjusted
         assert verify_genericity(data, line).all_pass
 
+    def test_offsets_are_powers_of_two(self):
+        assert choose_deformation_line(H([[1], [1], [1]])).offsets == (0, 1, 2)
+        assert choose_deformation_line(H([[1], [1], [1], [1]])).offsets == (0, 1, 2, 4)
+        line = choose_deformation_line(H([[1], [1], [1], [1]]), basis_rows=(2,))
+        assert line.offsets == (1, 2, 0, 4)
+
     def test_not_a_basis(self):
         data = H([[1, 0], [0, 1], [1, 1]])
         with pytest.raises(NotABasis):
@@ -175,3 +184,59 @@ class TestFamilySlices:
     def test_family_f_locus_codimension(self):
         assert family_f_locus_codimension(H([[1, 0], [0, 1], [1, 1]])) == 3
         assert family_f_locus_codimension(H([[1], [1]])) is None
+
+
+class TestDefaultLine:
+    """The default line passes (a)-(c) and its t = 1 slice is simple."""
+
+    @staticmethod
+    def assert_generic_and_simple(data):
+        line = choose_deformation_line(data)
+        assert verify_genericity(data, line).all_pass, data.B
+        assert check_simplicity(family_slice(data, line, 1)).simple, data.B
+
+    def test_corpus(self):
+        families = [d for d in valid_hypertoric(corpus_matrices()) if d.N > d.n]
+        assert len(families) == 945
+        for data in families:
+            self.assert_generic_and_simple(data)
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_complete_graphs(self, m):
+        self.assert_generic_and_simple(HypertoricData.from_matrix(complete_graph(m)))
+
+
+def first_independent_rows(B):
+    """The lexicographically first n rows of B with a nonzero determinant,
+    or None when B has rank below n."""
+    for subset in combinations(range(B.rows), B.cols):
+        minor = det(IntMatrix([B.row(i) for i in subset], cols=B.cols))
+        if minor:
+            return subset, minor
+    return None
+
+
+class TestDefaultBasisRowsAgainstDet:
+    """The pivots of B^T's HNF against the determinant scan in oracles.py.
+
+    The pivots are the first independent rows, and they are a Z-basis
+    exactly when every pivot is 1; otherwise `default_basis_rows` raises
+    even where the scan finds a later Z-basis."""
+
+    def test_corpus_and_complete_graphs(self):
+        matrices = list(corpus_matrices()) + [complete_graph(m) for m in range(3, 8)]
+        unit = later = 0
+        for B in matrices:
+            first = first_independent_rows(B)
+            if first is not None and abs(first[1]) == 1:
+                unit += 1
+                assert default_basis_rows(B) == default_basis_rows_by_det(B) == first[0], B
+                continue
+            with pytest.raises(NotABasis):
+                default_basis_rows(B)
+            try:
+                default_basis_rows_by_det(B)
+                later += 1
+            except NotABasis:
+                pass
+        assert (unit, later) == (3234, 718)

@@ -10,10 +10,11 @@ the complete-graph matrices K_m: `build-km` is `build` on K_3..K_5 (the
 corpus has no presentation with more than a few dozen relations, K_5's has
 425 on 40 generators), `discriminant-km` is `discriminant` on K_3..K_8
 (deep central lattices; K_8 has 4111 flats) and `deform-km` is `deform` on
-K_3..K_6 (affine slices with many walls, their simplicity and its
-violations). Each report is hashed with its exit status,
-after dropping every line that contains "timing_ms", so a digest changes
-exactly when some report changes apart from its timing. Run it on two
+K_3..K_7 (affine slices with up to 21 walls and their simplicity; the
+default line's t = 1 slice is simple, so its violation lists are empty).
+Each report is hashed with its exit status, after dropping every line that
+contains "timing_ms", so a digest changes exactly when some report changes
+apart from its timing. Run it on two
 checkouts, for example a parent commit and a change on top of it, and compare
 the printed lines:
 
@@ -39,7 +40,7 @@ from hkit import cli  # noqa: E402
 ALL_MATRICES = ("check", "gale")
 VALID_MATRICES = ("build", "discriminant", "deform")
 DIVISORS = ("reconstruct", "round-trip")
-KM = {"build": (3, 4, 5), "discriminant": (3, 4, 5, 6, 7, 8), "deform": (3, 4, 5, 6)}
+KM = {"build": (3, 4, 5), "discriminant": (3, 4, 5, 6, 7, 8), "deform": (3, 4, 5, 6, 7)}
 
 
 def report(command, payload):
