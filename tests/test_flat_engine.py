@@ -75,7 +75,6 @@ def lines(H):
         basis_rows=line.basis_rows,
         offsets=tuple(offsets),
         direction=_line_direction(H, offsets),
-        adjusted=True,
     )
     return [line, consecutive]
 

@@ -207,8 +207,8 @@ class TestDefaultLine:
 
 
 def first_independent_rows(B):
-    """The lexicographically first n rows of B with a nonzero determinant,
-    or None when B has rank below n."""
+    """(rows, minor) for the lexicographically first n rows of B with a
+    nonzero determinant, or None when B has rank below n."""
     for subset in combinations(range(B.rows), B.cols):
         minor = det(IntMatrix([B.row(i) for i in subset], cols=B.cols))
         if minor:
