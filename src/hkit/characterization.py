@@ -152,7 +152,8 @@ def round_trip(d: DivisorData) -> RoundTripReport:
         )
     unimodular_B = tag.unimodular
     if not A.rows:
-        unimodular_A = B.rows == B.cols
+        # N = n: the empty Gale dual counts as unimodular
+        unimodular_A = True
     elif tag.coker_torsion_free:
         # Gale duality: the complementary maximal minors of A and B agree up
         # to one global sign, and both count C(N, n) against the budget.

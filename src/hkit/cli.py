@@ -68,16 +68,18 @@ def _frac(f):
     return {"num": f.numerator, "den": f.denominator}
 
 
-def _parse_frac(obj):
-    if isinstance(obj, bool):
-        raise ValueError("expected a rational, got a boolean")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, dict) and set(obj) == {"num", "den"}:
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    if isinstance(obj, str):
-        return Fraction(obj)
-    raise ValueError(f"cannot parse rational from {obj!r}")
+def _int(x, what):
+    """x itself when it is a JSON integer; booleans and floats are rejected,
+    not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _int_list(v, what):
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a list of integers, got {v!r}")
+    return [_int(x, what) for x in v]
 
 
 def _matrix(M: IntMatrix):
@@ -85,17 +87,22 @@ def _matrix(M: IntMatrix):
 
 
 def _parse_matrix(obj):
-    if not isinstance(obj, dict) or "rows" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list):
         raise ValueError('matrix JSON must be {"rows": [[int, ...], ...]}')
-    rows = obj["rows"]
-    return IntMatrix(rows, cols=obj.get("cols"))
+    rows = [_int_list(row, "matrix row") for row in obj["rows"]]
+    cols = obj.get("cols")
+    return IntMatrix(rows, cols=None if cols is None else _int(cols, "cols"))
 
 
 def _parse_divisor(obj):
-    if not isinstance(obj, dict) or "n" not in obj or "walls" not in obj:
+    if not isinstance(obj, dict) or "n" not in obj or not isinstance(obj.get("walls"), list):
         raise ValueError('divisor JSON must be {"n": int, "walls": [...]}')
-    walls = [(tuple(w["normal"]), int(w["mult"])) for w in obj["walls"]]
-    return DivisorData.make(int(obj["n"]), walls)
+    walls = []
+    for w in obj["walls"]:
+        if not isinstance(w, dict):
+            raise ValueError(f'wall must be {{"normal": [int, ...], "mult": int}}, got {w!r}')
+        walls.append((tuple(_int_list(w["normal"], "wall normal")), _int(w["mult"], "mult")))
+    return DivisorData.make(_int(obj["n"], "n"), walls)
 
 
 def _arrangement(arr):
@@ -166,7 +173,8 @@ def _cmd_gale(payload, job, notes):
     ub, mb = forms.unimodularity()
     # _gale succeeded, so B has rank n, the cokernel is torsion-free and A's
     # verdict is B's (Gale duality, the same C(N, n) minors against the budget).
-    ua, ma = (ub, mb) if A.rows else (B.rows == B.cols, "minors")
+    # The empty Gale dual (N = n) counts as unimodular.
+    ua, ma = (ub, mb) if A.rows else (True, "minors")
     if mb != "minors" or ma != "minors":
         notes.append("unimodularity checked via SNF fallback (minor budget hit)")
     return {
@@ -313,7 +321,7 @@ def _cmd_deform(payload, job, notes):
 def _cmd_local_model(payload, job, notes):
     if not isinstance(payload, dict) or "m" not in payload or "n" not in payload:
         raise ValueError('local-model input must be {"m": int, "n": int}')
-    model = localmodel.local_model(int(payload["m"]), int(payload["n"]))
+    model = localmodel.local_model(_int(payload["m"], "m"), _int(payload["n"], "n"))
     result = {
         "model": {
             "m": model.m,

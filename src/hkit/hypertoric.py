@@ -30,13 +30,16 @@ DEFAULT_CANDIDATE_BUDGET = 10**5
 
 @dataclass(frozen=True)
 class HypertoricData:
-    """Validated bundle (B, A) with the parallel-class grouping of B's rows."""
+    """Validated bundle (B, A) with the parallel-class grouping of B's rows
+    and the pivots of the HNF of B^T. Those pivots are all 1 for valid B, so
+    they are the lexicographically first rows that form a Z-basis of Z^n."""
 
     B: IntMatrix
     A: IntMatrix
     N: int
     n: int
-    groups: tuple  # tuple of (canonical normal, row index tuple)
+    groups: tuple  # tuple of (canonical normal, ascending row index tuple)
+    basis_rows: tuple
 
     @classmethod
     def from_matrix(cls, B: IntMatrix):
@@ -50,7 +53,9 @@ class HypertoricData:
         for i in range(B.rows):
             classes.setdefault(canonical_sign(B.row(i)), []).append(i)
         groups = tuple((normal, tuple(rows)) for normal, rows in sorted(classes.items()))
-        return cls(B=B, A=A, N=B.rows, n=B.cols, groups=groups)
+        return cls(
+            B=B, A=A, N=B.rows, n=B.cols, groups=groups, basis_rows=tuple(forms.pivots)
+        )
 
 
 @dataclass(frozen=True, order=True)
@@ -239,7 +244,7 @@ def presentation(H: HypertoricData, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
 
 def _reduce_presentation(H, gens, relations):
     pure = []
-    s_members = {}
+    s_gen = {}  # row i -> index of the generator z_i w_i
     symbol_of = {}
     sign_of = {}
     for idx, g in enumerate(gens):
@@ -249,22 +254,17 @@ def _reduce_presentation(H, gens, relations):
             sign_of[idx] = 1
             pure.append(g)
         else:
-            row = H.B.row(i)
-            key = canonical_sign(row)
-            s_members.setdefault(key, []).append((i, idx, 1 if row == key else -1))
+            s_gen[i] = idx
     s_classes = []
-    for k, (key, members) in enumerate(sorted(s_members.items())):
-        members.sort()
-        s_classes.append(
-            SClass(
-                normal=key,
-                members=tuple(m[0] for m in members),
-                signs=tuple(m[2] for m in members),
-            )
-        )
-        for _, gen_idx, sign in members:
-            symbol_of[gen_idx] = ("s", k)
-            sign_of[gen_idx] = sign
+    for normal, rows in H.groups:
+        members = tuple(i for i in rows if i in s_gen)
+        if not members:
+            continue
+        signs = tuple(1 if H.B.row(i) == normal else -1 for i in members)
+        for i, sign in zip(members, signs):
+            symbol_of[s_gen[i]] = ("s", len(s_classes))
+            sign_of[s_gen[i]] = sign
+        s_classes.append(SClass(normal=normal, members=members, signs=signs))
 
     reduced_relations = set()
     for left, right in relations:

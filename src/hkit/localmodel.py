@@ -2,8 +2,10 @@
 (x1 x2 = x3^m over (x3, t_1, ..., t_{n-1})), their one-parameter deformations
 x1' x2' = prod(x3 + a_i t), and generic deformation lines for the whole
 family arrangement <b_i, eta> = t lambda_i. A line is built, not searched
-for: its basis rows are the pivots of one HNF of B^T and its offsets follow
-one rule that makes the t = 1 slice simple.
+for: its basis rows are the pivots of the HNF of B^T that validation made
+(`HypertoricData.basis_rows`) and its offsets follow one rule that makes the
+t = 1 slice simple. Genericity reads the Gale dual A: the hyperplanes of the
+line share a point for t != 0 exactly when A lambda = 0.
 
 Equations are stored as exact coefficient lists of the x3-polynomial in the
 two variables (x3, t): coefficient of x3^(m-k) t^k is the k-th elementary
@@ -14,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .arrangement import ArrangementSpec, build_discriminant, group_hyperplanes
 from .errors import ArityMismatch, DuplicateShift, NotABasis
 from .hypertoric import HypertoricData
-from .intmat import IntMatrix, _Forms, det, rank
+from .intmat import IntMatrix, det
 
 
 def _elementary_symmetric(values):
@@ -133,29 +134,19 @@ class DeformationLine:
     adjusted: bool = False
 
 
-def default_basis_rows(B: IntMatrix):
-    """The pivot columns of the HNF of B^T, when there are n of them and
-    every pivot is 1: the lexicographically first row subset that is a
-    Z-basis of Z^n. The pivots are the first basis of the row matroid (every
-    earlier n-subset is dependent), and their minor is the product of the
-    pivots. Raises NotABasis otherwise, also when a later row subset would be
-    a Z-basis; `HypertoricData.from_matrix` accepts no such B."""
-    forms = _Forms(B)
-    if forms.rank < B.cols or not forms.unit:
-        raise NotABasis(tuple(range(B.rows)))
-    return tuple(forms.pivots)
-
-
 def _line_direction(H: HypertoricData, offsets):
+    """-A lambda: zero exactly when lambda lies in the rational column span
+    of B, since A B = 0 and A has rank N - n (Gale duality)."""
     return tuple(
-        -sum(Fraction(H.A[j, i]) * offsets[i] for i in range(H.N))
-        for j in range(H.N - H.n)
+        -sum((a * x for a, x in zip(row, offsets) if a), Fraction(0)) for row in H.A.data
     )
 
 
 def choose_deformation_line(H: HypertoricData, basis_rows=None):
     """The line with offsets 0 on the basis rows and 2^k on the k-th other
-    row (1, 2, 4, ... in index order); deterministic for fixed inputs.
+    row (1, 2, 4, ... in index order); deterministic for fixed inputs. The
+    basis rows default to `H.basis_rows`, the first rows of B that form a
+    Z-basis; given rows are checked by their determinant, and so are these.
 
     It passes `verify_genericity` by construction: the basis rows force
     eta = 0 in B eta = lambda, so (a)-(c) hold as soon as one offset off the
@@ -165,7 +156,7 @@ def choose_deformation_line(H: HypertoricData, basis_rows=None):
     unimodular B each circuit is a {0, +-1} vector that meets a row off the
     basis, where the largest power of 2 it meets outweighs the others."""
     if basis_rows is None:
-        basis_rows = default_basis_rows(H.B)
+        basis_rows = H.basis_rows
     basis_rows = tuple(int(i) for i in basis_rows)
     if len(basis_rows) != H.n or len(set(basis_rows)) != H.n:
         raise NotABasis(basis_rows)
@@ -227,15 +218,8 @@ def verify_genericity(H: HypertoricData, line: DeformationLine) -> GenericityRep
             offsets_not_all_zero=True,
         )
 
-    # (a) a common solution of B eta = t lambda with t != 0 exists exactly when
-    # lambda lies in the rational column span of B; check via an exact rank.
-    denom = lcm(*(x.denominator for x in offsets)) if offsets else 1
-    scaled = [int(x * denom) for x in offsets]
-    aug = IntMatrix(
-        [list(H.B.row(i)) + [scaled[i]] for i in range(H.N)], cols=H.n + 1
-    )
-    solvable = rank(aug) == H.n
-    a_pass = not solvable
+    # (a) B eta = t lambda has no solution with t != 0 iff A lambda != 0
+    a_pass = any(_line_direction(H, offsets))
 
     c_pass = any(offsets[i] != 0 for i in range(H.N) if i not in line.basis_rows)
 

@@ -13,8 +13,10 @@ completion is how `hilbert_basis` was computed before it read the circuits
 off the flat engine. The minor enumeration is how `unimodularity_report`
 decided unimodularity before it scanned the non-pivot block of one echelon
 form: one Bareiss determinant per maximal minor, and the same determinant
-scan is how `default_basis_rows` found its rows before it read them off the
-pivots of B^T's HNF. The normal-form path is how
+scan is how a deformation line found its default basis rows before they were
+the pivots of B^T's HNF. The rank of [B | lambda] is how `verify_genericity`
+decided condition (a) before it read A lambda off the Gale dual. The
+normal-form path is how
 validation, `gale_dual`, `kernel_basis`, `classify_case` and `round_trip`
 worked before they read everything off one reduced echelon form of B^T:
 rank from a full HNF, torsion from an SNF, kernels from the HNF transform,
@@ -31,6 +33,7 @@ enumerations are exponential; all of these serve only as test references.
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from hkit.arrangement import (
     ArrangementSpec,
@@ -323,6 +326,21 @@ def default_basis_rows_by_det(B):
     raise NotABasis(tuple(range(B.rows)))
 
 
+def common_intersection_empty_by_rank(H, offsets):
+    """Condition (a) of `verify_genericity`: B eta = t lambda has a solution
+    with t != 0 exactly when lambda lies in the rational column span of B,
+    that is when [B | lambda] (scaled to integers) has rank n."""
+    if H.N == H.n:
+        return True
+    denom = lcm(*(x.denominator for x in offsets)) if offsets else 1
+    scaled = [int(x * denom) for x in offsets]
+    aug = IntMatrix(
+        [list(H.B.row(i)) + [scaled[i]] for i in range(H.N)], cols=H.n + 1
+    )
+    solvable = rank(aug) == H.n
+    return not solvable
+
+
 def unimodular_by_minors(M):
     """Every maximal minor in {-1, 0, 1} and at least one nonzero."""
     saw_nonzero = False
@@ -514,8 +532,9 @@ def gale_dual_by_normal_forms(B):
 
 
 def from_matrix_by_normal_forms(B):
-    """HypertoricData.from_matrix with the Gale dual above and B's
-    unimodularity tested on its own."""
+    """HypertoricData.from_matrix with the Gale dual above, B's
+    unimodularity tested on its own and the basis rows from the determinant
+    scan."""
     for i in range(B.rows):
         if not is_primitive(B.row(i)):
             raise NonPrimitiveRow(i, B.row(i))
@@ -526,7 +545,9 @@ def from_matrix_by_normal_forms(B):
     for i in range(B.rows):
         classes.setdefault(canonical_sign(B.row(i)), []).append(i)
     groups = tuple((normal, tuple(rows)) for normal, rows in sorted(classes.items()))
-    return HypertoricData(B=B, A=A, N=B.rows, n=B.cols, groups=groups)
+    return HypertoricData(
+        B=B, A=A, N=B.rows, n=B.cols, groups=groups, basis_rows=default_basis_rows_by_det(B)
+    )
 
 
 def classify_case_by_normal_forms(B):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hkit import intmat
+from hkit import arrangement, intmat
 from hkit.arrangement import build_discriminant, group_hyperplanes
 from hkit.cli import main
 from hkit.errors import UnsupportedDimension
@@ -61,6 +61,31 @@ class TestCommands:
     def test_missing_file_exit_2(self, capsys):
         code = main(["gale", "--in", "/nonexistent/B.json"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("gale", '{"rows": [[1.9, 0], [0, 1], [1, 1]]}'),
+            ("gale", '{"rows": [[true, 0], [0, 1], [1, 1]]}'),
+            ("gale", '{"rows": 5}'),
+            ("gale", '{"rows": [1, 2]}'),
+            ("gale", '{"rows": [[1, 0], [0, 1]], "cols": 2.0}'),
+            ("local-model", '{"m": 2.7, "n": 2}'),
+            ("local-model", '{"m": 2, "n": true}'),
+            ("round-trip", '{"n": 1, "walls": [{"normal": [1], "mult": 2.5}]}'),
+            ("round-trip", '{"n": 1, "walls": [{"normal": [true], "mult": 2}]}'),
+            ("round-trip", '{"n": 1.0, "walls": [{"normal": [1], "mult": 2}]}'),
+            ("round-trip", '{"n": 1, "walls": 5}'),
+            ("round-trip", '{"n": 1, "walls": [[1]]}'),
+        ],
+    )
+    def test_non_integer_input_exit_2(self, capsys, command, payload):
+        # rejected, not truncated to an int: no report, exit 2
+        code = main([command, "--in", payload])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
 
     def test_discriminant_triple(self, capsys):
         code, out = run_cli(["discriminant", "--in", '{"rows": [[1], [1], [1]]}'], capsys)
@@ -152,6 +177,26 @@ class TestCommands:
         assert rep["result"]["genericity"]["all_pass"] is True
         assert rep["result"]["slices"]["t0"][0]["multiplicity"] == 2
         assert [c["multiplicity"] for c in rep["result"]["slices"]["t1"]] == [1, 1]
+
+    def test_deform_reads_validated_basis_rows(self, capsys, monkeypatch):
+        # validation reduces B^T and the kernel rows; the line reads its
+        # basis rows from validation and (a) from the Gale dual, and the
+        # t = 1 slice of [[1], [1], [1]] has no intersections to reduce
+        calls = []
+        hermite = intmat._hermite
+
+        def counted(H, n):
+            calls.append(n)
+            return hermite(H, n)
+
+        monkeypatch.setattr(intmat, "_hermite", counted)
+        monkeypatch.setattr(arrangement, "_hermite", counted)
+        code, out = run_cli(["deform", "--in", '{"rows": [[1], [1], [1]]}'], capsys)
+        assert code == 0
+        result = report_of(out)["result"]
+        assert result["line"]["basis_rows"] == [0]
+        assert result["genericity"]["all_pass"] is True
+        assert len(calls) == 2
 
     def test_deform_reports_t1_simplicity(self, capsys):
         code, out = run_cli(

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -8,18 +7,17 @@ from corpus import complete_graph, corpus_matrices, valid_hypertoric
 from hkit.arrangement import Kind, build_discriminant, check_simplicity
 from hkit.errors import ArityMismatch, DuplicateShift, NotABasis
 from hkit.hypertoric import HypertoricData, leaf_classification
-from hkit.intmat import IntMatrix, det
+from hkit.intmat import IntMatrix
 from hkit.localmodel import (
     DeformationLine,
     choose_deformation_line,
-    default_basis_rows,
     deform_local_model,
     family_f_locus_codimension,
     family_slice,
     local_model,
     verify_genericity,
 )
-from oracles import default_basis_rows_by_det
+from oracles import common_intersection_empty_by_rank
 
 
 def H(rows, cols=None):
@@ -121,8 +119,10 @@ class TestDeformationLine:
             choose_deformation_line(H([[1, 0], [0, 1], [1, 1]]), (2, 2))
 
     def test_default_basis_rows(self):
-        assert default_basis_rows(IntMatrix([[1, 0], [0, 1], [1, 1]])) == (0, 1)
-        assert default_basis_rows(IntMatrix([[1], [1], [1]])) == (0,)
+        # the pivots of the HNF of B^T that validation makes
+        assert H([[1, 0], [0, 1], [1, 1]]).basis_rows == (0, 1)
+        assert H([[1], [1], [1]]).basis_rows == (0,)
+        assert choose_deformation_line(H([[0, 1], [0, 1], [1, -2]])).basis_rows == (0, 2)
 
     def test_direction_reproduces_offsets(self):
         # the line in the base determines the offsets back through the
@@ -206,37 +206,37 @@ class TestDefaultLine:
         self.assert_generic_and_simple(HypertoricData.from_matrix(complete_graph(m)))
 
 
-def first_independent_rows(B):
-    """(rows, minor) for the lexicographically first n rows of B with a
-    nonzero determinant, or None when B has rank below n."""
-    for subset in combinations(range(B.rows), B.cols):
-        minor = det(IntMatrix([B.row(i) for i in subset], cols=B.cols))
-        if minor:
-            return subset, minor
-    return None
+class TestGenericityAgainstRank:
+    """Condition (a) read off the Gale dual (A lambda != 0) against the rank
+    of [B | lambda] in oracles.py."""
 
+    @staticmethod
+    def assert_agrees(data, offsets):
+        line = DeformationLine(basis_rows=data.basis_rows, offsets=tuple(offsets), direction=())
+        got = verify_genericity(data, line).common_intersection_empty
+        assert got == common_intersection_empty_by_rank(data, line.offsets), (data.B, offsets)
+        return got
 
-class TestDefaultBasisRowsAgainstDet:
-    """The pivots of B^T's HNF against the determinant scan in oracles.py.
-
-    The pivots are the first independent rows, and they are a Z-basis
-    exactly when every pivot is 1; otherwise `default_basis_rows` raises
-    even where the scan finds a later Z-basis."""
-
-    def test_corpus_and_complete_graphs(self):
-        matrices = list(corpus_matrices()) + [complete_graph(m) for m in range(3, 8)]
-        unit = later = 0
-        for B in matrices:
-            first = first_independent_rows(B)
-            if first is not None and abs(first[1]) == 1:
-                unit += 1
-                assert default_basis_rows(B) == default_basis_rows_by_det(B) == first[0], B
+    def test_corpus_with_random_offsets(self):
+        rng = random.Random(67)
+        seen = []
+        for data in valid_hypertoric(corpus_matrices()):
+            if data.N == data.n:
                 continue
-            with pytest.raises(NotABasis):
-                default_basis_rows(B)
-            try:
-                default_basis_rows_by_det(B)
-                later += 1
-            except NotABasis:
-                pass
-        assert (unit, later) == (3234, 718)
+            eta = [rng.randint(-3, 3) for _ in range(data.n)]
+            span = [Fraction(x, rng.randint(1, 4)) for x in data.B.mat_vec(eta)]
+            samples = (
+                choose_deformation_line(data).offsets,
+                [Fraction(rng.randint(-2, 2)) for _ in range(data.N)],
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(data.N)],
+                span,  # lambda = B eta / d lies in the column span
+                span[:-1] + [span[-1] + 1],
+            )
+            seen.extend(self.assert_agrees(data, offsets) for offsets in samples)
+        assert len(seen) == 4725
+        assert 0 < seen.count(False) < len(seen)
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_complete_graph_default_lines(self, m):
+        data = HypertoricData.from_matrix(complete_graph(m))
+        assert self.assert_agrees(data, choose_deformation_line(data).offsets)
