@@ -30,24 +30,20 @@ class DivisorData:
     def make(cls, n, walls):
         seen = {}
         for idx, (normal, mult) in enumerate(walls):
-            normal = tuple(int(x) for x in normal)
+            normal = tuple(normal)
+            if set(map(type, normal + (mult,))) - {int}:  # bool is not int
+                raise ValueError(f"wall {idx} must have int entries, got {normal!r}, {mult!r}")
             if len(normal) != n:
                 raise ValueError(f"wall {idx} has dimension {len(normal)}, expected {n}")
             if not is_primitive(normal):
                 raise NonPrimitiveRow(idx, normal)
-            mult = int(mult)
             if mult < 1:
                 raise ValueError(f"wall {idx} has multiplicity {mult}")
             key = canonical_sign(normal)
             if key in seen:
-                raise ValueError(f"walls {seen[key]} and {idx} are parallel")
-            seen[key] = idx
-        entries = tuple(
-            sorted(
-                (canonical_sign(tuple(int(x) for x in normal)), int(mult))
-                for normal, mult in walls
-            )
-        )
+                raise ValueError(f"walls {seen[key][0]} and {idx} are parallel")
+            seen[key] = (idx, mult)
+        entries = tuple(sorted((key, mult) for key, (_, mult) in seen.items()))
         return cls(n=n, entries=entries)
 
     def wall_multiset(self):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import localmodel
-from .arrangement import build_discriminant, check_simplicity, f_locus
+from .arrangement import build_discriminant, f_locus
 from .characterization import DivisorData, _classify, classify_case, reconstruct_B, round_trip
 from .errors import HkitError, UnsupportedDimension
 from .hypertoric import (
@@ -293,7 +293,7 @@ def _cmd_deform(payload, job, notes):
     report = localmodel.verify_genericity(H, line)
     slice0 = localmodel.family_slice(H, line, 0)
     slice1 = localmodel.family_slice(H, line, 1)
-    simplicity = check_simplicity(slice1)
+    simplicity = localmodel.t1_simplicity(H, line, slice1)
     return {
         "line": {
             "basis_rows": list(line.basis_rows),

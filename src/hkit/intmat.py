@@ -42,7 +42,9 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data, cols=None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(map(tuple, data))
+        if set(map(type, itertools.chain.from_iterable(rows))) - {int}:  # bool is not int
+            raise ValueError(f"matrix entries must be int, got {rows!r}")
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

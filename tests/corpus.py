@@ -24,6 +24,7 @@ from hkit.intmat import (
     IntMatrix,
     canonical_primitive,
     canonical_sign,
+    gale_dual,
     is_primitive,
     rank,
     smith_normal_form,
@@ -89,6 +90,19 @@ def complete_graph(m):
                 row[a - 1] = -1
             rows.append(row)
     return IntMatrix(rows, cols=m - 1)
+
+
+def cographic(m):
+    """K_m*: the transpose of K_m's Gale dual, the cographic matrix of K_m."""
+    return gale_dual(complete_graph(m)).transpose()
+
+
+def r10():
+    """[I_5 ; C] with C the 5 x 5 circulant of (-1, 1, 0, 0, 1): Seymour's
+    regular matroid R10, neither graphic nor cographic."""
+    first = (-1, 1, 0, 0, 1)
+    circulant = [first[5 - k:] + first[:5 - k] for k in range(5)]
+    return IntMatrix([[int(i == j) for j in range(5)] for i in range(5)] + circulant, cols=5)
 
 
 def divisor_of(B):

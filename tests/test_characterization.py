@@ -33,6 +33,19 @@ class TestDivisorData:
         with pytest.raises(ValueError):
             DivisorData.make(1, [((1,), 0)])
 
+    @pytest.mark.parametrize(
+        "walls",
+        [[((1.9,), 2)], [((1,), 2.5)], [((1,), 2.0)], [((True,), 1)], [((1,), True)]],
+    )
+    def test_rejects_values_that_are_not_int(self, walls):
+        # truncation would read [((1.9,), 2.5)] as the wall (1,) of multiplicity 2
+        with pytest.raises(ValueError):
+            DivisorData.make(1, walls)
+
+    def test_accepts_a_single_pass_iterable(self):
+        d = DivisorData.make(2, iter([((0, -1), 1), ((-1, 0), 2)]))
+        assert d.entries == (((0, 1), 1), ((1, 0), 2))
+
 
 class TestReconstruct:
     def test_single_wall_multiplicity_two(self):

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from hkit import arrangement, intmat
+from corpus import complete_graph
+from hkit import arrangement, cli, intmat, localmodel
 from hkit.arrangement import build_discriminant, group_hyperplanes
 from hkit.cli import main
 from hkit.errors import UnsupportedDimension
@@ -207,6 +209,45 @@ class TestCommands:
         simp = rep["result"]["t1_simplicity"]
         assert simp["no_excess_intersections"] is True
         assert simp["normals_extend_to_basis"] is True
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_deform_certifies_t1_slice(self, m, capsys, monkeypatch):
+        # the default line's t = 1 slice is simple by construction, so no flat
+        # walk runs, (b) needs no second discriminant, and the report builds
+        # each slice once; past the minor budget the walk decides, with the
+        # same verdict
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name, home in (
+            ("check_simplicity", arrangement),
+            ("build_discriminant", arrangement),
+            ("family_slice", localmodel),
+        ):
+            wrapper = counted(name, getattr(home, name))
+            for module in (arrangement, localmodel, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+
+        B = complete_graph(m)
+        args = ["deform", "--in", json.dumps({"rows": B.row_list()})]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert calls == {"family_slice": 2}
+
+        calls.clear()
+        monkeypatch.setattr(intmat, "MINOR_BUDGET", intmat.max_minor_count(B) - 1)
+        code, walked = run_cli(args, capsys)
+        assert code == 0
+        assert calls == {"family_slice": 2, "check_simplicity": 1}
+        untimed = [[s for s in text.splitlines() if "timing_ms" not in s] for text in (out, walked)]
+        assert untimed[0] == untimed[1]
 
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("HKIT_BUDGET", "0")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -64,6 +65,21 @@ def snf_factors_by_minor_gcds(M):
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("entry", [1.9, 2.0, True, False, "1", None, Fraction(1)])
+    def test_rejects_entries_that_are_not_int(self, entry):
+        # truncating 1.9 or reading True as 1 would change the matrix silently
+        with pytest.raises(ValueError):
+            IntMatrix([[entry, 0], [0, 1]])
+        with pytest.raises(ValueError):
+            IntMatrix([[1, 0], [0, entry]])
+
+    def test_accepts_any_iterable_rows(self):
+        M = IntMatrix(iter([(1, 0), [0, 1], range(2)]))
+        assert M.row_list() == [[1, 0], [0, 1], [0, 1]]
+        assert IntMatrix([], cols=3).shape == (0, 3)
 
 
 class TestVectors:

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from corpus import complete_graph, corpus_matrices, valid_hypertoric
+from corpus import cographic, complete_graph, corpus_matrices, r10, valid_hypertoric
+from hkit import intmat
 from hkit.arrangement import Kind, build_discriminant, check_simplicity
 from hkit.errors import ArityMismatch, DuplicateShift, NotABasis
 from hkit.hypertoric import HypertoricData, leaf_classification
@@ -15,6 +17,8 @@ from hkit.localmodel import (
     family_f_locus_codimension,
     family_slice,
     local_model,
+    simple_by_construction,
+    t1_simplicity,
     verify_genericity,
 )
 from oracles import common_intersection_empty_by_rank
@@ -22,6 +26,21 @@ from oracles import common_intersection_empty_by_rank
 
 def H(rows, cols=None):
     return HypertoricData.from_matrix(IntMatrix(rows, cols=cols))
+
+
+def deformable_corpus():
+    families = [d for d in valid_hypertoric(corpus_matrices()) if d.N > d.n]
+    assert len(families) == 945
+    return families
+
+
+def z_basis_lines(data):
+    """choose_deformation_line on every Z-basis of rows, in index order."""
+    for rows in combinations(range(data.N), data.n):
+        try:
+            yield choose_deformation_line(data, rows)
+        except NotABasis:
+            continue
 
 
 class TestLocalModel:
@@ -169,9 +188,13 @@ class TestGenericity:
 
 class TestFamilySlices:
     def test_central_slice_has_original_multiplicities(self):
-        data = H([[1, 0], [1, 0], [0, 1], [1, 1]])
-        line = choose_deformation_line(data)
-        assert family_slice(data, line, 0) == build_discriminant(data.B)
+        # the oracle for genericity (b), which verify_genericity states
+        families = deformable_corpus()
+        families += [HypertoricData.from_matrix(complete_graph(m)) for m in range(3, 8)]
+        for data in families:
+            line = choose_deformation_line(data)
+            assert family_slice(data, line, 0) == build_discriminant(data.B), data.B
+            assert verify_genericity(data, line).central_slice_matches
 
     def test_unit_slice_separates_walls(self):
         data = H([[1, 0], [1, 0], [0, 1], [1, 1]])
@@ -186,24 +209,117 @@ class TestFamilySlices:
         assert family_f_locus_codimension(H([[1], [1]])) is None
 
 
+SMALL_NAMED = {"K4*": cographic(4), "K5*": cographic(5), "R10": r10()}
+SMALL_NAMED.update((f"K{m}", complete_graph(m)) for m in range(3, 7))
+
+
 class TestDefaultLine:
-    """The default line passes (a)-(c) and its t = 1 slice is simple."""
+    """The default line passes (a)-(c), its t = 1 slice is simple by the flat
+    walk, and the certificate says so."""
 
     @staticmethod
     def assert_generic_and_simple(data):
         line = choose_deformation_line(data)
         assert verify_genericity(data, line).all_pass, data.B
         assert check_simplicity(family_slice(data, line, 1)).simple, data.B
+        assert simple_by_construction(data, line), data.B
 
     def test_corpus(self):
-        families = [d for d in valid_hypertoric(corpus_matrices()) if d.N > d.n]
-        assert len(families) == 945
-        for data in families:
+        for data in deformable_corpus():
             self.assert_generic_and_simple(data)
 
-    @pytest.mark.parametrize("m", [4, 5, 6])
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_complete_graphs(self, m):
         self.assert_generic_and_simple(HypertoricData.from_matrix(complete_graph(m)))
+
+    @pytest.mark.parametrize("name", ["K4*", "K5*", "R10"])
+    def test_cographic_and_r10(self, name):
+        self.assert_generic_and_simple(HypertoricData.from_matrix(SMALL_NAMED[name]))
+
+
+class TestSimpleByConstruction:
+    """The certificate against the flat walk: it may miss a simple slice, but
+    it never certifies one that check_simplicity calls non-simple."""
+
+    def test_every_z_basis_line_of_the_corpus(self):
+        lines = [(d, line) for d in deformable_corpus() for line in z_basis_lines(d)]
+        assert len(lines) == 3460
+        for data, line in lines:
+            assert simple_by_construction(data, line), (data.B, line)
+            assert check_simplicity(family_slice(data, line, 1)).simple, (data.B, line)
+
+    def test_seeded_hand_built_lines(self):
+        rng = random.Random(71)
+        seen = []  # (certified, simple by the walk)
+        for data in deformable_corpus():
+            rows = tuple(rng.sample(range(data.N), data.n))  # not always a Z-basis
+            rest = [i for i in range(data.N) if i not in rows]
+            powers = rng.sample([2**k for k in range(len(rest) + 1)], len(rest))
+            samples = (
+                (data.basis_rows, [rng.randint(-3, 3) for _ in range(data.N)]),
+                (data.basis_rows, [0 if i in data.basis_rows else rng.randint(-4, 4)
+                                   for i in range(data.N)]),
+                (rows, [0 if i in rows else rng.choice((-1, 1)) * powers.pop()
+                        for i in range(data.N)]),
+            )
+            for basis, offsets in samples:
+                line = DeformationLine(basis, tuple(map(Fraction, offsets)), ())
+                simple = check_simplicity(family_slice(data, line, 1)).simple
+                seen.append((simple_by_construction(data, line), simple))
+        assert len(seen) == 2835
+        assert (True, False) not in seen
+        assert {(True, True), (False, True), (False, False)} <= set(seen)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_NAMED))
+    def test_seeded_lines_on_complete_graphs_cographic_and_r10(self, name):
+        # off the validated basis: random offsets, signed powers of 2 in a
+        # random order, and the same with one of them set to 0
+        data = HypertoricData.from_matrix(SMALL_NAMED[name])
+        basis = data.basis_rows
+        rest = [i for i in range(data.N) if i not in basis]
+        rng = random.Random(73)
+        seen = []
+        for k in range(4):
+            offsets = [rng.randint(-4, 4) for _ in range(data.N)]
+            if k:
+                powers = rng.sample([2**j for j in range(len(rest))], len(rest))
+                offsets = [0 if i in basis else rng.choice((-1, 1)) * powers.pop()
+                           for i in range(data.N)]
+            if k == 2:
+                offsets[rng.choice(rest)] = 0
+            line = DeformationLine(basis, tuple(map(Fraction, offsets)), ())
+            simple = check_simplicity(family_slice(data, line, 1)).simple
+            seen.append((simple_by_construction(data, line), simple))
+        assert (True, False) not in seen
+        assert seen[1] == seen[3] == (True, True) and not seen[0][0] and not seen[2][0]
+
+    def test_equal_offsets_on_parallel_rows(self):
+        # rows 4 and 5 are parallel with equal offsets: a circuit with
+        # <c, lambda> = 0, so the certificate fails and the walk decides
+        data = H([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [0, 1, 1]])
+        line = DeformationLine((0, 1, 2), tuple(map(Fraction, (0, 0, 0, 1, 1, 1))), ())
+        assert not simple_by_construction(data, line)
+        report = t1_simplicity(data, line, family_slice(data, line, 1))
+        assert report == check_simplicity(family_slice(data, line, 1))
+        assert report.violations_a and report.violations_b
+
+    def test_each_condition_is_needed(self):
+        data = H([[1, 0], [0, 1], [1, 1]])
+        line = choose_deformation_line(data)
+        assert simple_by_construction(data, line)
+        nonzero_on_basis = DeformationLine((0, 1), (Fraction(1), Fraction(0), Fraction(1)), ())
+        not_a_basis = DeformationLine((0, 0), tuple(map(Fraction, (0, 1, 2))), ())
+        zero_off_basis = DeformationLine((0, 1), (Fraction(0),) * 3, ())
+        for bad in (nonzero_on_basis, not_a_basis, zero_off_basis):
+            assert not simple_by_construction(data, bad)
+
+    def test_past_the_minor_budget_the_walk_decides(self, monkeypatch):
+        # validation there accepts B by "snf_fallback", which is no proof
+        data = HypertoricData.from_matrix(complete_graph(4))
+        line = choose_deformation_line(data)
+        monkeypatch.setattr(intmat, "MINOR_BUDGET", intmat.max_minor_count(data.B) - 1)
+        assert not simple_by_construction(data, line)
+        assert t1_simplicity(data, line, family_slice(data, line, 1)).simple
 
 
 class TestGenericityAgainstRank:

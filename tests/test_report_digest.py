@@ -1,0 +1,26 @@
+"""The `deform` digests of tools/report_digest.py, pinned: every `hkit deform`
+report on the valid corpus matrices and on K_3..K_7 stays byte-identical
+apart from timing. A deliberate change to those reports (a schema bump, a new
+field) updates these values in the same change."""
+
+import importlib.util
+import os
+
+from corpus import complete_graph, corpus_matrices, valid_hypertoric
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "report_digest.py")
+spec = importlib.util.spec_from_file_location("report_digest", TOOL)
+report_digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(report_digest)
+
+
+def test_deform_digests():
+    valid = [report_digest.matrix_json(H.B) for H in valid_hypertoric(corpus_matrices())]
+    km = [report_digest.matrix_json(complete_graph(m)) for m in report_digest.KM["deform"]]
+    assert (len(valid), len(km)) == (1104, 5)
+    assert report_digest.digest("deform", valid) == (
+        "00755c4b38323d8a4c8908e0d27cc6b62bab6bfa941c72728e3cec8b6ca2d60e"
+    )
+    assert report_digest.digest("deform", km) == (
+        "8532bc7e247c58db596f89ac4b8bb1dd5495c5f0d91649fc76c117ef596f6935"
+    )

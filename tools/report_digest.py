@@ -10,8 +10,9 @@ the complete-graph matrices K_m: `build-km` is `build` on K_3..K_5 (the
 corpus has no presentation with more than a few dozen relations, K_5's has
 425 on 40 generators), `discriminant-km` is `discriminant` on K_3..K_8
 (deep central lattices; K_8 has 4111 flats) and `deform-km` is `deform` on
-K_3..K_7 (affine slices with up to 21 walls and their simplicity; the
-default line's t = 1 slice is simple, so its violation lists are empty).
+K_3..K_7 (affine slices with up to 21 walls; the default line's t = 1 slice
+is simple by construction, so its violation lists are empty, and `deform`
+reads that off the offsets instead of walking the slice's flats).
 Each report is hashed with its exit status, after dropping every line that
 contains "timing_ms", so a digest changes exactly when some report changes
 apart from its timing. Run it on two
