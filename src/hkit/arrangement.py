@@ -26,13 +26,14 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DimensionMismatch, NonPrimitiveRow
+from .errors import DimensionMismatch
 from .intmat import (
     IntMatrix,
     _hermite,
     _unit,
     canonical_primitive,
     canonical_sign,
+    check_primitive_rows,
     is_primitive,
     kernel_basis,
     rank,
@@ -54,7 +55,9 @@ class Hyperplane:
 
     @classmethod
     def canonical(cls, normal, offset=Fraction(0)):
-        normal = tuple(int(x) for x in normal)
+        normal = tuple(normal)
+        if set(map(type, normal)) - {int}:  # bool is not int
+            raise ValueError(f"normal must have int entries, got {normal!r}")
         if not is_primitive(normal):
             raise ValueError(f"normal {list(normal)} is not primitive")
         offset = Fraction(offset)
@@ -133,9 +136,7 @@ def group_hyperplanes(n, pairs):
 def build_discriminant(B: IntMatrix) -> ArrangementSpec:
     """Central discriminant arrangement of B: one wall per parallel class of
     rows (up to sign), multiplicity = class size."""
-    for i in range(B.rows):
-        if not is_primitive(B.row(i)):
-            raise NonPrimitiveRow(i, B.row(i))
+    check_primitive_rows(B)
     return group_hyperplanes(B.cols, ((B.row(i), Fraction(0)) for i in range(B.rows)))
 
 
@@ -337,12 +338,15 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     Walls meet iff they are members of a common flat. A subset of normals
     that extend to a Z-basis extends too, so (b) only tests the subsets of
     flats whose whole member set fails; a subset larger than the flat's
-    codimension is linearly dependent and fails without a test. Single walls
-    have primitive normals and always pass.
+    codimension is linearly dependent and fails without a test. A wall k of
+    multiplicity >= 2 is coincident hyperplanes, whose equal normals are
+    dependent, so it fails on its own as (k,); a wall of multiplicity 1 has
+    a primitive normal and passes.
     """
     n = arr.n
     normals = [c.hyperplane.normal for c in arr.components]
-    violations_a, violations_b = set(), set()
+    violations_a = set()
+    violations_b = {(k,) for k, c in enumerate(arr.components) if c.multiplicity > 1}
     for members, basis in _multi_incidence_flats(arr):
         members = sorted(members)
         violations_a.update(combinations(members, n + 1))

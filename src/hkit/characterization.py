@@ -11,7 +11,9 @@ from fractions import Fraction
 
 from .arrangement import ArrangementSpec, build_discriminant
 from .errors import CaseRejected, NonPrimitiveRow
-from .intmat import IntMatrix, _Forms, canonical_sign, is_primitive, is_unimodular
+from .intmat import (
+    IntMatrix, _Forms, canonical_sign, check_primitive_rows, is_primitive, is_unimodular,
+)
 
 SMOOTH = "smooth_affine_space"
 HYPERTORIC = "hypertoric"
@@ -84,9 +86,7 @@ def _classify(B):
     """(case tag, the _Forms of B): the HNF of B^T gives the rank, and with
     unit pivots a torsion-free cokernel and unimodularity; a pivot that is not
     1 means B is not unimodular, and one HNF of B settles the torsion."""
-    for i in range(B.rows):
-        if not is_primitive(B.row(i)):
-            raise NonPrimitiveRow(i, B.row(i))
+    check_primitive_rows(B)
     N, n = B.rows, B.cols
     forms = _Forms(B)
     if forms.rank < n:
@@ -95,20 +95,14 @@ def _classify(B):
             reason="not injective: the stacked normals span a proper sublattice, "
             "which contradicts conical contractibility",
         ), forms
+    # square and unimodular (smooth) makes condition_star False and the
+    # cokernel torsion-free
     unimod = forms.unimodularity()[0]
-    torsion_free = forms.torsion_free
-    if N == n and unimod:
-        return CaseTag(
-            case=SMOOTH,
-            condition_star=False,
-            unimodular=True,
-            coker_torsion_free=True,
-        ), forms
     return CaseTag(
-        case=HYPERTORIC,
+        case=SMOOTH if N == n and unimod else HYPERTORIC,
         condition_star=N > n,
         unimodular=unimod,
-        coker_torsion_free=torsion_free,
+        coker_torsion_free=forms.torsion_free,
     ), forms
 
 

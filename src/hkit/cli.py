@@ -10,6 +10,7 @@ machine-readable error code, parse/I-O problems exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,21 +30,10 @@ from .hypertoric import (
     leaf_descriptors,
     presentation,
 )
-from .intmat import IntMatrix, _gale, is_primitive, smith_normal_form, unimodularity_report
+from .intmat import IntMatrix, _gale, non_primitive_rows, smith_normal_form, unimodularity_report
 from .plot import plot_arrangement
 
 SCHEMA_VERSION = 2
-
-COMMANDS = (
-    "gale",
-    "check",
-    "discriminant",
-    "build",
-    "reconstruct",
-    "deform",
-    "local-model",
-    "round-trip",
-)
 
 
 @dataclass
@@ -165,18 +155,24 @@ def _flats(arr):
 # -- command handlers --------------------------------------------------------------
 
 
+def _note_method(notes, method):
+    """Say in the report when the unimodularity verdict is not exact."""
+    if method != "minors":
+        notes.append("unimodularity checked via SNF fallback (minor budget hit)")
+
+
 def _cmd_gale(payload, job, notes):
     B = _parse_matrix(payload)
-    A, forms = _gale(B)
+    forms = _gale(B)
+    A = forms.kernel()
     if A.rows == 0:
         notes.append("N = n")
     ub, mb = forms.unimodularity()
     # _gale succeeded, so B has rank n, the cokernel is torsion-free and A's
     # verdict is B's (Gale duality, the same C(N, n) minors against the budget).
     # The empty Gale dual (N = n) counts as unimodular.
-    ua, ma = (ub, mb) if A.rows else (True, "minors")
-    if mb != "minors" or ma != "minors":
-        notes.append("unimodularity checked via SNF fallback (minor budget hit)")
+    ua = ub if A.rows else True
+    _note_method(notes, mb)
     return {
         "A": _matrix(A),
         "N": B.rows,
@@ -188,7 +184,7 @@ def _cmd_gale(payload, job, notes):
 
 def _cmd_check(payload, job, notes):
     B = _parse_matrix(payload)
-    bad_rows = [i for i in range(B.rows) if not is_primitive(B.row(i))]
+    bad_rows = non_primitive_rows(B)
     snf = smith_normal_form(B)
     r = len(snf.invariant_factors)
     result = {
@@ -201,17 +197,15 @@ def _cmd_check(payload, job, notes):
         "invariant_factors": list(snf.invariant_factors),
         "coker_torsion_free": snf.torsion_free,
     }
-    if bad_rows:
-        verdict, method = unimodularity_report(B)
-    else:
-        # the case split's HNF of B^T gives the verdict too, unless the rank
-        # is below n (a wide B can still be unimodular)
+    if not bad_rows:
         tag, forms = _classify(B)
         result["case"] = _case(tag)
-        if forms.rank == B.cols:
-            verdict, method = forms.unimodularity()
-        else:
-            verdict, method = unimodularity_report(B)
+    # the case split's HNF of B^T decides for N >= n; a wide B is decided
+    # from the HNF of B itself, and can still be unimodular
+    if bad_rows or B.rows < B.cols:
+        verdict, method = unimodularity_report(B)
+    else:
+        verdict, method = forms.unimodularity()
     result["unimodular"] = verdict
     result["unimodularity_method"] = method
     return result
@@ -235,6 +229,7 @@ def _cmd_discriminant(payload, job, notes):
 def _cmd_build(payload, job, notes):
     B = _parse_matrix(payload)
     H = HypertoricData.from_matrix(B)
+    _note_method(notes, H.unimodularity_method)
     pres = presentation(H, candidate_budget=job.budget)
     basis = pres.generators
     notes.append("relation set truncated at twice the maximal generator degree")
@@ -287,6 +282,7 @@ def _cmd_reconstruct(payload, job, notes):
 def _cmd_deform(payload, job, notes):
     B = _parse_matrix(payload)
     H = HypertoricData.from_matrix(B)
+    _note_method(notes, H.unimodularity_method)
     line = localmodel.choose_deformation_line(H, basis_rows=job.basis_rows)
     if line.adjusted:
         notes.append("offsets 0 on the basis rows and 2^k on the k-th other row")
@@ -454,6 +450,7 @@ def _parse_window(text):
     return parts
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hkit",
@@ -461,7 +458,7 @@ def build_parser():
         "discriminant arrangements, invariant rings, and divisor round trips.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--in", dest="input_source", required=True,
                        help="input file path or inline JSON")

@@ -17,22 +17,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import _kind_from_multiplicity, circuits
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    NonPrimitiveRow,
-    NotUnimodular,
-)
-from .intmat import IntMatrix, _gale, canonical_sign, is_primitive, rank
+from .errors import BudgetExceeded, DimensionMismatch, NotUnimodular
+from .intmat import IntMatrix, _gale, canonical_sign, check_primitive_rows, rank
 
 DEFAULT_CANDIDATE_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
 class HypertoricData:
-    """Validated bundle (B, A) with the parallel-class grouping of B's rows
-    and the pivots of the HNF of B^T. Those pivots are all 1 for valid B, so
-    they are the lexicographically first rows that form a Z-basis of Z^n."""
+    """Validated bundle (B, A) with the parallel-class grouping of B's rows,
+    the pivots of the HNF of B^T and the method of the unimodularity verdict
+    ("minors" is exact; "snf_fallback", past the minor budget, is not). The
+    pivots are all 1 for valid B, so they are the lexicographically first
+    rows that form a Z-basis of Z^n."""
 
     B: IntMatrix
     A: IntMatrix
@@ -40,21 +37,22 @@ class HypertoricData:
     n: int
     groups: tuple  # tuple of (canonical normal, ascending row index tuple)
     basis_rows: tuple
+    unimodularity_method: str
 
     @classmethod
     def from_matrix(cls, B: IntMatrix):
-        for i in range(B.rows):
-            if not is_primitive(B.row(i)):
-                raise NonPrimitiveRow(i, B.row(i))
-        A, forms = _gale(B)  # raises NotInjective / TorsionCokernel
-        if not forms.unimodularity()[0]:
+        check_primitive_rows(B)
+        forms = _gale(B)  # raises NotInjective / TorsionCokernel
+        unimodular, method = forms.unimodularity()
+        if not unimodular:
             raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
         classes = {}
         for i in range(B.rows):
             classes.setdefault(canonical_sign(B.row(i)), []).append(i)
         groups = tuple((normal, tuple(rows)) for normal, rows in sorted(classes.items()))
         return cls(
-            B=B, A=A, N=B.rows, n=B.cols, groups=groups, basis_rows=tuple(forms.pivots)
+            B=B, A=forms.kernel(), N=B.rows, n=B.cols, groups=groups,
+            basis_rows=tuple(forms.pivots), unimodularity_method=method,
         )
 
 

@@ -10,11 +10,15 @@ Number Theory, 1993, 2.4). So one HNF of B^T gives the rank of B, and when
 its pivots are 1 also a torsion-free cokernel (the pivot minor is 1), the
 Gale dual A (x_free = e_j, x_pivot = -R e_j) and B's unimodularity (R
 totally unimodular, decided by a scan of R's square minors one size at a
-time); see gale_dual and unimodularity_report. A pivot that is not 1 makes B
-not unimodular and costs one HNF of B with its transform, which gives the
-torsion test and the kernel. The Smith normal form runs the same loop on
-rows and columns in turn; only `hkit check` and the TorsionCokernel message
-call it.
+time). A pivot that is not 1 makes B not unimodular; the torsion test and
+the kernel then take one HNF of B with its transform, built on first use.
+One class, _Forms, holds these forms and is the only code that decides
+rank, torsion, the Gale dual and unimodularity with its method: "minors"
+(exact) or "snf_fallback" (past MINOR_BUDGET, not a proof).
+unimodularity_report is _Forms on M oriented tall, and
+HypertoricData.from_matrix keeps the method of its verdict. The Smith
+normal form runs the same loop on rows and columns in turn; only `hkit
+check` and the TorsionCokernel message call it.
 
 Everything is arbitrary-precision (plain Python ints) and every value is
 immutable after construction, so all functions here are safe to call
@@ -25,12 +29,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, gcd
 
-from .errors import NotInjective, TorsionCokernel
+from .errors import NonPrimitiveRow, NotInjective, TorsionCokernel
 
 # Past this many maximal minors, C(p, q) for a q x p matrix (the echelon
-# scan of unimodularity_report visits C(p, q) - 1 square minors of R), unit
+# scan of _Forms.unimodularity visits C(p, q) - 1 square minors of R), unit
 # pivots are accepted without the scan (necessary but not sufficient for
 # rectangular matrices).
 MINOR_BUDGET = 10**6
@@ -45,6 +50,8 @@ class IntMatrix:
         rows = tuple(map(tuple, data))
         if set(map(type, itertools.chain.from_iterable(rows))) - {int}:  # bool is not int
             raise ValueError(f"matrix entries must be int, got {rows!r}")
+        if cols is not None and type(cols) is not int:
+            raise ValueError(f"cols must be int, got {cols!r}")
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -53,7 +60,7 @@ class IntMatrix:
                 raise ValueError("cols does not match row width")
             cols = width
         else:
-            cols = 0 if cols is None else int(cols)
+            cols = 0 if cols is None else cols
         self.rows = len(rows)
         self.cols = cols
         self._data = rows
@@ -161,6 +168,18 @@ def canonical_sign(v):
 
 def canonical_primitive(v):
     return canonical_sign(primitive_part(v))
+
+
+def non_primitive_rows(B):
+    """The indices of B's rows that are not primitive, in order."""
+    return [i for i in range(B.rows) if not is_primitive(B.row(i))]
+
+
+def check_primitive_rows(B):
+    """Raise NonPrimitiveRow for the first row of B that is not primitive."""
+    bad = non_primitive_rows(B)
+    if bad:
+        raise NonPrimitiveRow(bad[0], B.row(bad[0]))
 
 
 # -- normal forms -------------------------------------------------------------
@@ -326,43 +345,9 @@ def is_unimodular(M: IntMatrix) -> bool:
 
 
 def unimodularity_report(M: IntMatrix):
-    """(verdict, method) where method is "minors" or "snf_fallback".
-
-    "minors" is exact. Integer row operations keep every maximal minor up to
-    sign, so M (oriented q x p with q <= p) is brought to Hermite normal
-    form. It fails at once if its rank is below q (every maximal minor is 0)
-    or a pivot is not 1 (the minor on the pivot columns is their product).
-    Otherwise it is [I | R] up to column order, each maximal minor is +- a
-    square minor of R, and M is unimodular iff R is totally unimodular
-    (Schrijver, Theory of Linear and Integer Programming, 1986, ch. 19). The
-    square minors of R are scanned one size at a time, each by Laplace
-    expansion along its first row over the nonzero minors of the size below,
-    stopping at the first one outside {-1, 0, 1}.
-
-    Past MINOR_BUDGET maximal minors, unit pivots are accepted without the
-    scan as "snf_fallback": they make every invariant factor 1, a criterion
-    that is necessary but not sufficient for rectangular matrices, hence the
-    distinct method tag for reports.
-    """
-    if min(M.rows, M.cols) == 0:
-        return False, "minors"
-    R = _non_pivot_block(M)
-    if R is None:
-        return False, "minors"
-    if max_minor_count(M) > MINOR_BUDGET:
-        return True, "snf_fallback"
-    return _totally_unimodular(R), "minors"
-
-
-def _non_pivot_block(M: IntMatrix):
-    """The block R of the reduced echelon form [I | R] (up to column order)
-    of M or its transpose, whichever is wide; None if the rank is short or a
-    pivot is not a unit."""
-    a = [list(r) for r in (M.data if M.rows <= M.cols else zip(*M.data))]
-    pivots = _hermite(a, len(a[0]))
-    if len(pivots) < len(a) or not _unit(a, pivots):
-        return None
-    return _free_block(a, pivots)
+    """(verdict, method) where method is "minors" or "snf_fallback": the
+    verdict of _Forms.unimodularity on M oriented tall."""
+    return _Forms(M if M.rows >= M.cols else M.transpose()).unimodularity()
 
 
 def _free_block(a, pivots):
@@ -454,13 +439,13 @@ def gale_dual(B: IntMatrix) -> IntMatrix:
     Rows of A are the HNF-canonical basis of the saturated left-orthogonal
     lattice of B, so A @ B = 0 exactly and A is surjective.
     """
-    return _gale(B)[0]
+    return _gale(B).kernel()
 
 
 class _Forms:
-    """The normal forms that validation reads for B (N x n): the HNF of B^T,
-    and, only when one of its pivots is not 1 and B has rank n, one HNF of B
-    with its transform.
+    """The one decider of rank, torsion, the Gale dual and unimodularity with
+    its method, for B (N x n): the HNF of B^T, and one HNF of B with its
+    transform, built on first use.
 
     Pivots of B^T's HNF that are all 1 make it [I | R] up to column order
     with pivot minor 1: the cokernel is torsion-free, the kernel of B^T is
@@ -476,36 +461,55 @@ class _Forms:
         self.pivots = _hermite(self.echelon, B.rows)
         self.rank = len(self.pivots)
         self.unit = _unit(self.echelon, self.pivots)
-        full_rank = self.rank == B.cols
-        self.transform = _with_transform(B) if full_rank and not self.unit else None
+
+    @cached_property
+    def transform(self):
+        """(rows [H | U], pivots) of the HNF U @ B = H."""
+        return _with_transform(self.B)
 
     @property
     def torsion_free(self):
         """For B of rank n: whether the cokernel is torsion-free."""
-        return self.transform is None or _unit(*self.transform)
+        return self.unit or _unit(*self.transform)
 
     def kernel(self):
         """kernel_basis(B^T), for B of rank n."""
-        if self.transform is None:
+        if self.unit:
             return _kernel_from_echelon(self.echelon, self.pivots, self.B.rows)
         return _left_kernel(*self.transform, self.B.cols)
 
     def unimodularity(self):
-        """unimodularity_report(B), for B of rank n (for square B the HNF of
-        B^T stands in for that of B: the determinant is the same). Past the
-        budget the verdict comes from unimodularity_report itself, so that
-        every "snf_fallback" verdict is one of its results."""
+        """(verdict, method) for B with N >= n, where method is "minors" or
+        "snf_fallback".
+
+        "minors" is exact. Integer row operations keep every maximal minor
+        up to sign, so B^T's HNF fails at once if its rank is below n (every
+        maximal minor is 0) or a pivot is not 1 (the minor on the pivot
+        columns is their product). Otherwise it is [I | R] up to column
+        order, each maximal minor is +- a square minor of R, and B is
+        unimodular iff R is totally unimodular (Schrijver, Theory of Linear
+        and Integer Programming, 1986, ch. 19). The square minors of R are
+        scanned one size at a time, each by Laplace expansion along its
+        first row over the nonzero minors of the size below, stopping at the
+        first one outside {-1, 0, 1}.
+
+        Past MINOR_BUDGET maximal minors, unit pivots are accepted without
+        the scan as "snf_fallback": they make every invariant factor 1, a
+        criterion that is necessary but not sufficient for rectangular
+        matrices, hence the distinct method tag for reports.
+        """
         B = self.B
-        if min(B.shape) == 0 or not self.unit:
+        if min(B.shape) == 0 or self.rank < B.cols or not self.unit:
             return False, "minors"
         if max_minor_count(B) > MINOR_BUDGET:
-            return unimodularity_report(B)
+            return True, "snf_fallback"
         return _totally_unimodular(_free_block(self.echelon, self.pivots)), "minors"
 
 
 def _gale(B):
-    """(gale_dual(B), the _Forms of B). Errors come in the order rank,
-    torsion; the Smith normal form only words the torsion message."""
+    """The _Forms of B, whose kernel() is gale_dual(B), once B has rank n
+    and a torsion-free cokernel. Errors come in the order rank, torsion; the
+    Smith normal form only words the torsion message."""
     forms = _Forms(B)
     if forms.rank < B.cols:
         raise NotInjective(f"matrix of shape {B.shape} has rank below {B.cols}")
@@ -514,4 +518,4 @@ def _gale(B):
         raise TorsionCokernel(
             f"invariant factors {list(snf.invariant_factors)} contain an entry > 1"
         )
-    return forms.kernel(), forms
+    return forms

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from . import intmat
 from .arrangement import ArrangementSpec, SimplicityReport, check_simplicity, group_hyperplanes
 from .errors import ArityMismatch, DuplicateShift, NotABasis
 from .hypertoric import HypertoricData
@@ -70,11 +69,13 @@ class LocalModel:
 def local_model(leaf, n: int) -> LocalModel:
     """Normal form for a leaf; accepts a LeafDescriptor or a multiplicity."""
     m = getattr(leaf, "multiplicity", leaf)
+    if {type(m), type(n)} - {int}:  # bool is not int
+        raise ValueError(f"multiplicity and ambient rank must be int, got {m!r}, {n!r}")
     if m < 1:
         raise ValueError("multiplicity must be >= 1")
     if n < 1:
         raise ValueError("ambient rank must be >= 1")
-    return LocalModel(m=int(m), n=int(n))
+    return LocalModel(m=m, n=n)
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,9 @@ def choose_deformation_line(H: HypertoricData, basis_rows=None):
     eta = 0 in B eta = lambda, so (a)-(c) hold as soon as one offset off the
     basis is nonzero, which is every line with N > n. Powers of 2 are
     superincreasing, so `simple_by_construction` certifies its t = 1 slice."""
-    basis_rows = tuple(int(i) for i in (H.basis_rows if basis_rows is None else basis_rows))
+    basis_rows = tuple(H.basis_rows if basis_rows is None else basis_rows)
+    if set(map(type, basis_rows)) - {int}:  # bool is not int
+        raise ValueError(f"basis rows must be int, got {basis_rows!r}")
     if not _is_z_basis(H, basis_rows):
         raise NotABasis(basis_rows)
 
@@ -213,9 +216,8 @@ def simple_by_construction(H: HypertoricData, line: DeformationLine) -> bool:
     <c, lambda> != 0 for every circuit c of B's row dependencies. Such c is
     a {0, +-1} vector, so <c, lambda> = sum_j c_j lambda_j over the rows j
     off the basis, and the largest |lambda_j| it meets outweighs the rest."""
-    # Past the budget validation accepts B by "snf_fallback", which does not
-    # prove it unimodular; ROADMAP item 1 deletes this guard.
-    if intmat.max_minor_count(H.B) > intmat.MINOR_BUDGET or not _is_z_basis(H, line.basis_rows):
+    # "snf_fallback" does not prove B unimodular; ROADMAP item 1 deletes it.
+    if H.unimodularity_method != "minors" or not _is_z_basis(H, line.basis_rows):
         return False
     basis = set(line.basis_rows)
     if any(line.offsets[i] for i in basis):

@@ -71,6 +71,7 @@ from hkit.intmat import (
     is_unimodular,
     kernel_basis,
     rank,
+    unimodularity_report,
 )
 
 
@@ -204,7 +205,8 @@ def f_locus_scan(arr):
 
 
 def check_simplicity_scan(arr):
-    """Conditions (a) and (b) over every subset of walls."""
+    """Conditions (a) and (b) over every subset of walls; for (b) a wall of
+    multiplicity >= 2 fails on its own."""
     comps = arr.components
     n = arr.n
     violations_a = []
@@ -226,7 +228,8 @@ def check_simplicity_scan(arr):
             stacked = IntMatrix(normals, cols=n)
             snf = smith_normal_form_by_closures(stacked)
             part_of_basis = snf.torsion_free and len(snf.invariant_factors) == k
-            if not part_of_basis:
+            # a wall of multiplicity >= 2 is coincident hyperplanes
+            if not part_of_basis or (k == 1 and comps[subset[0]].multiplicity > 1):
                 violations_b.append(subset)
 
     return SimplicityReport(
@@ -533,20 +536,27 @@ def gale_dual_by_normal_forms(B):
 
 def from_matrix_by_normal_forms(B):
     """HypertoricData.from_matrix with the Gale dual above, B's
-    unimodularity tested on its own and the basis rows from the determinant
-    scan."""
+    unimodularity and its method from unimodularity_report on B alone and
+    the basis rows from the determinant scan."""
     for i in range(B.rows):
         if not is_primitive(B.row(i)):
             raise NonPrimitiveRow(i, B.row(i))
     A = gale_dual_by_normal_forms(B)
-    if not is_unimodular(B):
+    unimodular, method = unimodularity_report(B)
+    if not unimodular:
         raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
     classes = {}
     for i in range(B.rows):
         classes.setdefault(canonical_sign(B.row(i)), []).append(i)
     groups = tuple((normal, tuple(rows)) for normal, rows in sorted(classes.items()))
     return HypertoricData(
-        B=B, A=A, N=B.rows, n=B.cols, groups=groups, basis_rows=default_basis_rows_by_det(B)
+        B=B,
+        A=A,
+        N=B.rows,
+        n=B.cols,
+        groups=groups,
+        basis_rows=default_basis_rows_by_det(B),
+        unimodularity_method=method,
     )
 
 

@@ -65,6 +65,11 @@ class TestHyperplane:
         with pytest.raises(ValueError):
             Hyperplane.canonical((2, 4))
 
+    @pytest.mark.parametrize("normal", [(1.5, True), (1, 1.0), (True, 0)])
+    def test_rejects_normals_that_are_not_int(self, normal):
+        with pytest.raises(ValueError):
+            Hyperplane.canonical(normal)
+
     def test_contains(self):
         h = Hyperplane.canonical((1, 1), Fraction(2))
         assert h.contains((Fraction(1), Fraction(1)))

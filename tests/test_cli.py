@@ -14,6 +14,9 @@ from hkit.intmat import IntMatrix
 from hkit.plot import plot_arrangement
 
 
+FALLBACK_NOTE = "unimodularity checked via SNF fallback (minor budget hit)"
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
@@ -246,8 +249,20 @@ class TestCommands:
         code, walked = run_cli(args, capsys)
         assert code == 0
         assert calls == {"family_slice": 2, "check_simplicity": 1}
-        untimed = [[s for s in text.splitlines() if "timing_ms" not in s] for text in (out, walked)]
-        assert untimed[0] == untimed[1]
+        certified, walked = report_of(out), report_of(walked)
+        assert certified["result"] == walked["result"]
+        assert walked["notes"] == [FALLBACK_NOTE] + certified["notes"]
+
+    @pytest.mark.parametrize("command", ["gale", "build", "deform"])
+    def test_fallback_verdict_is_noted(self, command, capsys, monkeypatch):
+        args = [command, "--in", '{"rows": [[1, 0], [0, 1], [1, 1]]}']
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert FALLBACK_NOTE not in report_of(out)["notes"]
+        monkeypatch.setattr(intmat, "MINOR_BUDGET", 0)
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert FALLBACK_NOTE in report_of(out)["notes"]
 
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("HKIT_BUDGET", "0")

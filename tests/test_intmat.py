@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from corpus import complete_graph, corpus_matrices, divisor_of, is_valid_matrix
-from hkit import intmat
+from hkit import arrangement, intmat
 from hkit.characterization import DivisorData, classify_case, round_trip
 from hkit.errors import HkitError, NotInjective, NotUnimodular, TorsionCokernel
 from hkit.hypertoric import HypertoricData
@@ -14,7 +14,7 @@ from hkit.intmat import (
     MINOR_BUDGET,
     IntMatrix,
     _Forms,
-    _non_pivot_block,
+    _free_block,
     canonical_primitive,
     canonical_sign,
     det,
@@ -75,6 +75,11 @@ class TestConstruction:
             IntMatrix([[entry, 0], [0, 1]])
         with pytest.raises(ValueError):
             IntMatrix([[1, 0], [0, entry]])
+
+    @pytest.mark.parametrize("cols", [2.5, 2.0, True])
+    def test_rejects_cols_that_are_not_int(self, cols):
+        with pytest.raises(ValueError):
+            IntMatrix([], cols=cols)
 
     def test_accepts_any_iterable_rows(self):
         M = IntMatrix(iter([(1, 0), [0, 1], range(2)]))
@@ -435,26 +440,64 @@ class TestEchelonAgainstNormalForms:
 
 
 class TestUnimodularityExits:
+    """Each way out of _Forms.unimodularity, read off the forms of M."""
+
     def test_rank_deficient(self):
         M = IntMatrix([[1, 1], [2, 2]])
-        assert _non_pivot_block(M) is None
-        assert unimodularity_report(M) == (False, "minors")
+        assert _Forms(M).rank == 1
+        assert _Forms(M).unimodularity() == unimodularity_report(M) == (False, "minors")
 
     def test_pivot_of_two(self):
         M = IntMatrix([[1, 1], [1, -1]])
-        assert _non_pivot_block(M) is None
+        assert _Forms(M).rank == 2 and not _Forms(M).unit
         assert unimodularity_report(M) == (False, "minors")
 
     def test_entry_of_two_in_block(self):
         M = IntMatrix([[1, 0], [0, 1], [1, 2]])
-        assert _non_pivot_block(M) == [[1], [2]]
+        forms = _Forms(M)
+        assert forms.unit and _free_block(forms.echelon, forms.pivots) == [[1], [2]]
         assert unimodularity_report(M) == (False, "minors")
 
     def test_two_by_two_minor_of_block(self):
         # every entry of R is in {0, +-1}, but det R = -2
         M = IntMatrix([[1, 0], [0, 1], [1, 1], [1, -1]])
-        assert _non_pivot_block(M) == [[1, 1], [1, -1]]
+        forms = _Forms(M)
+        assert forms.unit and _free_block(forms.echelon, forms.pivots) == [[1, 1], [1, -1]]
         assert unimodularity_report(M) == (False, "minors")
+
+    def test_wide_matrix_is_oriented_tall(self):
+        # [[1, 0]] has rank 1 < 2 as a 1 x 2 B, but its one maximal minor is 1
+        M = IntMatrix([[1, 0]])
+        assert _Forms(M).unimodularity() == (False, "minors")
+        assert unimodularity_report(M) == (True, "minors")
+
+    @pytest.mark.parametrize(
+        "B, method, reductions",
+        [
+            # B^T and the kernel rows: past the budget, no second HNF of B^T
+            (complete_graph(8), "snf_fallback", 2),
+            # B^T, then B for the torsion test; not unimodular, so no kernel
+            (IntMatrix([[1, 1], [1, -1], [0, 1]]), None, 2),
+            # B^T only: R = [[1], [2]] is not totally unimodular, so no kernel
+            (IntMatrix([[1, 0], [0, 1], [1, 2]]), None, 1),
+        ],
+    )
+    def test_validation_reduces_transpose_once(self, B, method, reductions, monkeypatch):
+        calls = []
+        hermite = intmat._hermite
+
+        def counted(H, n):
+            calls.append(n)
+            return hermite(H, n)
+
+        monkeypatch.setattr(intmat, "_hermite", counted)
+        monkeypatch.setattr(arrangement, "_hermite", counted)
+        if method is None:
+            with pytest.raises(NotUnimodular):
+                HypertoricData.from_matrix(B)
+        else:
+            assert HypertoricData.from_matrix(B).unimodularity_method == method
+        assert len(calls) == reductions
 
     def test_k8_minus_one_edge_under_budget(self):
         K8 = complete_graph(8)

@@ -66,6 +66,11 @@ class TestLocalModel:
         model = local_model(leaf, data.n)
         assert model.m == 3
 
+    @pytest.mark.parametrize("m, n", [(2.7, 2), (2, 2.0), (True, 2), (2, True)])
+    def test_rejects_arguments_that_are_not_int(self, m, n):
+        with pytest.raises(ValueError):
+            local_model(m, n)
+
 
 class TestDeformation:
     def test_two_shifts(self):
@@ -129,6 +134,12 @@ class TestDeformationLine:
         assert choose_deformation_line(H([[1], [1], [1], [1]])).offsets == (0, 1, 2, 4)
         line = choose_deformation_line(H([[1], [1], [1], [1]]), basis_rows=(2,))
         assert line.offsets == (1, 2, 0, 4)
+
+    @pytest.mark.parametrize("rows", [(0.9,), (1.0,), (True,)])
+    def test_rejects_basis_rows_that_are_not_int(self, rows):
+        # 0.9 would truncate to row 0 and True would read as row 1
+        with pytest.raises(ValueError):
+            choose_deformation_line(H([[1], [1]]), rows)
 
     def test_not_a_basis(self):
         data = H([[1, 0], [0, 1], [1, 1]])
@@ -315,11 +326,26 @@ class TestSimpleByConstruction:
 
     def test_past_the_minor_budget_the_walk_decides(self, monkeypatch):
         # validation there accepts B by "snf_fallback", which is no proof
-        data = HypertoricData.from_matrix(complete_graph(4))
+        B = complete_graph(4)
+        monkeypatch.setattr(intmat, "MINOR_BUDGET", intmat.max_minor_count(B) - 1)
+        data = HypertoricData.from_matrix(B)
+        assert data.unimodularity_method == "snf_fallback"
         line = choose_deformation_line(data)
-        monkeypatch.setattr(intmat, "MINOR_BUDGET", intmat.max_minor_count(data.B) - 1)
         assert not simple_by_construction(data, line)
         assert t1_simplicity(data, line, family_slice(data, line, 1)).simple
+
+    def test_coincident_walls_fail_b(self):
+        # equal offsets on the parallel rows 2 and 3 make one wall of
+        # multiplicity 2: two hyperplanes whose normals are dependent
+        data = H([[1, 0], [0, 1], [1, 1], [1, 1]])
+        line = DeformationLine((0, 1), tuple(map(Fraction, (0, 0, 1, 1))), ())
+        slice1 = family_slice(data, line, 1)
+        assert [c.multiplicity for c in slice1.components] == [1, 1, 2]
+        report = check_simplicity(slice1)
+        assert report.no_excess_intersections and not report.normals_extend_to_basis
+        assert report.violations_b == ((2,),)
+        assert not simple_by_construction(data, line)
+        assert t1_simplicity(data, line, slice1) == report
 
 
 class TestGenericityAgainstRank:
