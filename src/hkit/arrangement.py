@@ -10,13 +10,14 @@ Flats come from one engine that closes the intersection lattice cover by
 cover (Orlik and Terao, Arrangements of Hyperplanes, ch. 2), so the F-locus
 is complete for any number of walls and the simplicity conditions are read
 off the flats instead of scanning wall subsets. The closure is a depth-first
-search up to a top codimension, and each flat is expanded once. A flat keeps
-the residuals of the walls against its echelon basis, and a new flat's
-residuals come from its parent's in one reduction step against its one new
-row; that is exact because the residual is the unique primitive vector of
-span(wall, basis) that is zero on the basis's pivot columns. Points come
-from integer back-substitution over one common denominator. The lines of the
-central arrangement of B's rows give the circuits of B's column lattice.
+search, and each flat is expanded once. A flat keeps the residuals of the
+walls against its echelon basis, and a new flat's residuals come from its
+parent's in one reduction step against its one new row; that is exact
+because the residual is the unique primitive vector of span(wall, basis)
+that is zero on the basis's pivot columns. Points come from integer
+back-substitution over one common denominator. The lines of the central
+arrangement of B's rows match the circuits of B's column lattice, but those
+come from `intmat.circuits`, the enumerator that decides unimodularity.
 """
 
 from __future__ import annotations
@@ -176,10 +177,10 @@ def _reduce(v, p, row):
     return canonical_primitive([a * x - b * y for x, y in zip(v, row)])
 
 
-def _flats(arr, top):
-    """Every flat of codimension 1 to top as (member set, echelon basis of
-    (pivot, augmented row) pairs sorted by pivot), depth first. Each member
-    set comes exactly once, in no particular order.
+def _flats(arr):
+    """Every flat as (member set, echelon basis of (pivot, augmented row)
+    pairs sorted by pivot), depth first. Each member set comes exactly once,
+    in no particular order.
 
     A flat F carries the residual classes of the walls that are neither its
     members nor parallel to it: the residual of a wall is the primitive,
@@ -210,7 +211,7 @@ def _flats(arr, top):
         q = _pivot(row)
         basis = sorted(parent_basis + [(q, row)])
         yield members, basis
-        if len(basis) == top:
+        if len(basis) == n:
             continue
         classes = {}
         for res, ks in parent_classes:
@@ -244,26 +245,7 @@ def _point_of(basis, n):
 
 def _multi_incidence_flats(arr):
     """(members, echelon basis) of every flat with >= 2 members."""
-    return ((m, b) for m, b in _flats(arr, arr.n) if len(b) > 1)
-
-
-def circuits(B: IntMatrix):
-    """The circuits of the column lattice of B (primitive rows, full column
-    rank): its nonzero vectors of minimal support, one per sign pair.
-
-    A circuit vanishes on n - 1 independent rows, so it is B x for x spanning
-    a line (a codimension n - 1 flat) of the central discriminant of B. The
-    search stops at the lines.
-    """
-    n = B.cols
-    if n == 1:
-        return [B.column(0)]
-    out = []
-    for _, basis in _flats(build_discriminant(B), n - 1):
-        if len(basis) == n - 1:
-            x = kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).row(0)
-            out.append(B.mat_vec(x))
-    return out
+    return ((m, b) for m, b in _flats(arr) if len(b) > 1)
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ def _classify(B):
         ), forms
     # square and unimodular (smooth) makes condition_star False and the
     # cokernel torsion-free
-    unimod = forms.unimodularity()[0]
+    unimod = forms.unimodularity()
     return CaseTag(
         case=SMOOTH if N == n and unimod else HYPERTORIC,
         condition_star=N > n,
@@ -146,7 +146,7 @@ def round_trip(d: DivisorData) -> RoundTripReport:
         unimodular_A = True
     elif tag.coker_torsion_free:
         # Gale duality: the complementary maximal minors of A and B agree up
-        # to one global sign, and both count C(N, n) against the budget.
+        # to one global sign.
         unimodular_A = unimodular_B
     else:
         unimodular_A = is_unimodular(A)

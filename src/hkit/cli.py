@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import localmodel
 from .arrangement import build_discriminant, f_locus
-from .characterization import DivisorData, _classify, classify_case, reconstruct_B, round_trip
+from .characterization import DivisorData, classify_case, reconstruct_B, round_trip
 from .errors import HkitError, UnsupportedDimension
 from .hypertoric import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -30,7 +30,7 @@ from .hypertoric import (
     leaf_descriptors,
     presentation,
 )
-from .intmat import IntMatrix, _gale, non_primitive_rows, smith_normal_form, unimodularity_report
+from .intmat import IntMatrix, _gale, is_unimodular, non_primitive_rows, smith_normal_form
 from .plot import plot_arrangement
 
 SCHEMA_VERSION = 2
@@ -155,24 +155,17 @@ def _flats(arr):
 # -- command handlers --------------------------------------------------------------
 
 
-def _note_method(notes, method):
-    """Say in the report when the unimodularity verdict is not exact."""
-    if method != "minors":
-        notes.append("unimodularity checked via SNF fallback (minor budget hit)")
-
-
 def _cmd_gale(payload, job, notes):
     B = _parse_matrix(payload)
     forms = _gale(B)
     A = forms.kernel()
     if A.rows == 0:
         notes.append("N = n")
-    ub, mb = forms.unimodularity()
+    ub = forms.unimodularity()
     # _gale succeeded, so B has rank n, the cokernel is torsion-free and A's
-    # verdict is B's (Gale duality, the same C(N, n) minors against the budget).
+    # verdict is B's (Gale duality: the same maximal minors up to one sign).
     # The empty Gale dual (N = n) counts as unimodular.
     ua = ub if A.rows else True
-    _note_method(notes, mb)
     return {
         "A": _matrix(A),
         "N": B.rows,
@@ -198,16 +191,13 @@ def _cmd_check(payload, job, notes):
         "coker_torsion_free": snf.torsion_free,
     }
     if not bad_rows:
-        tag, forms = _classify(B)
+        tag = classify_case(B)
         result["case"] = _case(tag)
-    # the case split's HNF of B^T decides for N >= n; a wide B is decided
-    # from the HNF of B itself, and can still be unimodular
-    if bad_rows or B.rows < B.cols:
-        verdict, method = unimodularity_report(B)
-    else:
-        verdict, method = forms.unimodularity()
-    result["unimodular"] = verdict
-    result["unimodularity_method"] = method
+    # the case split's verdict holds for N >= n; a wide B is decided from
+    # the HNF of B itself, and can still be unimodular
+    tall = not bad_rows and B.rows >= B.cols
+    result["unimodular"] = tag.unimodular if tall else is_unimodular(B)
+    result["unimodularity_method"] = "minors"
     return result
 
 
@@ -229,7 +219,6 @@ def _cmd_discriminant(payload, job, notes):
 def _cmd_build(payload, job, notes):
     B = _parse_matrix(payload)
     H = HypertoricData.from_matrix(B)
-    _note_method(notes, H.unimodularity_method)
     pres = presentation(H, candidate_budget=job.budget)
     basis = pres.generators
     notes.append("relation set truncated at twice the maximal generator degree")
@@ -282,7 +271,6 @@ def _cmd_reconstruct(payload, job, notes):
 def _cmd_deform(payload, job, notes):
     B = _parse_matrix(payload)
     H = HypertoricData.from_matrix(B)
-    _note_method(notes, H.unimodularity_method)
     line = localmodel.choose_deformation_line(H, basis_rows=job.basis_rows)
     if line.adjusted:
         notes.append("offsets 0 on the basis rows and 2^k on the k-th other row")
@@ -439,12 +427,20 @@ def _parse_int_list(text):
     return tuple(int(x) for x in text.split(",") if x != "")
 
 
+def _fraction(text):
+    """Fraction(text), with a zero denominator an argument error (exit 2)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
 def _parse_frac_list(text):
-    return tuple(Fraction(x) for x in text.split(",") if x != "")
+    return tuple(_fraction(x) for x in text.split(",") if x != "")
 
 
 def _parse_window(text):
-    parts = tuple(Fraction(x) for x in text.split(","))
+    parts = tuple(_fraction(x) for x in text.split(","))
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("window must be xmin,xmax,ymin,ymax")
     return parts

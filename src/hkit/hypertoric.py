@@ -8,7 +8,8 @@ an exponent pair (u, v) with u - v in the column lattice of B. The monoid of
 all such pairs is pointed and finitely generated. B is unimodular, so the
 sign-minimal vectors of its column lattice are its circuits (Sturmfels,
 Groebner Bases and Convex Polytopes, ch. 4 and 8), and the unique minimal
-generating set is read off the lines of the discriminant arrangement.
+generating set is read off them; `intmat.circuits` builds them with the
+same enumerator that decided unimodularity in validation.
 """
 
 from __future__ import annotations
@@ -16,20 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import _kind_from_multiplicity, circuits
+from .arrangement import _kind_from_multiplicity
 from .errors import BudgetExceeded, DimensionMismatch, NotUnimodular
-from .intmat import IntMatrix, _gale, canonical_sign, check_primitive_rows, rank
+from .intmat import IntMatrix, _gale, canonical_sign, check_primitive_rows, circuits, rank
 
 DEFAULT_CANDIDATE_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
 class HypertoricData:
-    """Validated bundle (B, A) with the parallel-class grouping of B's rows,
-    the pivots of the HNF of B^T and the method of the unimodularity verdict
-    ("minors" is exact; "snf_fallback", past the minor budget, is not). The
-    pivots are all 1 for valid B, so they are the lexicographically first
-    rows that form a Z-basis of Z^n."""
+    """Validated bundle (B, A) with the parallel-class grouping of B's rows
+    and the pivots of the HNF of B^T. The pivots are all 1 for valid B, so
+    they are the lexicographically first rows that form a Z-basis of Z^n."""
 
     B: IntMatrix
     A: IntMatrix
@@ -37,23 +36,19 @@ class HypertoricData:
     n: int
     groups: tuple  # tuple of (canonical normal, ascending row index tuple)
     basis_rows: tuple
-    unimodularity_method: str
 
     @classmethod
     def from_matrix(cls, B: IntMatrix):
         check_primitive_rows(B)
         forms = _gale(B)  # raises NotInjective / TorsionCokernel
-        unimodular, method = forms.unimodularity()
-        if not unimodular:
+        if not forms.unimodularity():
             raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
         classes = {}
         for i in range(B.rows):
             classes.setdefault(canonical_sign(B.row(i)), []).append(i)
         groups = tuple((normal, tuple(rows)) for normal, rows in sorted(classes.items()))
-        return cls(
-            B=B, A=forms.kernel(), N=B.rows, n=B.cols, groups=groups,
-            basis_rows=tuple(forms.pivots), unimodularity_method=method,
-        )
+        return cls(B=B, A=forms.kernel(), N=B.rows, n=B.cols, groups=groups,
+                   basis_rows=tuple(forms.pivots))
 
 
 @dataclass(frozen=True, order=True)

@@ -8,17 +8,16 @@ multiply to the gcd of its maximal minors (Schrijver, Theory of Linear and
 Integer Programming, 1986, ch. 4; Cohen, A Course in Computational Algebraic
 Number Theory, 1993, 2.4). So one HNF of B^T gives the rank of B, and when
 its pivots are 1 also a torsion-free cokernel (the pivot minor is 1), the
-Gale dual A (x_free = e_j, x_pivot = -R e_j) and B's unimodularity (R
-totally unimodular, decided by a scan of R's square minors one size at a
-time). A pivot that is not 1 makes B not unimodular; the torsion test and
-the kernel then take one HNF of B with its transform, built on first use.
-One class, _Forms, holds these forms and is the only code that decides
-rank, torsion, the Gale dual and unimodularity with its method: "minors"
-(exact) or "snf_fallback" (past MINOR_BUDGET, not a proof).
-unimodularity_report is _Forms on M oriented tall, and
-HypertoricData.from_matrix keeps the method of its verdict. The Smith
-normal form runs the same loop on rows and columns in turn; only `hkit
-check` and the TorsionCokernel message call it.
+Gale dual A (x_free = e_j, x_pivot = -R e_j) and B's unimodularity: every
+circuit of B's column lattice is a {0, +-1} vector. One enumerator,
+_elementary, builds those circuits with work that grows with their number,
+for that verdict and for `circuits`. A pivot that is not 1 makes B not
+unimodular; the torsion test and the kernel then take one HNF of B with
+its transform, built on first use. One class, _Forms, holds these forms
+and is the only code that decides rank, torsion, the Gale dual and
+unimodularity; unimodularity_report is _Forms on M oriented tall. The
+Smith normal form runs the same loop on rows and columns in turn; only
+`hkit check` and the TorsionCokernel message call it.
 
 Everything is arbitrary-precision (plain Python ints) and every value is
 immutable after construction, so all functions here are safe to call
@@ -30,15 +29,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, gcd
+from math import gcd
 
-from .errors import NonPrimitiveRow, NotInjective, TorsionCokernel
-
-# Past this many maximal minors, C(p, q) for a q x p matrix (the echelon
-# scan of _Forms.unimodularity visits C(p, q) - 1 square minors of R), unit
-# pivots are accepted without the scan (necessary but not sufficient for
-# rectangular matrices).
-MINOR_BUDGET = 10**6
+from .errors import NonPrimitiveRow, NotInjective, NotUnimodular, TorsionCokernel
 
 
 class IntMatrix:
@@ -330,63 +323,82 @@ def det(M: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def max_minor_count(M: IntMatrix) -> int:
-    m = min(M.rows, M.cols)
-    return comb(max(M.rows, M.cols), m) if m else 0
-
-
 def is_unimodular(M: IntMatrix) -> bool:
-    """True iff every maximal minor is in {-1, 0, 1} and at least one is nonzero.
-
-    For square M this is |det M| = 1. Past the minor budget a matrix of full
-    rank with unit pivots is accepted; see unimodularity_report.
-    """
+    """True iff every maximal minor is in {-1, 0, 1} and at least one is nonzero."""
     return unimodularity_report(M)[0]
 
 
 def unimodularity_report(M: IntMatrix):
-    """(verdict, method) where method is "minors" or "snf_fallback": the
-    verdict of _Forms.unimodularity on M oriented tall."""
-    return _Forms(M if M.rows >= M.cols else M.transpose()).unimodularity()
+    """(verdict, "minors"): _Forms.unimodularity on M oriented tall, with the
+    method name that reports carry."""
+    return _Forms(M if M.rows >= M.cols else M.transpose()).unimodularity(), "minors"
 
 
-def _free_block(a, pivots):
-    """R of a reduced echelon form: the pivot rows on the non-pivot columns."""
-    taken = set(pivots)
-    free = [c for c in range(len(a[0])) if c not in taken]
-    return [[row[c] for c in free] for row in a[: len(pivots)]]
+def _elementary(rows, unit_cols):
+    """The elementary (minimal-support) vectors of the row space of rows, one
+    per sign pair, or None at the first entry outside {-1, 0, 1}; row k is 1
+    at unit_cols[k] and 0 at the other unit columns.
+
+    The other columns come one at a time. At column j every vector stays,
+    and each pair u, v nonzero at j gives v_j u - u_j v when no third vector
+    has its support on the columns done so far inside supp u | supp v (a
+    scan, small supports first): then u, v alone span a 2-dimensional flat,
+    whose line in j's hyperplane is new. Cheaper tests go first: u_j u and
+    v_j v must not agree on a done column (it would cut a third line out of
+    the flat), and the union must leave len(rows) - 2 done columns zero.
+    _Forms.unimodularity has the proof.
+    """
+    vectors, pos, neg = [], [], []  # the vectors and their +1 and -1 columns
+
+    def admit(x):
+        if not set(x) <= {-1, 0, 1}:
+            return False
+        vectors.append(tuple(x))
+        pos.append(sum(1 << c for c, e in enumerate(x) if e == 1))
+        neg.append(sum(1 << c for c, e in enumerate(x) if e == -1))
+        return True
+
+    if not all(map(admit, rows)):
+        return None
+    done = sum(1 << c for c in unit_cols)
+    for j in range(len(rows[0]) if rows else 0):
+        bit = 1 << j
+        if done & bit:
+            continue
+        room = done.bit_count() - len(rows) + 2
+        order = sorted(((p | n) & done for p, n in zip(pos, neg)), key=int.bit_count)
+        hits = [
+            (k, p & done, n & done) if p & bit else (k, n & done, p & done)
+            for k, (p, n) in enumerate(zip(pos, neg))
+            if (p | n) & bit
+        ]
+        new = []
+        for i, (a, pa, na) in enumerate(hits):
+            for b, pb, nb in hits[i + 1:]:
+                union = pa | na | pb | nb
+                if pa & pb or na & nb or union.bit_count() > room:
+                    continue
+                # distinct vectors have distinct supports on the done columns
+                sa, sb = pa | na, pb | nb
+                if any(m | union == union and m != sa and m != sb for m in order):
+                    continue
+                u, v = vectors[a], vectors[b]
+                new.append([v[j] * s - u[j] * t for s, t in zip(u, v)])
+        if not all(map(admit, new)):
+            return None
+        done |= bit
+    return vectors
 
 
-def _totally_unimodular(R):
-    """True iff every square minor of R is in {-1, 0, 1}."""
-    q, k = len(R), len(R[0])
-    # prev[rows][cols] is a nonzero minor of the size below; absent means 0.
-    prev = {(): {(): 1}}
-    for s in range(1, min(q, k) + 1):
-        cur = {}
-        for rows in itertools.combinations(range(q), s):
-            below = prev.get(rows[1:])
-            if below is None:
-                continue
-            first = R[rows[0]]
-            found = {}
-            for cols in itertools.combinations(range(k), s):
-                d = 0
-                for j, c in enumerate(cols):
-                    if first[c]:
-                        sub = below.get(cols[:j] + cols[j + 1:])
-                        if sub:
-                            d += first[c] * sub if j % 2 == 0 else -first[c] * sub
-                if d:
-                    if d not in (1, -1):
-                        return False
-                    found[cols] = d
-            if found:
-                cur[rows] = found
-        if not cur:
-            break
-        prev = cur
-    return True
+def circuits(B: IntMatrix):
+    """The circuits of the column lattice of a unimodular B, one per sign
+    pair: the elementary vectors of the row space of B^T's echelon form.
+    Raises NotUnimodular when B is not unimodular."""
+    forms = _Forms(B)
+    found = _elementary(forms.echelon[: forms.rank], forms.pivots) if forms.unit else None
+    if found is None:
+        raise NotUnimodular(f"matrix {B!r} is not unimodular")
+    return found
 
 
 # -- kernels and Gale duality --------------------------------------------------
@@ -408,18 +420,24 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     return _left_kernel(*_with_transform(M.transpose()), M.rows)
 
 
-def _kernel_from_echelon(a, pivots, width):
-    """kernel_basis read off the reduced echelon rows a with unit pivots."""
+def _fundamental_rows(a, pivots, width):
+    """(rows, free columns) of the kernel of the reduced echelon rows a with
+    unit pivots: per free column j, x_j = 1, x_pivot = -R e_j, 0 elsewhere."""
     taken = set(pivots)
+    free = [j for j in range(width) if j not in taken]
     rows = []
-    for j in range(width):
-        if j in taken:
-            continue
+    for j in free:
         x = [0] * width
         x[j] = 1
         for c, row in zip(pivots, a):
             x[c] = -row[j]
         rows.append(x)
+    return rows, free
+
+
+def _kernel_from_echelon(a, pivots, width):
+    """kernel_basis read off the reduced echelon rows a with unit pivots."""
+    rows, _ = _fundamental_rows(a, pivots, width)
     _hermite(rows, width)
     return IntMatrix(rows, cols=width)
 
@@ -443,16 +461,17 @@ def gale_dual(B: IntMatrix) -> IntMatrix:
 
 
 class _Forms:
-    """The one decider of rank, torsion, the Gale dual and unimodularity with
-    its method, for B (N x n): the HNF of B^T, and one HNF of B with its
-    transform, built on first use.
+    """The one decider of rank, torsion, the Gale dual and unimodularity, for
+    B (N x n): the HNF of B^T, and one HNF of B with its transform, built on
+    first use.
 
     Pivots of B^T's HNF that are all 1 make it [I | R] up to column order
-    with pivot minor 1: the cokernel is torsion-free, the kernel of B^T is
-    read off R and B is unimodular iff R is totally unimodular. A pivot d > 1
-    puts d in the pivot minor, so B is not unimodular; then the HNF of B has
-    pivots that multiply to the gcd of B's maximal minors, so the cokernel is
-    torsion-free iff they are all 1, and its transform gives the kernel.
+    with pivot minor 1: the cokernel is torsion-free, and the kernel of B^T
+    and the circuits that decide unimodularity are read off it. A pivot
+    d > 1 puts d in the pivot minor, so B is not unimodular; then the HNF of
+    B has pivots that multiply to the gcd of B's maximal minors, so the
+    cokernel is torsion-free iff they are all 1, and its transform gives the
+    kernel.
     """
 
     def __init__(self, B):
@@ -479,31 +498,36 @@ class _Forms:
         return _left_kernel(*self.transform, self.B.cols)
 
     def unimodularity(self):
-        """(verdict, method) for B with N >= n, where method is "minors" or
-        "snf_fallback".
+        """Whether B, with N >= n, is unimodular: exact at every size.
 
-        "minors" is exact. Integer row operations keep every maximal minor
-        up to sign, so B^T's HNF fails at once if its rank is below n (every
-        maximal minor is 0) or a pivot is not 1 (the minor on the pivot
-        columns is their product). Otherwise it is [I | R] up to column
-        order, each maximal minor is +- a square minor of R, and B is
-        unimodular iff R is totally unimodular (Schrijver, Theory of Linear
-        and Integer Programming, 1986, ch. 19). The square minors of R are
-        scanned one size at a time, each by Laplace expansion along its
-        first row over the nonzero minors of the size below, stopping at the
-        first one outside {-1, 0, 1}.
-
-        Past MINOR_BUDGET maximal minors, unit pivots are accepted without
-        the scan as "snf_fallback": they make every invariant factor 1, a
-        criterion that is necessary but not sufficient for rectangular
-        matrices, hence the distinct method tag for reports.
+        Row operations keep maximal minors up to sign, so a rank below n or a
+        pivot d > 1 (a minor of d) says no. Otherwise B^T reduces to
+        E = [I | R] up to column order, and B is unimodular iff every
+        elementary vector of E's row space is a {0, +-1} vector (Tutte,
+        Canad. J. Math. 1956); _elementary builds them column by column.
+        - (<=) For a basis M of n columns, each row of M^-1 E is elementary
+          with a unit entry, so it is {0, +-1}; M^-1 is integral, det M = +-1.
+        - Exactness: a new line lies in one 2-dimensional flat of the done
+          columns. If the flat holds only u and v, the scan finds the pair;
+          a third vector w in it is +-u +- v when all are {0, +-1}, so
+          w_j = +-2 (rejected when w was made) unless one of u, v, w is 0 at
+          j, and then the flat has no new line. So after the columns P the
+          vectors are the elementary vectors of [I | R_P].
+        - Early exit: each vector made is also elementary in E's row space,
+          and R_P is totally unimodular whenever R is, so a bad entry at any
+          step proves that B is not unimodular.
+        The kernel rows x_free = e_j, x_pivot = -R e_j span the orthogonal
+        complement, with the complementary maximal minors up to sign, so the
+        enumerator runs on E when n <= N - n and on them otherwise.
         """
-        B = self.B
-        if min(B.shape) == 0 or self.rank < B.cols or not self.unit:
-            return False, "minors"
-        if max_minor_count(B) > MINOR_BUDGET:
-            return True, "snf_fallback"
-        return _totally_unimodular(_free_block(self.echelon, self.pivots)), "minors"
+        N, n = self.B.shape
+        if min(N, n) == 0 or self.rank < n or not self.unit:
+            return False
+        if n <= N - n:
+            rows, units = self.echelon[:n], self.pivots
+        else:
+            rows, units = _fundamental_rows(self.echelon, self.pivots, N)
+        return _elementary(rows, units) is not None
 
 
 def _gale(B):

@@ -216,8 +216,7 @@ def simple_by_construction(H: HypertoricData, line: DeformationLine) -> bool:
     <c, lambda> != 0 for every circuit c of B's row dependencies. Such c is
     a {0, +-1} vector, so <c, lambda> = sum_j c_j lambda_j over the rows j
     off the basis, and the largest |lambda_j| it meets outweighs the rest."""
-    # "snf_fallback" does not prove B unimodular; ROADMAP item 1 deletes it.
-    if H.unimodularity_method != "minors" or not _is_z_basis(H, line.basis_rows):
+    if not _is_z_basis(H, line.basis_rows):
         return False
     basis = set(line.basis_rows)
     if any(line.offsets[i] for i in basis):

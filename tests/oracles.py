@@ -8,16 +8,17 @@ The subset scans are the exhaustive enumerations that `f_locus` and
 of walls is solved on its own with Fraction elimination. The closure by
 levels is that engine before it went depth first: a whole codimension held
 at once, every non-member wall reduced against all rows of each flat's
-basis. The Graver
-completion is how `hilbert_basis` was computed before it read the circuits
-off the flat engine. The minor enumeration is how `unimodularity_report`
-decided unimodularity before it scanned the non-pivot block of one echelon
-form: one Bareiss determinant per maximal minor, and the same determinant
-scan is how a deformation line found its default basis rows before they were
-the pivots of B^T's HNF. The rank of [B | lambda] is how `verify_genericity`
-decided condition (a) before it read A lambda off the Gale dual. The
-normal-form path is how
-validation, `gale_dual`, `kernel_basis`, `classify_case` and `round_trip`
+basis. The Graver completion is how `hilbert_basis` was computed before it
+read the circuits off the flat engine, and the closure by levels still gives
+those circuits as the lines of B's discriminant. The minor enumeration (one
+Bareiss determinant per maximal minor) is how `unimodularity_report` decided
+unimodularity before it scanned the square minors of the non-pivot block R
+of one echelon form, and that scan is how it decided before it enumerated
+circuits. The same determinant scan is how a deformation line found its
+default basis rows before they were the pivots of B^T's HNF. The rank of
+[B | lambda] is how `verify_genericity` decided condition (a) before it read
+A lambda off the Gale dual. The normal-form path is how validation,
+`gale_dual`, `kernel_basis`, `classify_case` and `round_trip`
 worked before they read everything off one reduced echelon form of B^T:
 rank from a full HNF, torsion from an SNF, kernels from the HNF transform,
 and A's unimodularity scanned on its own. The Smith normal form by closures
@@ -33,7 +34,7 @@ enumerations are exponential; all of these serve only as test references.
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from hkit.arrangement import (
     ArrangementSpec,
@@ -64,14 +65,13 @@ from hkit.hypertoric import HypertoricData, MonomialGen
 from hkit.intmat import (
     IntMatrix,
     SmithResult,
+    _Forms,
     canonical_primitive,
     canonical_sign,
     det,
     is_primitive,
-    is_unimodular,
     kernel_basis,
     rank,
-    unimodularity_report,
 )
 
 
@@ -354,6 +354,67 @@ def unimodular_by_minors(M):
     return saw_nonzero
 
 
+def max_minor_count(M):
+    """C(max(p, q), min(p, q)): the number of maximal minors of a p x q M."""
+    m = min(M.rows, M.cols)
+    return comb(max(M.rows, M.cols), m) if m else 0
+
+
+def _free_block(a, pivots):
+    """R of a reduced echelon form: the pivot rows on the non-pivot columns."""
+    taken = set(pivots)
+    free = [c for c in range(len(a[0])) if c not in taken]
+    return [[row[c] for c in free] for row in a[: len(pivots)]]
+
+
+def _totally_unimodular(R):
+    """True iff every square minor of R is in {-1, 0, 1}: the minors are
+    scanned one size at a time, each by Laplace expansion along its first
+    row over the nonzero minors of the size below, stopping at the first one
+    outside {-1, 0, 1}. It stores one nonzero minor per basis of the matroid
+    of [I | R], so it is exponential in time and memory."""
+    q, k = len(R), len(R[0])
+    # prev[rows][cols] is a nonzero minor of the size below; absent means 0.
+    prev = {(): {(): 1}}
+    for s in range(1, min(q, k) + 1):
+        cur = {}
+        for rows in itertools.combinations(range(q), s):
+            below = prev.get(rows[1:])
+            if below is None:
+                continue
+            first = R[rows[0]]
+            found = {}
+            for cols in itertools.combinations(range(k), s):
+                d = 0
+                for j, c in enumerate(cols):
+                    if first[c]:
+                        sub = below.get(cols[:j] + cols[j + 1:])
+                        if sub:
+                            d += first[c] * sub if j % 2 == 0 else -first[c] * sub
+                if d:
+                    if d not in (1, -1):
+                        return False
+                    found[cols] = d
+            if found:
+                cur[rows] = found
+        if not cur:
+            break
+        prev = cur
+    return True
+
+
+def unimodular_by_scan(M):
+    """Unimodularity as the echelon scan decided it: M oriented tall, the
+    HNF of its transpose of full rank with unit pivots, so [I | R] up to
+    column order, and R totally unimodular (Schrijver, Theory of Linear and
+    Integer Programming, 1986, ch. 19)."""
+    forms = _Forms(M if M.rows >= M.cols else M.transpose())
+    B = forms.B
+    if min(B.shape) == 0 or forms.rank < B.cols or not forms.unit:
+        return False
+    return _totally_unimodular(_free_block(forms.echelon, forms.pivots))
+
+
 # -- validation and the Gale dual by normal forms ---------------------------------
 
 
@@ -536,14 +597,13 @@ def gale_dual_by_normal_forms(B):
 
 def from_matrix_by_normal_forms(B):
     """HypertoricData.from_matrix with the Gale dual above, B's
-    unimodularity and its method from unimodularity_report on B alone and
-    the basis rows from the determinant scan."""
+    unimodularity from the scan of R's square minors and the basis rows from
+    the determinant scan."""
     for i in range(B.rows):
         if not is_primitive(B.row(i)):
             raise NonPrimitiveRow(i, B.row(i))
     A = gale_dual_by_normal_forms(B)
-    unimodular, method = unimodularity_report(B)
-    if not unimodular:
+    if not unimodular_by_scan(B):
         raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
     classes = {}
     for i in range(B.rows):
@@ -556,7 +616,6 @@ def from_matrix_by_normal_forms(B):
         n=B.cols,
         groups=groups,
         basis_rows=default_basis_rows_by_det(B),
-        unimodularity_method=method,
     )
 
 
@@ -571,7 +630,7 @@ def classify_case_by_normal_forms(B):
             reason="not injective: the stacked normals span a proper sublattice, "
             "which contradicts conical contractibility",
         )
-    unimod = is_unimodular(B)
+    unimod = unimodular_by_scan(B)
     torsion_free = smith_normal_form_by_closures(B).torsion_free
     if N == n and unimod:
         return CaseTag(case=SMOOTH, condition_star=False, unimodular=True, coker_torsion_free=True)
@@ -597,7 +656,7 @@ def round_trip_by_normal_forms(d):
             "cokernel has torsion: the two-step sequence is not exact over Z; "
             "A spans the saturated orthogonal lattice"
         )
-    unimodular_A = is_unimodular(A) if A.rows else (B.rows == B.cols)
+    unimodular_A = unimodular_by_scan(A) if A.rows else (B.rows == B.cols)
     if not tag.unimodular:
         warnings.append("B is not unimodular: no symplectic resolution hypothesis")
     disc = build_discriminant(B)

@@ -11,13 +11,12 @@ from hkit.arrangement import (
     _extends_to_basis,
     build_discriminant,
     check_simplicity,
-    circuits,
     f_locus,
     group_hyperplanes,
     stabilizer_rank,
 )
-from hkit.errors import DimensionMismatch, NonPrimitiveRow
-from hkit.intmat import IntMatrix, canonical_primitive, det, is_primitive, rank
+from hkit.errors import DimensionMismatch, NonPrimitiveRow, NotUnimodular
+from hkit.intmat import IntMatrix, canonical_primitive, canonical_sign, circuits, det, is_primitive, rank
 from oracles import generic_point_off, generic_point_on, smith_normal_form_by_closures
 
 
@@ -372,13 +371,22 @@ class TestSimplicity:
 
 
 class TestCircuits:
+    """intmat.circuits, one per sign pair, against the lines of the
+    discriminant."""
+
     def test_single_column(self):
-        assert circuits(IntMatrix([[1], [1], [-1]])) == [(1, 1, -1)]
+        assert [canonical_sign(c) for c in circuits(IntMatrix([[1], [1], [-1]]))] == [(1, 1, -1)]
 
     def test_plane_lines_are_walls(self):
         # n = 2: each wall is a line; parallel rows share one circuit
-        got = set(circuits(IntMatrix([[1, 0], [0, 1], [1, 1], [1, 0]])))
-        assert got == {(0, 1, 1, 0), (1, 0, 1, 1), (1, -1, 0, 1)}
+        got = [canonical_sign(c) for c in circuits(IntMatrix([[1, 0], [0, 1], [1, 1], [1, 0]]))]
+        assert sorted(got) == [(0, 1, 1, 0), (1, -1, 0, 1), (1, 0, 1, 1)]
+
+    def test_not_unimodular(self):
+        # a pivot of 2, and unit pivots with an entry 2 in R
+        for rows in ([[1, 1], [1, -1]], [[1, 0], [0, 1], [1, 2]]):
+            with pytest.raises(NotUnimodular):
+                circuits(IntMatrix(rows))
 
     def test_minimal_supports(self):
         B = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]])

@@ -13,8 +13,8 @@ from hkit.errors import UnsupportedDimension
 from hkit.intmat import IntMatrix
 from hkit.plot import plot_arrangement
 
-
-FALLBACK_NOTE = "unimodularity checked via SNF fallback (minor budget hit)"
+# K_8 with one edge swapped for a row that makes a maximal minor -2
+K8_HOLE_ROWS = complete_graph(8).row_list()[:-1] + [[1, 1, 1, 0, 0, 0, 0]]
 
 
 def run_cli(args, capsys):
@@ -213,12 +213,12 @@ class TestCommands:
         assert simp["no_excess_intersections"] is True
         assert simp["normals_extend_to_basis"] is True
 
-    @pytest.mark.parametrize("m", [5, 7])
+    @pytest.mark.parametrize("m", [5, 7, 8])
     def test_deform_certifies_t1_slice(self, m, capsys, monkeypatch):
         # the default line's t = 1 slice is simple by construction, so no flat
         # walk runs, (b) needs no second discriminant, and the report builds
-        # each slice once; past the minor budget the walk decides, with the
-        # same verdict
+        # each slice once; validation is exact at every size, so K_8 is
+        # certified too
         calls = Counter()
 
         def counted(name, fn):
@@ -243,26 +243,23 @@ class TestCommands:
         code, out = run_cli(args, capsys)
         assert code == 0
         assert calls == {"family_slice": 2}
+        simplicity = report_of(out)["result"]["t1_simplicity"]
+        assert simplicity["no_excess_intersections"] and simplicity["normals_extend_to_basis"]
 
-        calls.clear()
-        monkeypatch.setattr(intmat, "MINOR_BUDGET", intmat.max_minor_count(B) - 1)
-        code, walked = run_cli(args, capsys)
-        assert code == 0
-        assert calls == {"family_slice": 2, "check_simplicity": 1}
-        certified, walked = report_of(out), report_of(walked)
-        assert certified["result"] == walked["result"]
-        assert walked["notes"] == [FALLBACK_NOTE] + certified["notes"]
+    def test_check_k8_and_k8_hole(self, capsys):
+        # both are past 10^6 maximal minors; the verdicts are exact
+        for rows, verdict in ((complete_graph(8).row_list(), True), (K8_HOLE_ROWS, False)):
+            code, out = run_cli(["check", "--in", json.dumps({"rows": rows})], capsys)
+            assert code == 0
+            result = report_of(out)["result"]
+            assert result["unimodular"] is verdict
+            assert result["unimodularity_method"] == "minors"
+            assert result["case"]["unimodular"] is verdict
 
-    @pytest.mark.parametrize("command", ["gale", "build", "deform"])
-    def test_fallback_verdict_is_noted(self, command, capsys, monkeypatch):
-        args = [command, "--in", '{"rows": [[1, 0], [0, 1], [1, 1]]}']
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        assert FALLBACK_NOTE not in report_of(out)["notes"]
-        monkeypatch.setattr(intmat, "MINOR_BUDGET", 0)
-        code, out = run_cli(args, capsys)
-        assert code == 0
-        assert FALLBACK_NOTE in report_of(out)["notes"]
+    def test_build_rejects_k8_hole(self, capsys):
+        code, out = run_cli(["build", "--in", json.dumps({"rows": K8_HOLE_ROWS})], capsys)
+        assert code == 1
+        assert report_of(out)["error"]["code"] == "not_unimodular"
 
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("HKIT_BUDGET", "0")
@@ -316,6 +313,24 @@ class TestCommands:
         assert code == 1
         rep = report_of(out)
         assert rep["error"]["code"] == "duplicate_shift"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["local-model", "--in", '{"m": 2, "n": 2}', "--shifts", "1/0,2"],
+            ["discriminant", "--in", '{"rows": [[1, 0], [0, 1]]}', "--format", "svg",
+             "--window", "0,1/0,0,1"],
+        ],
+        ids=["shifts", "window"],
+    )
+    def test_zero_denominator_exit_2(self, args, capsys):
+        # an argument error, not a traceback with the exit 1 of domain errors
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "zero denominator in '1/0'" in captured.err
 
     def test_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"

@@ -8,8 +8,9 @@ the complete-graph matrices K_3..K_5. The t = 1 slices come from the default
 line, whose slice is simple, and from offsets 1, 2, 3, ... off the same
 basis rows, whose slice is not always simple, so the comparison still meets
 violations. The depth-first search must yield each flat exactly once, with
-the member set and echelon basis of the closure by levels, and `circuits`
-must be read off the same lines.
+the member set and echelon basis of the closure by levels, and the circuits
+that `intmat.circuits` enumerates must be the vectors B x for x spanning the
+lines of that closure, up to sign.
 """
 
 from fractions import Fraction
@@ -17,17 +18,16 @@ from math import comb
 
 import pytest
 
-from corpus import complete_graph, corpus_matrices, valid_hypertoric
+from corpus import cographic, complete_graph, corpus_matrices, r10, valid_hypertoric
 from hkit.arrangement import (
     _flats,
     build_discriminant,
     check_simplicity,
-    circuits,
     f_locus,
     group_hyperplanes,
 )
 from hkit.hypertoric import HypertoricData
-from hkit.intmat import IntMatrix, kernel_basis
+from hkit.intmat import IntMatrix, canonical_sign, circuits, kernel_basis
 from hkit.localmodel import (
     DeformationLine,
     _line_direction,
@@ -181,20 +181,23 @@ class TestFlatsAgainstLevels:
         for level in flat_lattice_by_levels(arr):
             want.update(level)
         got = {}
-        for members, basis in _flats(arr, arr.n):
+        for members, basis in _flats(arr):
             assert members not in got, (arr, members)
             got[members] = basis
         assert got == want, arr
 
     @staticmethod
     def assert_same_circuits(B):
+        """One circuit per sign pair, the same pairs as the lines."""
         n = B.cols
         lines = list(flat_lattice_by_levels(build_discriminant(B)))[n - 2]
         want = {
             B.mat_vec(kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).row(0))
             for basis in lines.values()
         }
-        assert set(circuits(B)) == want, B
+        got = [canonical_sign(c) for c in circuits(B)]
+        assert len(set(got)) == len(got), B
+        assert set(got) == {canonical_sign(c) for c in want}, B
 
     def test_corpus_discriminants(self, corpus_discriminants):
         for arr in corpus_discriminants:
@@ -221,3 +224,10 @@ class TestFlatsAgainstLevels:
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
     def test_circuits_on_complete_graphs(self, m):
         self.assert_same_circuits(complete_graph(m))
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_circuits_on_cographic(self, m):
+        self.assert_same_circuits(cographic(m))
+
+    def test_circuits_on_r10(self):
+        self.assert_same_circuits(r10())

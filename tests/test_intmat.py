@@ -5,16 +5,14 @@ from math import gcd
 
 import pytest
 
-from corpus import complete_graph, corpus_matrices, divisor_of, is_valid_matrix
+from corpus import cographic, complete_graph, corpus_matrices, divisor_of, is_valid_matrix, r10
 from hkit import arrangement, intmat
 from hkit.characterization import DivisorData, classify_case, round_trip
 from hkit.errors import HkitError, NotInjective, NotUnimodular, TorsionCokernel
 from hkit.hypertoric import HypertoricData
 from hkit.intmat import (
-    MINOR_BUDGET,
     IntMatrix,
     _Forms,
-    _free_block,
     canonical_primitive,
     canonical_sign,
     det,
@@ -23,22 +21,24 @@ from hkit.intmat import (
     is_primitive,
     is_unimodular,
     kernel_basis,
-    max_minor_count,
     rank,
     smith_normal_form,
     unimodularity_report,
 )
 from oracles import (
+    _free_block,
     classify_case_by_normal_forms,
     from_matrix_by_normal_forms,
     gale_dual_by_normal_forms,
     hermite_normal_form_by_closures,
     iter_max_minors,
     kernel_basis_by_transform,
+    max_minor_count,
     rank_by_hnf,
     round_trip_by_normal_forms,
     smith_normal_form_by_closures,
     unimodular_by_minors,
+    unimodular_by_scan,
 )
 
 
@@ -266,13 +266,6 @@ class TestUnimodular:
             snf_verdict = res.torsion_free and len(res.invariant_factors) == n
             assert is_unimodular(M) == snf_verdict
 
-    def test_fallback_method_tag(self, monkeypatch):
-        verdict, method = unimodularity_report(IntMatrix.identity(3))
-        assert verdict and method == "minors"
-        monkeypatch.setattr(intmat, "MINOR_BUDGET", 0)
-        verdict, method = unimodularity_report(IntMatrix.identity(3))
-        assert verdict and method == "snf_fallback"
-
     def test_minor_enumeration_matches_brute(self):
         M = IntMatrix([[1, 0], [0, 1], [1, 1], [1, -1]])
         minors = sorted(iter_max_minors(M))
@@ -282,10 +275,9 @@ class TestUnimodular:
         )
 
 
-def graphic_with_planted_row(rng, vertices, extra):
-    """A connected multigraph's rows e_a - e_b (vertex 0's coordinate
-    dropped) plus one planted row e_a + e_p with a, p nonzero, at a random
-    position. Unimodular or not depending on the graph."""
+def graphic_rows(rng, vertices, extra):
+    """A random connected multigraph's rows e_a - e_b, vertex 0's coordinate
+    dropped: a random spanning tree plus extra random edges."""
     edges = [(rng.randrange(v), v) for v in range(1, vertices)]
     edges += [tuple(sorted(rng.sample(range(vertices), 2))) for _ in range(extra)]
     rows = []
@@ -293,6 +285,13 @@ def graphic_with_planted_row(rng, vertices, extra):
         row = [0] * vertices
         row[a], row[b] = 1, -1
         rows.append(row[1:])
+    return rows
+
+
+def graphic_with_planted_row(rng, vertices, extra):
+    """graphic_rows plus one planted row e_a + e_p with a, p nonzero, at a
+    random position. Unimodular or not depending on the graph."""
+    rows = graphic_rows(rng, vertices, extra)
     a, p = rng.sample(range(1, vertices), 2)
     planted = [0] * (vertices - 1)
     planted[a - 1] = planted[p - 1] = 1
@@ -300,14 +299,27 @@ def graphic_with_planted_row(rng, vertices, extra):
     return IntMatrix(rows, cols=vertices - 1)
 
 
+def k8_hole():
+    """K_8 with its last row replaced by (1, 1, 1, 0, 0, 0, 0): rows 0, 3-6
+    and 13 form the path 0-1 and 2-3 plus the star on 4..7, and swapping
+    edge (1, 2) of a spanning tree for the new row gives a minor of -2."""
+    K8 = complete_graph(8)
+    return IntMatrix(K8.data[:-1] + ((1, 1, 1, 0, 0, 0, 0),), cols=7)
+
+
 class TestUnimodularityAgainstMinors:
-    """The echelon scan against the minor-enumeration oracle, verdict for
-    verdict and method for method."""
+    """The circuit enumerator against the minor enumeration and the scan of
+    R's square minors, verdict for verdict; the method is always "minors"."""
 
     @staticmethod
-    def assert_agrees(M):
-        assert max_minor_count(M) <= MINOR_BUDGET
-        assert unimodularity_report(M) == (unimodular_by_minors(M), "minors"), M
+    def assert_agrees(M, minors=True):
+        """The verdict, checked against the scan and, when minors is set,
+        against every maximal minor."""
+        verdict = unimodularity_report(M)
+        assert verdict == (unimodular_by_scan(M), "minors"), M
+        if minors:
+            assert verdict == (unimodular_by_minors(M), "minors"), M
+        return verdict[0]
 
     def test_corpus_and_gale_duals(self):
         verdicts = set()
@@ -345,6 +357,37 @@ class TestUnimodularityAgainstMinors:
             self.assert_agrees(M)
             verdicts.add(unimodular_by_minors(M))
         assert verdicts == {True, False}
+
+    def test_graphic_multigraphs_and_planted_variants(self):
+        # 7-10 vertices and 2-4 extra edges: N - n < n, so the kernel rows
+        # decide; each graph is totally unimodular, and its variant with a
+        # planted row e_a + e_p is unimodular or not depending on the graph
+        rng = random.Random(43)
+        verdicts = set()
+        for idx in range(48):
+            vertices, extra = 7 + idx % 4, 2 + idx % 3
+            graph = graphic_rows(rng, vertices, extra)
+            assert self.assert_agrees(IntMatrix(graph, cols=vertices - 1))
+            a, p = rng.sample(range(vertices - 1), 2)
+            planted = [int(k in (a, p)) for k in range(vertices - 1)]
+            graph.insert(rng.randrange(len(graph) + 1), planted)
+            verdicts.add(self.assert_agrees(IntMatrix(graph, cols=vertices - 1)))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("m", range(4, 8))
+    def test_cographic(self, m):
+        # K_7* has 54264 maximal minors of size 15, too slow to enumerate here
+        assert self.assert_agrees(cographic(m), minors=m < 7)
+
+    def test_r10(self):
+        # regular, but neither graphic nor cographic
+        assert self.assert_agrees(r10())
+
+    def test_k8_and_k8_hole(self):
+        # K_8 has 1184040 maximal minors, too many to enumerate here; their
+        # enumeration stops at the hole's first minor of -2
+        assert self.assert_agrees(complete_graph(8), minors=False)
+        assert not self.assert_agrees(k8_hole())
 
 
 def outcome(fn, arg):
@@ -445,7 +488,8 @@ class TestUnimodularityExits:
     def test_rank_deficient(self):
         M = IntMatrix([[1, 1], [2, 2]])
         assert _Forms(M).rank == 1
-        assert _Forms(M).unimodularity() == unimodularity_report(M) == (False, "minors")
+        assert _Forms(M).unimodularity() is False
+        assert unimodularity_report(M) == (False, "minors")
 
     def test_pivot_of_two(self):
         M = IntMatrix([[1, 1], [1, -1]])
@@ -468,21 +512,21 @@ class TestUnimodularityExits:
     def test_wide_matrix_is_oriented_tall(self):
         # [[1, 0]] has rank 1 < 2 as a 1 x 2 B, but its one maximal minor is 1
         M = IntMatrix([[1, 0]])
-        assert _Forms(M).unimodularity() == (False, "minors")
+        assert _Forms(M).unimodularity() is False
         assert unimodularity_report(M) == (True, "minors")
 
     @pytest.mark.parametrize(
-        "B, method, reductions",
+        "B, bundle, reductions",
         [
-            # B^T and the kernel rows: past the budget, no second HNF of B^T
-            (complete_graph(8), "snf_fallback", 2),
+            # B^T and the kernel rows: the circuits take no reduction
+            (complete_graph(8), "valid", 2),
             # B^T, then B for the torsion test; not unimodular, so no kernel
             (IntMatrix([[1, 1], [1, -1], [0, 1]]), None, 2),
-            # B^T only: R = [[1], [2]] is not totally unimodular, so no kernel
+            # B^T only: R = [[1], [2]] has an entry 2, so no kernel
             (IntMatrix([[1, 0], [0, 1], [1, 2]]), None, 1),
         ],
     )
-    def test_validation_reduces_transpose_once(self, B, method, reductions, monkeypatch):
+    def test_validation_reduces_transpose_once(self, B, bundle, reductions, monkeypatch):
         calls = []
         hermite = intmat._hermite
 
@@ -492,35 +536,42 @@ class TestUnimodularityExits:
 
         monkeypatch.setattr(intmat, "_hermite", counted)
         monkeypatch.setattr(arrangement, "_hermite", counted)
-        if method is None:
+        if bundle is None:
             with pytest.raises(NotUnimodular):
                 HypertoricData.from_matrix(B)
         else:
-            assert HypertoricData.from_matrix(B).unimodularity_method == method
+            HypertoricData.from_matrix(B)
         assert len(calls) == reductions
+
+    # The budget in the names below is the 10^6 maximal minors up to which
+    # the scan of R's square minors used to decide; the circuits decide
+    # exactly on both sides of it.
 
     def test_k8_minus_one_edge_under_budget(self):
         K8 = complete_graph(8)
         M = IntMatrix(K8.data[:-1], cols=K8.cols)
-        assert max_minor_count(M) == 888030 <= MINOR_BUDGET
+        assert max_minor_count(M) == 888030
         assert unimodularity_report(M) == (True, "minors")
 
     def test_k8_and_k8_hole_past_budget(self):
-        # Past the budget unit pivots are accepted without the scan, though
-        # the hole has a maximal minor -2 (ROADMAP item 1).
-        K8 = complete_graph(8)
-        hole = IntMatrix(K8.data[:-1] + ((1, 1, 1, 0, 0, 0, 0),), cols=7)
+        K8, hole = complete_graph(8), k8_hole()
         for M in (K8, hole):
-            assert max_minor_count(M) == 1184040 > MINOR_BUDGET
-            assert unimodularity_report(M) == (True, "snf_fallback")
+            assert max_minor_count(M) == 1184040
+        assert unimodularity_report(K8) == (True, "minors")
+        assert unimodularity_report(hole) == (False, "minors")
+        assert HypertoricData.from_matrix(K8).A.rows == 21
+        with pytest.raises(NotUnimodular) as err:
+            HypertoricData.from_matrix(hole)
+        assert err.value.code == "not_unimodular"
+        assert not classify_case(hole).unimodular
 
     def test_non_unit_pivot_past_budget(self):
         # Rows 0 and 1 with K_8's unit rows -e_3 .. -e_7 have a maximal
-        # minor of +-2, so the HNF of B^T has a pivot 2: an exact "no" at
-        # any size, not the SNF verdict.
+        # minor of +-2, so the HNF of B^T has a pivot 2: an exact "no"
+        # before any circuit is built.
         K8 = complete_graph(8)
         B = IntMatrix(((1, 1, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0)) + K8.data, cols=7)
-        assert max_minor_count(B) == 2035800 > MINOR_BUDGET
+        assert max_minor_count(B) == 2035800
         assert unimodularity_report(B) == (False, "minors")
         assert not is_unimodular(B)
         with pytest.raises(NotUnimodular) as err:

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from corpus import cographic, complete_graph, corpus_matrices, r10, valid_hypertoric
-from hkit import intmat
+from hkit import localmodel
 from hkit.arrangement import Kind, build_discriminant, check_simplicity
 from hkit.errors import ArityMismatch, DuplicateShift, NotABasis
 from hkit.hypertoric import HypertoricData, leaf_classification
@@ -324,14 +324,16 @@ class TestSimpleByConstruction:
         for bad in (nonzero_on_basis, not_a_basis, zero_off_basis):
             assert not simple_by_construction(data, bad)
 
-    def test_past_the_minor_budget_the_walk_decides(self, monkeypatch):
-        # validation there accepts B by "snf_fallback", which is no proof
-        B = complete_graph(4)
-        monkeypatch.setattr(intmat, "MINOR_BUDGET", intmat.max_minor_count(B) - 1)
-        data = HypertoricData.from_matrix(B)
-        assert data.unimodularity_method == "snf_fallback"
+    def test_k8_is_certified(self, monkeypatch):
+        # validation is exact at every size, so the certificate holds on K_8
+        # (1184040 maximal minors) and the walk of its 561947 flats never runs
+        def walk(arr):
+            raise AssertionError("check_simplicity ran")
+
+        monkeypatch.setattr(localmodel, "check_simplicity", walk)
+        data = HypertoricData.from_matrix(complete_graph(8))
         line = choose_deformation_line(data)
-        assert not simple_by_construction(data, line)
+        assert simple_by_construction(data, line)
         assert t1_simplicity(data, line, family_slice(data, line, 1)).simple
 
     def test_coincident_walls_fail_b(self):

@@ -1,13 +1,14 @@
-"""Digests of tools/report_digest.py, pinned: every `hkit deform` report on
-the valid corpus matrices and on K_3..K_7, and every `hkit check` and `hkit
-gale` report on the whole corpus, stays byte-identical apart from timing. A
-deliberate change to those reports (a schema bump, a new field) updates
-these values in the same change."""
+"""Digests of tools/report_digest.py, pinned: every `hkit deform` and `hkit
+build` report on the valid corpus matrices, `deform` on K_3..K_7 and `build`
+on K_3..K_5, every `hkit check` and `hkit gale` report on the whole corpus
+and every `hkit round-trip` report on its divisors stays byte-identical
+apart from timing. A deliberate change to those reports (a schema bump, a
+new field) updates these values in the same change."""
 
 import importlib.util
 import os
 
-from corpus import complete_graph, corpus_matrices, valid_hypertoric
+from corpus import complete_graph, corpus_matrices, divisor_of, valid_hypertoric
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "report_digest.py")
 spec = importlib.util.spec_from_file_location("report_digest", TOOL)
@@ -37,4 +38,23 @@ def test_validation_digests():
     )
     assert report_digest.digest("gale", matrices) == (
         "f6324de5b47ce31a95ba27331c71c679a082de0c4384447b83c60fb201b42517"
+    )
+
+
+def test_circuit_digests():
+    # the Hilbert basis reads the circuits, and the round trip decides
+    # unimodularity with the same enumerator
+    matrices = list(corpus_matrices())
+    valid = [report_digest.matrix_json(H.B) for H in valid_hypertoric(matrices)]
+    km = [report_digest.matrix_json(complete_graph(m)) for m in report_digest.KM["build"]]
+    divisors = [report_digest.divisor_json(d) for d in map(divisor_of, matrices) if d is not None]
+    assert (len(valid), len(km), len(divisors)) == (1104, 3, 5687)
+    assert report_digest.digest("build", valid) == (
+        "5c01dac64dba6c3c6685156a23359922cd34c40003a9d1b0e4f97e5214750aff"
+    )
+    assert report_digest.digest("build", km) == (
+        "68c79251cfe9a2e985bf0dadc305aceaf8c5dd9c490d74bd2f4d90dc79c138d6"
+    )
+    assert report_digest.digest("round-trip", divisors) == (
+        "4509ca3b54c22bdbb7912e7ad4f1b766efefc2e56d03033cc4741888e9887482"
     )
