@@ -14,10 +14,20 @@ search, and each flat is expanded once. A flat keeps the residuals of the
 walls against its echelon basis, and a new flat's residuals come from its
 parent's in one reduction step against its one new row; that is exact
 because the residual is the unique primitive vector of span(wall, basis)
-that is zero on the basis's pivot columns. Points come from integer
-back-substitution over one common denominator. The lines of the central
-arrangement of B's rows match the circuits of B's column lattice, but those
-come from `intmat.circuits`, the enumerator that decides unimodularity.
+that is zero on the basis's pivot columns. A central arrangement's rows
+leave out the offset column, which would stay 0. A flat's direction, the
+HNF of its saturated direction lattice, comes from its parent's in one
+elimination step as well: with unit pivots, and s = D r for the parent's
+HNF rows D and the new row r, the last nonzero s_i = +-1 lets row i go and
+clears r from the rows before it, which keeps an HNF with unit pivots of
+the cut lattice (Schrijver 1986, ch. 4: the HNF is unique, so this is
+`kernel_basis` of the flat's normals). Any other flat falls back to
+`kernel_basis`; `_flats` has the proof. Only `f_locus` asks for
+directions; `check_simplicity` walks the same search without them.
+Points come from integer back-substitution over one common denominator.
+The lines of the central arrangement of B's rows match the circuits of B's
+column lattice, but those come from `intmat.circuits`, the enumerator that
+decides unimodularity.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter, mul
 
 from .errors import DimensionMismatch
 from .intmat import (
@@ -167,20 +178,65 @@ def _pivot(row):
 
 
 def _reduce(v, p, row):
-    """One fraction-free step: v with its entry at row's pivot p cleared by
-    row, primitive with first nonzero entry positive; v itself when that
-    entry is already 0."""
-    b = v[p]
-    if not b:
-        return v
-    a = row[p]
+    """One fraction-free step: v, nonzero at row's pivot p, with that entry
+    cleared by row, primitive with first nonzero entry positive."""
+    a, b = row[p], v[p]
     return canonical_primitive([a * x - b * y for x, y in zip(v, row)])
 
 
-def _flats(arr):
-    """Every flat as (member set, echelon basis of (pivot, augmented row)
-    pairs sorted by pivot), depth first. Each member set comes exactly once,
-    in no particular order.
+def _rows(arr):
+    """The walls' rows for the flat search: the augmented rows (normal,
+    offset) of an affine arrangement, and the normals alone of a central
+    one, whose offset column would stay 0 through every reduction."""
+    if any(c.hyperplane.offset for c in arr.components):
+        return [_wall_row(c.hyperplane) for c in arr.components]
+    return [c.hyperplane.normal for c in arr.components]
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _cut(D, r):
+    """The HNF rows of the lattice of D cut by r's hyperplane, for the HNF
+    rows D of a saturated lattice with unit pivots; None when the last
+    nonzero entry of s = D r is not +-1. r may carry an offset column, which
+    the products skip. `_flats` has the proof."""
+    s = [sum(map(mul, d, r)) for d in D]
+    i = len(s) - 1
+    while not s[i]:
+        i -= 1
+    si = s[i]
+    if si != 1 and si != -1:
+        return None
+    di = D[i]
+    head = [
+        tuple([a - c * b for a, b in zip(d, di)]) if (c := sj * si) else d
+        for d, sj in zip(D, s[:i])
+    ]
+    return tuple(head) + D[i + 1:]
+
+
+def _direction(basis, n):
+    """kernel_basis of the flat's normals, as rows, and whether its pivots
+    are 1."""
+    D = kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).data
+    return D, all(d[_pivot(d)] == 1 for d in D)
+
+
+def _flats(arr, directions=False):
+    """Every flat as (member bitmask, echelon basis of (pivot, row) pairs
+    sorted by pivot, direction), depth first. Each member set comes exactly
+    once, in no particular order. The rows are augmented (normal, offset)
+    when the arrangement is affine and the normals alone when it is central.
+    The direction is None unless asked for; then it is the HNF rows of the
+    flat's saturated direction lattice, `kernel_basis` of its normals.
 
     A flat F carries the residual classes of the walls that are neither its
     members nor parallel to it: the residual of a wall is the primitive,
@@ -200,32 +256,62 @@ def _flats(arr):
     the stack with their parent's classes, and a flat's classes are made
     only when it is taken off the stack, so only the flats along one path
     hold them.
+
+    G's direction comes from F's in one elimination step, `_cut`. The
+    direction lattice L of F is saturated, and L ∩ r^⊥ is G's: r lies in
+    span(F's normals, H's normal) and outside the span of F's. Let D be the
+    HNF rows of L with unit pivots (I_n above the single walls), s = D r,
+    and i the last index with s_i != 0 (there is one, since r is not in the
+    span of F's normals). When s_i = +-1, G's direction is D without row i,
+    with each earlier row j replaced by D_j - s_j s_i D_i.
+    - It spans L ∩ r^⊥: sum c_k D_k is orthogonal to r iff
+      c_i = -s_i sum_{k != i} c_k s_k, and then it is
+      sum_{k != i} c_k (D_k - s_k s_i D_i); rows after i have s_k = 0.
+    - It is saturated, as L ∩ r^⊥ is a saturated lattice cut by a subspace.
+    - It is an HNF with unit pivots: D_i is zero before its pivot p_i and at
+      every other pivot column, so D_j - s_j s_i D_i keeps D_j's entries
+      before p_i and at the other pivot columns, and p_i is a pivot no more.
+    The HNF of a lattice is unique (Schrijver 1986, ch. 4), so this is
+    exactly `kernel_basis` of G's normals. When s_i is not +-1, or D's
+    pivots are not all 1, G falls back to `kernel_basis`, and its children
+    start from that result again when its pivots are 1.
     """
     n = arr.n
-    rows = [_wall_row(c.hyperplane) for c in arr.components]
-    walls = [(r, (k,)) for k, r in enumerate(rows)]
-    stack = [(frozenset(ks), r, [], walls) for r, ks in reversed(walls)]
+    walls = [(r, 1 << k) for k, r in enumerate(_rows(arr))]
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    stack = [(bit, r, [], walls, identity, True) for r, bit in reversed(walls)]
     seen = set()
     while stack:
-        members, row, parent_basis, parent_classes = stack.pop()
+        # the parent's direction and whether its pivots are 1, then G's
+        members, row, parent_basis, parent_classes, direction, unit = stack.pop()
         q = _pivot(row)
         basis = sorted(parent_basis + [(q, row)])
-        yield members, basis
+        if directions:
+            direction = _cut(direction, row) if unit else None
+            if direction is None:
+                direction, unit = _direction(basis, n)
+        else:
+            direction = None
+        yield members, basis, direction
         if len(basis) == n:
             continue
         classes = {}
         for res, ks in parent_classes:
-            # the class whose residual is the new row joined the members
-            if res is not row:
+            # the class whose residual is the new row joined the members,
+            # and a residual that is 0 at q is already G's
+            if res is row:
+                continue
+            if res[q]:
                 res = _reduce(res, q, row)
-                if any(res[:n]):
-                    classes.setdefault(res, []).extend(ks)
+                if not any(res[:n]):
+                    continue
+            classes[res] = classes.get(res, 0) | ks
         classes = list(classes.items())
         for res, ks in reversed(classes):
-            key = members.union(ks)
+            key = members | ks
             if key not in seen:
                 seen.add(key)
-                stack.append((key, res, basis, classes))
+                stack.append((key, res, basis, classes, direction, unit))
 
 
 def _point_of(basis, n):
@@ -241,11 +327,6 @@ def _point_of(basis, n):
             d *= a
         x[p] = num
     return tuple(Fraction(v, d) for v in x)
-
-
-def _multi_incidence_flats(arr):
-    """(members, echelon basis) of every flat with >= 2 members."""
-    return ((m, b) for m, b in _flats(arr) if len(b) > 1)
 
 
 @dataclass(frozen=True)
@@ -275,20 +356,23 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
     equations with free coordinates zero; direction is the HNF-canonical
     basis of the saturated direction lattice."""
     n = arr.n
+    central = not any(c.hyperplane.offset for c in arr.components)
     origin = (Fraction(0),) * n
-    result = FlatList()
-    for members, basis in _multi_incidence_flats(arr):
-        normals = [r[:n] for _, r in basis]
-        result.append(
-            FlatDescriptor(
-                members=members,
-                direction=kernel_basis(IntMatrix(normals, cols=n)),
-                point=_point_of(basis, n) if any(r[n] for _, r in basis) else origin,
-                codimension=len(basis),
-            )
+    found = []
+    for members, basis, direction in _flats(arr, directions=True):
+        if len(basis) < 2:
+            continue
+        members = tuple(_bits(members))
+        point = origin if central or not any(r[n] for _, r in basis) else _point_of(basis, n)
+        flat = FlatDescriptor(
+            members=frozenset(members),
+            direction=IntMatrix._of(direction, n),
+            point=point,
+            codimension=len(basis),
         )
-    result.sort(key=lambda f: f.sorted_members())
-    return result
+        found.append((members, flat))
+    found.sort(key=itemgetter(0))
+    return FlatList(flat for _, flat in found)
 
 
 @dataclass(frozen=True)
@@ -329,8 +413,10 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     normals = [c.hyperplane.normal for c in arr.components]
     violations_a = set()
     violations_b = {(k,) for k, c in enumerate(arr.components) if c.multiplicity > 1}
-    for members, basis in _multi_incidence_flats(arr):
-        members = sorted(members)
+    for members, basis, _ in _flats(arr):
+        if len(basis) < 2:
+            continue
+        members = _bits(members)
         violations_a.update(combinations(members, n + 1))
         if _extends_to_basis([normals[i] for i in members]):
             continue

@@ -64,6 +64,15 @@ class IntMatrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
+    @classmethod
+    def _of(cls, rows, cols):
+        """The matrix of rows that hkit computed itself, a tuple of int tuples
+        of width cols, taken as they are: the constructor's checks would only
+        scan every entry again."""
+        M = object.__new__(cls)
+        M.rows, M.cols, M._data = len(rows), cols, rows
+        return M
+
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij):

@@ -8,17 +8,21 @@ the complete-graph matrices K_3..K_5. The t = 1 slices come from the default
 line, whose slice is simple, and from offsets 1, 2, 3, ... off the same
 basis rows, whose slice is not always simple, so the comparison still meets
 violations. The depth-first search must yield each flat exactly once, with
-the member set and echelon basis of the closure by levels, and the circuits
-that `intmat.circuits` enumerates must be the vectors B x for x spanning the
+the member set and echelon basis of the closure by levels, and with the
+direction `kernel_basis` gives its member normals, whether the engine took
+it from the parent's in one step or fell back; the circuits that
+`intmat.circuits` enumerates must be the vectors B x for x spanning the
 lines of that closure, up to sign.
 """
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from corpus import cographic, complete_graph, corpus_matrices, r10, valid_hypertoric
+from hkit import arrangement
 from hkit.arrangement import (
     _flats,
     build_discriminant,
@@ -27,7 +31,7 @@ from hkit.arrangement import (
     group_hyperplanes,
 )
 from hkit.hypertoric import HypertoricData
-from hkit.intmat import IntMatrix, canonical_sign, circuits, kernel_basis
+from hkit.intmat import IntMatrix, canonical_sign, circuits, is_primitive, kernel_basis
 from hkit.localmodel import (
     DeformationLine,
     _line_direction,
@@ -153,13 +157,17 @@ def test_complete_graph_flats_are_set_partitions(m):
     assert not flats.truncated
 
 
-def test_points_with_non_unit_pivots():
-    # pivots 2, 3, 4, ... and nonzero offsets: the integer back-substitution
-    # needs a common denominator other than 1
-    arr = group_hyperplanes(
+def non_unit_pivot_arrangement():
+    # pivots 2, 3, 4, ... and nonzero offsets
+    return group_hyperplanes(
         3,
         [((2, 3, 0), 1), ((3, -5, 0), 2), ((4, 1, 2), 3), ((0, 3, 4), 5), ((5, 0, 2), 7)],
     )
+
+
+def test_points_with_non_unit_pivots():
+    # the integer back-substitution needs a common denominator other than 1
+    arr = non_unit_pivot_arrangement()
     flats = f_locus(arr)
     assert any(x.denominator > 1 for f in flats for x in f.point)
     for f in flats:
@@ -172,18 +180,95 @@ def test_points_with_non_unit_pivots():
         assert all(isinstance(x, Fraction) for x in f.point)
 
 
+def member_set(mask):
+    """The wall indices of one of `_flats`'s member bitmasks."""
+    return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+class TestDirections:
+    """Every flat's direction from the engine, one elimination step from its
+    parent's or `kernel_basis` when that step does not apply, equals
+    `kernel_basis` of its member normals, single walls included."""
+
+    @staticmethod
+    def counts(arr, monkeypatch):
+        """(flats, fallbacks) of the walk with directions on arr, each
+        direction checked; a fallback is a call to kernel_basis."""
+        fallbacks = []
+        real = arrangement.kernel_basis
+        monkeypatch.setattr(arrangement, "kernel_basis", lambda M: fallbacks.append(M) or real(M))
+        flats = list(_flats(arr, directions=True))
+        monkeypatch.undo()
+        normals = [c.hyperplane.normal for c in arr.components]
+        for mask, basis, direction in flats:
+            members = sorted(member_set(mask))
+            want = kernel_basis(IntMatrix([normals[k] for k in members], cols=arr.n))
+            assert direction == want.data, (arr, members)
+        return len(flats), len(fallbacks)
+
+    @pytest.mark.parametrize(
+        "B",
+        [complete_graph(m) for m in range(3, 9)] + [cographic(m) for m in (4, 5, 6)] + [r10()],
+        ids=[f"K{m}" for m in range(3, 9)] + [f"K{m}*" for m in (4, 5, 6)] + ["R10"],
+    )
+    def test_regular_matroids_take_no_fallback(self, B, monkeypatch):
+        flats, fallbacks = self.counts(build_discriminant(B), monkeypatch)
+        assert flats > 0 and fallbacks == 0
+
+    def test_corpus_discriminants(self, corpus_discriminants, monkeypatch):
+        total = [self.counts(arr, monkeypatch) for arr in corpus_discriminants]
+        assert sum(f for _, f in total) > 0
+        assert sum(f for _, f in total) < sum(k for k, _ in total)
+
+    def test_corpus_slices(self, corpus_slices, monkeypatch):
+        total = [self.counts(arr, monkeypatch) for arr in corpus_slices]
+        assert sum(f for _, f in total) > 0
+        assert sum(f for _, f in total) < sum(k for k, _ in total)
+
+    def test_non_unit_pivots(self, monkeypatch):
+        flats, fallbacks = self.counts(non_unit_pivot_arrangement(), monkeypatch)
+        assert 0 < fallbacks <= flats
+
+    def test_seeded_arrangements(self, monkeypatch):
+        # six affine walls in Z^4 with entries in [-3, 3]: fallback directions
+        # whose pivots are not 1 have children, which must fall back too
+        total = []
+        for seed in range(50):
+            rng = random.Random(seed)
+            pairs = []
+            while len(pairs) < 6:
+                normal = tuple(rng.randint(-3, 3) for _ in range(4))
+                if is_primitive(normal):
+                    pairs.append((normal, rng.randint(-2, 2)))
+            total.append(self.counts(group_hyperplanes(4, pairs), monkeypatch))
+        assert 0 < sum(f for _, f in total) < sum(k for k, _ in total)
+
+    def test_simplicity_walk_takes_no_direction(self, monkeypatch):
+        # check_simplicity reads members and bases only
+        arr = non_unit_pivot_arrangement()
+        want = check_simplicity_scan(arr)
+        monkeypatch.setattr(arrangement, "_cut", None)
+        monkeypatch.setattr(arrangement, "kernel_basis", None)
+        assert check_simplicity(arr) == want
+        assert not want.simple
+
+
 class TestFlatsAgainstLevels:
     """The depth-first search against the closure by levels in oracles.py."""
 
     @staticmethod
     def assert_same_flats(arr):
+        """The engine's member bitmasks become sets, and its central rows,
+        which leave out the offset column, get that column's 0 back."""
         want = {}
         for level in flat_lattice_by_levels(arr):
             want.update(level)
         got = {}
-        for members, basis in _flats(arr):
+        for mask, basis, direction in _flats(arr):
+            members = member_set(mask)
             assert members not in got, (arr, members)
-            got[members] = basis
+            assert direction is None
+            got[members] = [(p, r + (0,) * (arr.n + 1 - len(r))) for p, r in basis]
         assert got == want, arr
 
     @staticmethod

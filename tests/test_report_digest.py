@@ -1,9 +1,10 @@
-"""Digests of tools/report_digest.py, pinned: every `hkit deform` and `hkit
-build` report on the valid corpus matrices, `deform` on K_3..K_7 and `build`
-on K_3..K_5, every `hkit check` and `hkit gale` report on the whole corpus
-and every `hkit round-trip` report on its divisors stays byte-identical
-apart from timing. A deliberate change to those reports (a schema bump, a
-new field) updates these values in the same change."""
+"""Digests of tools/report_digest.py, pinned: every `hkit deform`, `hkit
+build` and `hkit discriminant` report on the valid corpus matrices, `deform`
+on K_3..K_7, `build` on K_3..K_5 and `discriminant` on K_3..K_8, K_4*..K_6*
+and R10, every `hkit check` and `hkit gale` report on the whole corpus and
+every `hkit reconstruct` and `hkit round-trip` report on its divisors stays
+byte-identical apart from timing. A deliberate change to those reports (a
+schema bump, a new field) updates these values in the same change."""
 
 import importlib.util
 import os
@@ -57,4 +58,30 @@ def test_circuit_digests():
     )
     assert report_digest.digest("round-trip", divisors) == (
         "4509ca3b54c22bdbb7912e7ad4f1b766efefc2e56d03033cc4741888e9887482"
+    )
+
+
+def test_discriminant_digests():
+    # the only report that serializes f_locus's points and directions
+    valid = [report_digest.matrix_json(H.B) for H in valid_hypertoric(corpus_matrices())]
+    km = [report_digest.matrix_json(complete_graph(m)) for m in report_digest.KM["discriminant"]]
+    regular = [report_digest.matrix_json(B) for B in report_digest.regular_matrices()]
+    assert (len(valid), len(km), len(regular)) == (1104, 6, 4)
+    assert report_digest.digest("discriminant", valid) == (
+        "6e3fced05824461c92dead5407969be470201c4b360c4254d60b9c92dddddfb9"
+    )
+    assert report_digest.digest("discriminant", km) == (
+        "bda933a91026f65684e0ee2945fe5b2625b89a5d1b65cb7d9e3bea86adcb2272"
+    )
+    assert report_digest.digest("discriminant", regular) == (
+        "7241d984fdfaaf0eaf462e727ce20c8d53bfd97a38c49659fb931c3bc7e3f281"
+    )
+
+
+def test_reconstruct_digest():
+    found = map(divisor_of, corpus_matrices())
+    divisors = [report_digest.divisor_json(d) for d in found if d is not None]
+    assert len(divisors) == 5687
+    assert report_digest.digest("reconstruct", divisors) == (
+        "d9e98a8e7170100ebb9d81d0ecb44bd792bbe8adb5b2ee04356e71b72e9b08a5"
     )

@@ -13,6 +13,9 @@ corpus has no presentation with more than a few dozen relations, K_5's has
 K_3..K_7 (affine slices with up to 21 walls; the default line's t = 1 slice
 is simple by construction, so its violation lists are empty, and `deform`
 reads that off the offsets instead of walking the slice's flats).
+`discriminant-regular` is `discriminant` on the non-graphic regular
+matroids K_4*, K_5*, K_6* (the cographic matrices of K_4..K_6; K_6* has
+13651 flats) and R10.
 Each report is hashed with its exit status, after dropping every line that
 contains "timing_ms", so a digest changes exactly when some report changes
 apart from its timing. Run it on two
@@ -35,13 +38,25 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from corpus import complete_graph, corpus_matrices, divisor_of, valid_hypertoric  # noqa: E402
+from corpus import (  # noqa: E402
+    cographic,
+    complete_graph,
+    corpus_matrices,
+    divisor_of,
+    r10,
+    valid_hypertoric,
+)
 from hkit import cli  # noqa: E402
 
 ALL_MATRICES = ("check", "gale")
 VALID_MATRICES = ("build", "discriminant", "deform")
 DIVISORS = ("reconstruct", "round-trip")
 KM = {"build": (3, 4, 5), "discriminant": (3, 4, 5, 6, 7, 8), "deform": (3, 4, 5, 6, 7)}
+
+
+def regular_matrices():
+    """K_4*, K_5*, K_6* and R10."""
+    return [cographic(m) for m in (4, 5, 6)] + [r10()]
 
 
 def report(command, payload):
@@ -82,6 +97,8 @@ def main():
     for command, ms in KM.items():
         km = [matrix_json(complete_graph(m)) for m in ms]
         print(f"{command}-km {len(km)} {digest(command, km)}")
+    regular = [matrix_json(B) for B in regular_matrices()]
+    print(f"discriminant-regular {len(regular)} {digest('discriminant', regular)}")
 
 
 if __name__ == "__main__":
