@@ -3,8 +3,16 @@ multiplicities, stabilizer ranks at points, multi-incidence flats, and the
 simplicity conditions for affine slices.
 
 Arrangements are central (all offsets 0) for the discriminant of a matrix B,
-or affine for slices of a deformation family. All arithmetic is exact
-(int normals, Fraction offsets); parallel walls are detected up to sign.
+or affine for slices of a deformation family. All arithmetic is exact:
+normals are int tuples and every offset is a Fraction. Walls are grouped in
+one place, `_parallel_classes`, on int keys, so no offset is hashed: a
+central wall by its canonical normal (parallel rows up to sign), an affine
+one by (canonical normal, offset numerator, offset denominator). Only
+`group_hyperplanes` checks its walls (int entries, primitive normals).
+`build_discriminant` checks B's rows once with `check_primitive_rows`, and
+`HypertoricData.from_matrix` groups them the same way for `groups`;
+`localmodel.family_slice` takes those checked groups as they are, and its
+t = 0 slice is `groups` with one shared zero offset.
 
 Flats come from one engine that closes the intersection lattice cover by
 cover (Orlik and Terao, Arrangements of Hyperplanes, ch. 2), so the F-locus
@@ -57,6 +65,21 @@ class Kind(Enum):
     SECOND_KIND = "second"
 
 
+def _checked(normal, offset):
+    """(canonical normal, offset flipped with it) of <normal, eta> = offset,
+    after checking that normal has int entries and is primitive."""
+    normal = tuple(normal)
+    if set(map(type, normal)) - {int}:  # bool is not int
+        raise ValueError(f"normal must have int entries, got {normal!r}")
+    if not is_primitive(normal):
+        raise ValueError(f"normal {list(normal)} is not primitive")
+    offset = Fraction(offset)
+    flipped = canonical_sign(normal)
+    if flipped != normal:
+        offset = -offset
+    return flipped, offset
+
+
 @dataclass(frozen=True, order=True)
 class Hyperplane:
     """The affine hyperplane <normal, eta> = offset, in canonical form:
@@ -67,16 +90,7 @@ class Hyperplane:
 
     @classmethod
     def canonical(cls, normal, offset=Fraction(0)):
-        normal = tuple(normal)
-        if set(map(type, normal)) - {int}:  # bool is not int
-            raise ValueError(f"normal must have int entries, got {normal!r}")
-        if not is_primitive(normal):
-            raise ValueError(f"normal {list(normal)} is not primitive")
-        offset = Fraction(offset)
-        flipped = canonical_sign(normal)
-        if flipped != normal:
-            offset = -offset
-        return cls(normal=flipped, offset=offset)
+        return cls(*_checked(normal, offset))
 
     def contains(self, point):
         if len(point) != len(self.normal):
@@ -95,7 +109,9 @@ class ArrangementComponent:
 
 @dataclass(frozen=True)
 class ArrangementSpec:
-    """Distinct hyperplanes with multiplicities, sorted canonically."""
+    """Distinct hyperplanes with multiplicities, sorted canonically. Two
+    hyperplanes are the same when their normals and the numerators and
+    denominators of their offsets are."""
 
     n: int
     components: tuple
@@ -103,13 +119,15 @@ class ArrangementSpec:
     def __post_init__(self):
         seen = set()
         for comp in self.components:
+            h = comp.hyperplane
             if comp.multiplicity < 1:
                 raise ValueError("multiplicity below 1")
-            if len(comp.hyperplane.normal) != self.n:
+            if len(h.normal) != self.n:
                 raise DimensionMismatch("component dimension differs from ambient n")
-            if comp.hyperplane in seen:
-                raise ValueError(f"duplicate hyperplane {comp.hyperplane}")
-            seen.add(comp.hyperplane)
+            key = (h.normal, h.offset.numerator, h.offset.denominator)
+            if key in seen:
+                raise ValueError(f"duplicate hyperplane {h}")
+            seen.add(key)
 
     def __len__(self):
         return len(self.components)
@@ -128,28 +146,65 @@ def _kind_from_multiplicity(mult):
     return Kind.FIRST_KIND if mult >= 2 else Kind.SECOND_KIND
 
 
+ZERO = Fraction(0)
+
+
+def _parallel_classes(keys):
+    """{key: [index, ...]} of equal keys, indices ascending, keys in the
+    order they first occur: the one grouping of parallel walls."""
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    return classes
+
+
+def _row_classes(B):
+    """B's rows grouped by canonical normal: sorted (normal, ascending row
+    indices) pairs, as `HypertoricData.groups` keeps them."""
+    classes = _parallel_classes(map(canonical_sign, B.data))
+    return tuple(sorted((normal, tuple(rows)) for normal, rows in classes.items()))
+
+
+def _spec(n, classes):
+    """The ArrangementSpec of sorted, distinct (normal, offset,
+    multiplicity) classes."""
+    return ArrangementSpec(n=n, components=tuple(
+        ArrangementComponent(Hyperplane(normal, offset), m, _kind_from_multiplicity(m))
+        for normal, offset, m in classes
+    ))
+
+
+def _central(n, groups):
+    """The central arrangement of sorted (normal, rows) classes: offsets 0,
+    one shared Fraction, and multiplicity the class size."""
+    return _spec(n, [(normal, ZERO, len(rows)) for normal, rows in groups])
+
+
+def _affine(n, walls):
+    """The arrangement of walls that are already checked: a list of
+    (canonical normal, Fraction offset) pairs. Walls group on the int key
+    (normal, offset numerator, offset denominator), so no offset is hashed,
+    and the distinct classes are sorted once."""
+    classes = _parallel_classes((b, c.numerator, c.denominator) for b, c in walls)
+    return _spec(n, sorted(walls[ix[0]] + (len(ix),) for ix in classes.values()))
+
+
 def group_hyperplanes(n, pairs):
     """Build an ArrangementSpec from (normal, offset) pairs.
 
-    Pairs with equal canonical hyperplane are merged into one component whose
-    multiplicity is the group size. Kind is multiplicity >= 2 -> first kind.
+    Each normal must have int entries and be primitive (ValueError
+    otherwise). Pairs with equal canonical hyperplane are merged into one
+    component whose multiplicity is the group size. Kind is multiplicity
+    >= 2 -> first kind.
     """
-    counts = {}
-    for normal, offset in pairs:
-        h = Hyperplane.canonical(normal, offset)
-        counts[h] = counts.get(h, 0) + 1
-    comps = tuple(
-        ArrangementComponent(h, m, _kind_from_multiplicity(m))
-        for h, m in sorted(counts.items())
-    )
-    return ArrangementSpec(n=n, components=comps)
+    return _affine(n, [_checked(normal, offset) for normal, offset in pairs])
 
 
 def build_discriminant(B: IntMatrix) -> ArrangementSpec:
     """Central discriminant arrangement of B: one wall per parallel class of
     rows (up to sign), multiplicity = class size."""
     check_primitive_rows(B)
-    return group_hyperplanes(B.cols, ((B.row(i), Fraction(0)) for i in range(B.rows)))
+    return _central(B.cols, _row_classes(B))
 
 
 def stabilizer_rank(arr: ArrangementSpec, eta):

@@ -7,9 +7,8 @@ divisor as a multiset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .arrangement import ArrangementSpec, build_discriminant
+from .arrangement import ZERO, ArrangementSpec, build_discriminant
 from .errors import CaseRejected, NonPrimitiveRow
 from .intmat import (
     IntMatrix, _Forms, canonical_sign, check_primitive_rows, is_primitive, is_unimodular,
@@ -49,9 +48,7 @@ class DivisorData:
         return cls(n=n, entries=entries)
 
     def wall_multiset(self):
-        return tuple(
-            sorted((normal, Fraction(0), mult) for normal, mult in self.entries)
-        )
+        return tuple(sorted((normal, ZERO, mult) for normal, mult in self.entries))
 
 
 def reconstruct_B(d: DivisorData) -> IntMatrix:

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import _kind_from_multiplicity
+from .arrangement import _kind_from_multiplicity, _row_classes
 from .errors import BudgetExceeded, DimensionMismatch, NotUnimodular
-from .intmat import IntMatrix, _gale, canonical_sign, check_primitive_rows, circuits, rank
+from .intmat import IntMatrix, _gale, check_primitive_rows, circuits, rank
 
 DEFAULT_CANDIDATE_BUDGET = 10**5
 
@@ -43,11 +43,7 @@ class HypertoricData:
         forms = _gale(B)  # raises NotInjective / TorsionCokernel
         if not forms.unimodularity():
             raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
-        classes = {}
-        for i in range(B.rows):
-            classes.setdefault(canonical_sign(B.row(i)), []).append(i)
-        groups = tuple((normal, tuple(rows)) for normal, rows in sorted(classes.items()))
-        return cls(B=B, A=forms.kernel(), N=B.rows, n=B.cols, groups=groups,
+        return cls(B=B, A=forms.kernel(), N=B.rows, n=B.cols, groups=_row_classes(B),
                    basis_rows=tuple(forms.pivots))
 
 

@@ -141,18 +141,15 @@ class IntMatrix:
 # -- vectors ----------------------------------------------------------------
 
 
-def vec_gcd(v):
-    return gcd(*v)
-
-
 def is_primitive(v):
-    """True iff v is nonzero with coordinate gcd 1."""
-    return any(x != 0 for x in v) and vec_gcd(v) == 1
+    """True iff v is nonzero with coordinate gcd 1; the gcd of a zero or
+    empty vector is 0."""
+    return gcd(*v) == 1
 
 
 def primitive_part(v):
     """v divided by its content; zero vectors are returned unchanged."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g == 0:
         return tuple(v)
     return tuple(x // g for x in v)
@@ -164,12 +161,19 @@ def canonical_sign(v):
         if x > 0:
             return tuple(v)
         if x < 0:
-            return tuple(-y for y in v)
+            return tuple([-y for y in v])
     return tuple(v)
 
 
 def canonical_primitive(v):
-    return canonical_sign(primitive_part(v))
+    """canonical_sign(primitive_part(v)) in one pass: v divided by its
+    content, negated when its first nonzero entry is negative."""
+    g = gcd(*v)
+    if not g:
+        return tuple(v)
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple([x // g for x in v])
 
 
 def non_primitive_rows(B):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .arrangement import ArrangementSpec, SimplicityReport, check_simplicity, group_hyperplanes
+from .arrangement import ArrangementSpec, SimplicityReport, _affine, _central, check_simplicity
 from .errors import ArityMismatch, DuplicateShift, NotABasis
 from .hypertoric import HypertoricData
 from .intmat import IntMatrix, det
@@ -201,11 +201,20 @@ class GenericityReport:
 
 
 def family_slice(H: HypertoricData, line: DeformationLine, t) -> ArrangementSpec:
-    """The arrangement <b_i, eta> = t lambda_i at a fixed parameter value."""
+    """The arrangement <b_i, eta> = t lambda_i at a fixed parameter value.
+    Validation checked B's rows and grouped them in `H.groups`, so t = 0 is
+    those classes with offset 0, and otherwise each row's offset flips with
+    its normal when the row is not its class's canonical normal."""
     t = Fraction(t)
-    return group_hyperplanes(
-        H.n, ((H.B.row(i), t * line.offsets[i]) for i in range(H.N))
-    )
+    if not t:
+        return _central(H.n, H.groups)
+    rows, offsets, flipped = H.B.data, line.offsets, -t
+    walls = [
+        (normal, (t if rows[i] == normal else flipped) * offsets[i])
+        for normal, members in H.groups
+        for i in members
+    ]
+    return _affine(H.n, walls)
 
 
 def simple_by_construction(H: HypertoricData, line: DeformationLine) -> bool:

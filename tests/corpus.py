@@ -105,6 +105,19 @@ def r10():
     return IntMatrix([[int(i == j) for j in range(5)] for i in range(5)] + circulant, cols=5)
 
 
+def graphic_rows(rng, vertices, extra):
+    """A random connected multigraph's rows e_a - e_b, vertex 0's coordinate
+    dropped: a random spanning tree plus extra random edges."""
+    edges = [(rng.randrange(v), v) for v in range(1, vertices)]
+    edges += [tuple(sorted(rng.sample(range(vertices), 2))) for _ in range(extra)]
+    rows = []
+    for a, b in edges:
+        row = [0] * vertices
+        row[a], row[b] = 1, -1
+        rows.append(row[1:])
+    return rows
+
+
 def divisor_of(B):
     """B's rows as divisor data (parallel rows merged), or None when a row is
     not primitive."""

@@ -29,7 +29,11 @@ relation search by fibers is how `presentation` found its relations before
 it paired disjoint multisets as they arrived in a fiber: a recursive
 enumeration of every multiset with its exponent pair as two tuples, then
 every two members of each fiber with their common part cancelled. The
-enumerations are exponential; all of these serve only as test references.
+Fraction-keyed grouping is how `group_hyperplanes`, `build_discriminant` and
+`family_slice` grouped walls before they keyed them on ints: one checked
+Hyperplane per wall, hashed in a dict and sorted by its dataclass order.
+The enumerations are exponential; all of these serve only as test
+references.
 """
 
 import itertools
@@ -37,9 +41,12 @@ from fractions import Fraction
 from math import comb, lcm
 
 from hkit.arrangement import (
+    ArrangementComponent,
     ArrangementSpec,
     FlatDescriptor,
+    Hyperplane,
     SimplicityReport,
+    _kind_from_multiplicity,
     _pivot,
     _wall_row,
     build_discriminant,
@@ -68,6 +75,7 @@ from hkit.intmat import (
     _Forms,
     canonical_primitive,
     canonical_sign,
+    check_primitive_rows,
     det,
     is_primitive,
     kernel_basis,
@@ -820,6 +828,56 @@ def relations_by_fibers(gens, cap, budget):
             if left and right:
                 relations.add((left, right) if left <= right else (right, left))
     return sorted(relations)
+
+
+# -- grouping by Fraction-keyed hyperplanes ---------------------------------------
+
+
+def _canonical_by_fractions(normal, offset=Fraction(0)):
+    """Hyperplane.canonical as it was: the checks, then the offset as a
+    Fraction, flipped with the normal."""
+    normal = tuple(normal)
+    if set(map(type, normal)) - {int}:  # bool is not int
+        raise ValueError(f"normal must have int entries, got {normal!r}")
+    if not is_primitive(normal):
+        raise ValueError(f"normal {list(normal)} is not primitive")
+    offset = Fraction(offset)
+    flipped = canonical_sign(normal)
+    if flipped != normal:
+        offset = -offset
+    return Hyperplane(normal=flipped, offset=offset)
+
+
+def group_hyperplanes_by_fractions(n, pairs):
+    """Build an ArrangementSpec from (normal, offset) pairs.
+
+    Pairs with equal canonical hyperplane are merged into one component whose
+    multiplicity is the group size. Kind is multiplicity >= 2 -> first kind.
+    """
+    counts = {}
+    for normal, offset in pairs:
+        h = _canonical_by_fractions(normal, offset)
+        counts[h] = counts.get(h, 0) + 1
+    comps = tuple(
+        ArrangementComponent(h, m, _kind_from_multiplicity(m))
+        for h, m in sorted(counts.items())
+    )
+    return ArrangementSpec(n=n, components=comps)
+
+
+def build_discriminant_by_fractions(B):
+    """build_discriminant through the Fraction-keyed grouping."""
+    check_primitive_rows(B)
+    return group_hyperplanes_by_fractions(B.cols, ((B.row(i), Fraction(0)) for i in range(B.rows)))
+
+
+def family_slice_by_fractions(H, line, t):
+    """family_slice through the Fraction-keyed grouping, every row checked
+    again."""
+    t = Fraction(t)
+    return group_hyperplanes_by_fractions(
+        H.n, ((H.B.row(i), t * line.offsets[i]) for i in range(H.N))
+    )
 
 
 # -- deterministic generic points -------------------------------------------------

@@ -5,7 +5,9 @@ from math import gcd
 
 import pytest
 
-from corpus import cographic, complete_graph, corpus_matrices, divisor_of, is_valid_matrix, r10
+from corpus import (
+    cographic, complete_graph, corpus_matrices, divisor_of, graphic_rows, is_valid_matrix, r10,
+)
 from hkit import arrangement, intmat
 from hkit.characterization import DivisorData, classify_case, round_trip
 from hkit.errors import HkitError, NotInjective, NotUnimodular, TorsionCokernel
@@ -21,6 +23,7 @@ from hkit.intmat import (
     is_primitive,
     is_unimodular,
     kernel_basis,
+    primitive_part,
     rank,
     smith_normal_form,
     unimodularity_report,
@@ -102,6 +105,20 @@ class TestVectors:
 
     def test_canonical_primitive(self):
         assert canonical_primitive((-2, 4)) == (1, -2)
+
+    def test_is_primitive_matches_nonzero_and_gcd_one(self):
+        # one gcd call: the gcd of a zero or empty vector is 0, not 1
+        vectors = [(), *((x,) for x in range(-3, 4)), *itertools.product(range(-3, 4), repeat=3)]
+        for v in vectors:
+            assert is_primitive(v) == (any(x != 0 for x in v) and gcd(*v) == 1), v
+
+    def test_canonical_primitive_matches_two_passes(self):
+        vectors = [*itertools.product(range(-4, 5), repeat=3), *itertools.product(range(-2, 3), repeat=4)]
+        assert (0, 0, 0) in vectors and (0, 0, 0, 0) in vectors
+        for v in vectors:
+            expected = canonical_sign(primitive_part(v))
+            assert canonical_primitive(v) == expected, v
+            assert canonical_primitive(list(v)) == expected, v
 
 
 class TestHermite:
@@ -273,19 +290,6 @@ class TestUnimodular:
             det(IntMatrix([M.row(i), M.row(j)]))
             for i, j in itertools.combinations(range(4), 2)
         )
-
-
-def graphic_rows(rng, vertices, extra):
-    """A random connected multigraph's rows e_a - e_b, vertex 0's coordinate
-    dropped: a random spanning tree plus extra random edges."""
-    edges = [(rng.randrange(v), v) for v in range(1, vertices)]
-    edges += [tuple(sorted(rng.sample(range(vertices), 2))) for _ in range(extra)]
-    rows = []
-    for a, b in edges:
-        row = [0] * vertices
-        row[a], row[b] = 1, -1
-        rows.append(row[1:])
-    return rows
 
 
 def graphic_with_planted_row(rng, vertices, extra):

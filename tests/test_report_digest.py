@@ -3,7 +3,8 @@ build` and `hkit discriminant` report on the valid corpus matrices, `deform`
 on K_3..K_7, `build` on K_3..K_5 and `discriminant` on K_3..K_8, K_4*..K_6*
 and R10, every `hkit check` and `hkit gale` report on the whole corpus and
 every `hkit reconstruct` and `hkit round-trip` report on its divisors stays
-byte-identical apart from timing. A deliberate change to those reports (a
+byte-identical apart from timing, and so does the repr of every valid
+corpus matrix's t = 0 and t = 1 slices. A deliberate change to those reports (a
 schema bump, a new field) updates these values in the same change."""
 
 import importlib.util
@@ -75,6 +76,17 @@ def test_discriminant_digests():
     )
     assert report_digest.digest("discriminant", regular) == (
         "7241d984fdfaaf0eaf462e727ce20c8d53bfd97a38c49659fb931c3bc7e3f281"
+    )
+
+
+def test_slices_digest():
+    # the repr of family_slice at t = 0 and t = 1 on every valid corpus
+    # matrix's default line: walls, offsets with their type, multiplicities,
+    # kinds and order
+    valid = list(valid_hypertoric(corpus_matrices()))
+    assert len(valid) == 1104
+    assert report_digest.slices_digest(valid) == (
+        "a0cbab5448d075c08d8853cacc5748c5334d6ec5bef6f748a8ea133c16510995"
     )
 
 

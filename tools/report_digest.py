@@ -15,7 +15,10 @@ is simple by construction, so its violation lists are empty, and `deform`
 reads that off the offsets instead of walking the slice's flats).
 `discriminant-regular` is `discriminant` on the non-graphic regular
 matroids K_4*, K_5*, K_6* (the cographic matrices of K_4..K_6; K_6* has
-13651 flats) and R10.
+13651 flats) and R10. `slices` is not a report: it hashes the repr of
+`family_slice` at t = 0 and t = 1 on the default line of every valid corpus
+matrix, so the walls, offsets (with their type), multiplicities, kinds and
+order of every slice stay the same.
 Each report is hashed with its exit status, after dropping every line that
 contains "timing_ms", so a digest changes exactly when some report changes
 apart from its timing. Run it on two
@@ -46,7 +49,7 @@ from corpus import (  # noqa: E402
     r10,
     valid_hypertoric,
 )
-from hkit import cli  # noqa: E402
+from hkit import cli, localmodel  # noqa: E402
 
 ALL_MATRICES = ("check", "gale")
 VALID_MATRICES = ("build", "discriminant", "deform")
@@ -76,6 +79,17 @@ def digest(command, payloads):
     return h.hexdigest()
 
 
+def slices_digest(hypertorics):
+    """sha256 of the repr of the t = 0 and t = 1 slices of each bundle's
+    default deformation line."""
+    h = hashlib.sha256()
+    for H in hypertorics:
+        line = localmodel.choose_deformation_line(H)
+        for t in (0, 1):
+            h.update(f"{localmodel.family_slice(H, line, t)!r}\n".encode())
+    return h.hexdigest()
+
+
 def matrix_json(B):
     return {"rows": B.row_list(), "cols": B.cols}
 
@@ -86,9 +100,10 @@ def divisor_json(d):
 
 def main():
     matrices = list(corpus_matrices())
+    valid = list(valid_hypertoric(matrices))
     groups = (
         (ALL_MATRICES, [matrix_json(B) for B in matrices]),
-        (VALID_MATRICES, [matrix_json(H.B) for H in valid_hypertoric(matrices)]),
+        (VALID_MATRICES, [matrix_json(H.B) for H in valid]),
         (DIVISORS, [divisor_json(d) for d in map(divisor_of, matrices) if d is not None]),
     )
     for commands, payloads in groups:
@@ -99,6 +114,7 @@ def main():
         print(f"{command}-km {len(km)} {digest(command, km)}")
     regular = [matrix_json(B) for B in regular_matrices()]
     print(f"discriminant-regular {len(regular)} {digest('discriminant', regular)}")
+    print(f"slices {len(valid)} {slices_digest(valid)}")
 
 
 if __name__ == "__main__":
