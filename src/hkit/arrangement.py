@@ -18,20 +18,12 @@ Flats come from one engine that closes the intersection lattice cover by
 cover (Orlik and Terao, Arrangements of Hyperplanes, ch. 2), so the F-locus
 is complete for any number of walls and the simplicity conditions are read
 off the flats instead of scanning wall subsets. The closure is a depth-first
-search, and each flat is expanded once. A flat keeps the residuals of the
-walls against its echelon basis, and a new flat's residuals come from its
-parent's in one reduction step against its one new row; that is exact
-because the residual is the unique primitive vector of span(wall, basis)
-that is zero on the basis's pivot columns. A central arrangement's rows
-leave out the offset column, which would stay 0. A flat's direction, the
-HNF of its saturated direction lattice, comes from its parent's in one
-elimination step as well: with unit pivots, and s = D r for the parent's
-HNF rows D and the new row r, the last nonzero s_i = +-1 lets row i go and
-clears r from the rows before it, which keeps an HNF with unit pivots of
-the cut lattice (Schrijver 1986, ch. 4: the HNF is unique, so this is
-`kernel_basis` of the flat's normals). Any other flat falls back to
-`kernel_basis`; `_flats` has the proof. Only `f_locus` asks for
-directions; `check_simplicity` walks the same search without them.
+search, and each flat is expanded once. A new flat's wall residuals and its
+direction come from its parent's in one step each, with `kernel_basis` as
+the fallback for a direction; `_flats` has both proofs. A central
+arrangement's rows leave out the offset column, which would stay 0. Only
+`f_locus` asks for directions; `check_simplicity` walks the same search
+without them.
 Points come from integer back-substitution over one common denominator.
 The lines of the central arrangement of B's rows match the circuits of B's
 column lattice, but those come from `intmat.circuits`, the enumerator that
@@ -40,11 +32,11 @@ decides unimodularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .errors import DimensionMismatch
 from .intmat import (
@@ -80,8 +72,7 @@ def _checked(normal, offset):
     return flipped, offset
 
 
-@dataclass(frozen=True, order=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """The affine hyperplane <normal, eta> = offset, in canonical form:
     normal primitive with positive leading entry (offset flips with it)."""
 
@@ -100,34 +91,43 @@ class Hyperplane:
         return sum(Fraction(x) * b for x, b in zip(point, self.normal)) == self.offset
 
 
-@dataclass(frozen=True)
-class ArrangementComponent:
+class ArrangementComponent(NamedTuple):
     hyperplane: Hyperplane
     multiplicity: int
     kind: Kind
 
 
-@dataclass(frozen=True)
-class ArrangementSpec:
-    """Distinct hyperplanes with multiplicities, sorted canonically. Two
-    hyperplanes are the same when their normals and the numerators and
-    denominators of their offsets are."""
-
+class _ArrangementFields(NamedTuple):
     n: int
     components: tuple
 
-    def __post_init__(self):
+
+class ArrangementSpec(_ArrangementFields):
+    """Distinct hyperplanes with multiplicities, sorted canonically. Two
+    hyperplanes are the same when their normals and the numerators and
+    denominators of their offsets are. Its length is the number of
+    components."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, components):
         seen = set()
-        for comp in self.components:
+        for comp in components:
             h = comp.hyperplane
             if comp.multiplicity < 1:
                 raise ValueError("multiplicity below 1")
-            if len(h.normal) != self.n:
+            if len(h.normal) != n:
                 raise DimensionMismatch("component dimension differs from ambient n")
             key = (h.normal, h.offset.numerator, h.offset.denominator)
             if key in seen:
                 raise ValueError(f"duplicate hyperplane {h}")
             seen.add(key)
+        return super().__new__(cls, n, components)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the field tuple's _make checks the length, which __len__ redefines
+        return cls(*iterable)
 
     def __len__(self):
         return len(self.components)
@@ -384,8 +384,7 @@ def _point_of(basis, n):
     return tuple(Fraction(v, d) for v in x)
 
 
-@dataclass(frozen=True)
-class FlatDescriptor:
+class FlatDescriptor(NamedTuple):
     """A multi-incidence flat: the common intersection of >= 2 walls."""
 
     members: frozenset
@@ -430,15 +429,14 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
     return FlatList(flat for _, flat in found)
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(NamedTuple):
     """The two affine-slice conditions: (a) no n+1 walls meet, and (b) the
     normals of every meeting subset extend to a Z-basis."""
 
     no_excess_intersections: bool
     normals_extend_to_basis: bool
-    violations_a: tuple = field(default_factory=tuple)
-    violations_b: tuple = field(default_factory=tuple)
+    violations_a: tuple = ()
+    violations_b: tuple = ()
 
     @property
     def simple(self):

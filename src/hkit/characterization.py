@@ -6,9 +6,9 @@ divisor as a multiset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .arrangement import ZERO, ArrangementSpec, build_discriminant
+from .arrangement import ZERO, ArrangementSpec, _central, _row_classes
 from .errors import CaseRejected, NonPrimitiveRow
 from .intmat import (
     IntMatrix, _Forms, canonical_sign, check_primitive_rows, is_primitive, is_unimodular,
@@ -19,8 +19,7 @@ HYPERTORIC = "hypertoric"
 REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class DivisorData:
+class DivisorData(NamedTuple):
     """Weighted walls m_1 H_1 + ... + m_k H_k + H_{k+1} + ... + H_r: pairwise
     non-parallel primitive normals with multiplicities."""
 
@@ -60,8 +59,7 @@ def reconstruct_B(d: DivisorData) -> IntMatrix:
     return IntMatrix(rows, cols=d.n)
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(NamedTuple):
     """Case split for matrix data: smooth affine space exactly for square
     unimodular B, rejected exactly for rank-deficient B, hypertoric otherwise.
     The diagnostic flags record the extra hypotheses a symplectic-resolution
@@ -103,8 +101,7 @@ def _classify(B):
     ), forms
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(NamedTuple):
     divisor: DivisorData
     B: IntMatrix
     A: IntMatrix
@@ -113,7 +110,7 @@ class RoundTripReport:
     unimodular_A: bool
     discriminant: ArrangementSpec
     equal: bool
-    warnings: tuple = field(default_factory=tuple)
+    warnings: tuple = ()
 
 
 def round_trip(d: DivisorData) -> RoundTripReport:
@@ -150,7 +147,9 @@ def round_trip(d: DivisorData) -> RoundTripReport:
     if not unimodular_B:
         warnings.append("B is not unimodular: no symplectic resolution hypothesis")
 
-    disc = build_discriminant(B)
+    # _classify checked B's rows, so this is build_discriminant(B) without
+    # a second check_primitive_rows
+    disc = _central(B.cols, _row_classes(B))
     equal = disc.wall_multiset() == d.wall_multiset()
     return RoundTripReport(
         divisor=d,

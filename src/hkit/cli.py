@@ -15,8 +15,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import localmodel
 from .arrangement import build_discriminant, f_locus
@@ -36,8 +36,7 @@ from .plot import plot_arrangement
 SCHEMA_VERSION = 2
 
 
-@dataclass
-class JobSpec:
+class JobSpec(NamedTuple):
     command: str
     input_source: str
     output_path: str = None

@@ -14,8 +14,8 @@ same enumerator that decided unimodularity in validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arrangement import _kind_from_multiplicity, _row_classes
 from .errors import BudgetExceeded, DimensionMismatch, NotUnimodular
@@ -24,8 +24,7 @@ from .intmat import IntMatrix, _gale, check_primitive_rows, circuits, rank
 DEFAULT_CANDIDATE_BUDGET = 10**5
 
 
-@dataclass(frozen=True)
-class HypertoricData:
+class HypertoricData(NamedTuple):
     """Validated bundle (B, A) with the parallel-class grouping of B's rows
     and the pivots of the HNF of B^T. The pivots are all 1 for valid B, so
     they are the lexicographically first rows that form a Z-basis of Z^n."""
@@ -47,8 +46,7 @@ class HypertoricData:
                    basis_rows=tuple(forms.pivots))
 
 
-@dataclass(frozen=True, order=True)
-class MonomialGen:
+class MonomialGen(NamedTuple):
     """Invariant monomial z^u w^v as the exponent pair (u, v)."""
 
     u: tuple
@@ -124,8 +122,7 @@ def coordinate_dimension(H: HypertoricData, basis=None):
 # -- presentation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SClass:
+class SClass(NamedTuple):
     """One class of quadratic generators s_i = z_i w_i modulo the moment
     relations: members share a parallel row of B; sign -1 marks members whose
     row is opposite to the canonical representative."""
@@ -135,8 +132,7 @@ class SClass:
     signs: tuple
 
 
-@dataclass(frozen=True)
-class ReducedPresentation:
+class ReducedPresentation(NamedTuple):
     """Presentation after killing the moment relations: one symbol per s-class,
     relations rewritten accordingly. sign is the scalar relating the two sides."""
 
@@ -149,8 +145,7 @@ class ReducedPresentation:
         return len(self.pure_generators) + len(self.s_classes)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     generators: tuple
     moment_rows: IntMatrix
     binomial_relations: tuple  # pairs of sorted generator-index tuples
@@ -279,8 +274,7 @@ def _reduce_presentation(H, gens, relations):
 # -- leaves ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeafDescriptor:
+class LeafDescriptor(NamedTuple):
     group_id: int
     normal: tuple
     multiplicity: int

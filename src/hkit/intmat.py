@@ -27,9 +27,9 @@ concurrently. No floating point anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .errors import NonPrimitiveRow, NotInjective, NotUnimodular, TorsionCokernel
 
@@ -259,8 +259,7 @@ def _unit(H, pivots):
     return all(H[i][c] == 1 for i, c in enumerate(pivots))
 
 
-@dataclass(frozen=True)
-class SmithResult:
+class SmithResult(NamedTuple):
     """U @ M @ V = S with S diagonal and successive divisibility."""
 
     S: IntMatrix

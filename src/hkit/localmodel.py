@@ -15,9 +15,9 @@ symmetric function of the shifts. No symbolic-algebra dependency needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .arrangement import ArrangementSpec, SimplicityReport, _affine, _central, check_simplicity
 from .errors import ArityMismatch, DuplicateShift, NotABasis
@@ -36,8 +36,7 @@ def _elementary_symmetric(values):
     return coeffs
 
 
-@dataclass(frozen=True)
-class LocalModel:
+class LocalModel(NamedTuple):
     """Central model around a multiplicity-m leaf in ambient torus rank n."""
 
     m: int
@@ -78,8 +77,7 @@ def local_model(leaf, n: int) -> LocalModel:
     return LocalModel(m=m, n=n)
 
 
-@dataclass(frozen=True)
-class DeformedLocalModel:
+class DeformedLocalModel(NamedTuple):
     """x1' x2' = prod_i (x3 + a_i t) with pairwise distinct shifts a_i."""
 
     m: int
@@ -125,8 +123,7 @@ def deform_local_model(model: LocalModel, shifts) -> DeformedLocalModel:
 # -- deformation lines ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeformationLine:
+class DeformationLine(NamedTuple):
     """Offsets lambda_i of the family <b_i, eta> = t lambda_i, normalized to
     vanish on a chosen Z-basis of rows; direction is the induced line in the
     (N-n)-dimensional deformation base. `adjusted` is True when the line
@@ -181,8 +178,7 @@ def choose_deformation_line(H: HypertoricData, basis_rows=None):
     )
 
 
-@dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(NamedTuple):
     """(a) the N hyperplanes <b_i, eta> = t lambda_i have no common point for
     t != 0; (b) the t = 0 slice degenerates onto the central discriminant;
     (c) the non-basis offsets are not all zero when N > n."""

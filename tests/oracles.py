@@ -31,7 +31,7 @@ enumeration of every multiset with its exponent pair as two tuples, then
 every two members of each fiber with their common part cancelled. The
 Fraction-keyed grouping is how `group_hyperplanes`, `build_discriminant` and
 `family_slice` grouped walls before they keyed them on ints: one checked
-Hyperplane per wall, hashed in a dict and sorted by its dataclass order.
+Hyperplane per wall, hashed in a dict and sorted by its field order.
 The enumerations are exponential; all of these serve only as test
 references.
 """

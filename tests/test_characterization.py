@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from hkit import arrangement, characterization
+from hkit.arrangement import build_discriminant
 from hkit.characterization import (
     HYPERTORIC,
     REJECTED,
@@ -13,7 +15,7 @@ from hkit.characterization import (
     round_trip,
 )
 from hkit.errors import CaseRejected, NonPrimitiveRow
-from hkit.intmat import IntMatrix, canonical_primitive, det, is_unimodular
+from hkit.intmat import IntMatrix, canonical_primitive, check_primitive_rows, det, is_unimodular
 
 
 class TestDivisorData:
@@ -120,6 +122,39 @@ class TestRoundTrip:
         d = DivisorData.make(2, [((1, 0), 2)])
         with pytest.raises(CaseRejected):
             round_trip(d)
+
+    def test_checks_rebuilt_rows_once(self, monkeypatch):
+        calls = []
+
+        def counted(B):
+            calls.append(B)
+            return check_primitive_rows(B)
+
+        monkeypatch.setattr(arrangement, "check_primitive_rows", counted)
+        monkeypatch.setattr(characterization, "check_primitive_rows", counted)
+        d = DivisorData.make(2, [((1, 0), 2), ((0, 1), 1), ((1, 1), 1)])
+        rep = round_trip(d)
+        assert len(calls) == 1
+        assert rep.equal
+        assert rep.discriminant == build_discriminant(rep.B)
+        assert rep.discriminant.wall_multiset() == d.wall_multiset()
+
+    def test_discriminant_is_build_discriminant(self):
+        rng = random.Random(79)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            walls = {}
+            for _ in range(rng.randint(n, 5)):
+                v = (0,) * n
+                while v == (0,) * n:
+                    v = tuple(rng.randint(-2, 2) for _ in range(n))
+                walls[canonical_primitive(v)] = rng.randint(1, 3)
+            d = DivisorData.make(n, list(walls.items()))
+            if classify_case(reconstruct_B(d)).case == REJECTED:
+                continue
+            rep = round_trip(d)
+            assert rep.discriminant == build_discriminant(rep.B)
+            assert rep.equal
 
     def test_warning_on_torsion(self):
         d = DivisorData.make(2, [((1, 0), 1), ((1, 2), 1), ((1, -2), 1)])
