@@ -16,14 +16,18 @@ t = 0 slice is `groups` with one shared zero offset.
 
 Flats come from one engine that closes the intersection lattice cover by
 cover (Orlik and Terao, Arrangements of Hyperplanes, ch. 2), so the F-locus
-is complete for any number of walls and the simplicity conditions are read
-off the flats instead of scanning wall subsets. The closure is a depth-first
-search, and each flat is expanded once. A new flat's wall residuals and its
+is complete for any number of walls. The closure is a depth-first search,
+and each flat is expanded once. A new flat's wall residuals and its
 direction come from its parent's in one step each, with `kernel_basis` as
 the fallback for a direction; `_flats` has both proofs. A central
 arrangement's rows leave out the offset column, which would stay 0. Only
-`f_locus` asks for directions; `check_simplicity` walks the same search
-without them.
+`f_locus` asks for directions.
+A simple slice is certified from circuits, not flats: when its walls have
+multiplicity 1 and unimodular normals, `check_simplicity` enumerates the
+circuits of the normals' dependencies with `intmat._elementary` and tests
+<c, lambda> != 0 on each (its docstring has the proof). The flat walk runs
+only to list the violations of a slice that is not simple, or when that
+certificate does not apply.
 Points come from integer back-substitution over one common denominator.
 The lines of the central arrangement of B's rows match the circuits of B's
 column lattice, but those come from `intmat.circuits`, the enumerator that
@@ -32,18 +36,21 @@ decides unimodularity.
 
 from __future__ import annotations
 
+from bisect import insort
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch
 from .intmat import (
     IntMatrix,
+    _elementary,
+    _fundamental_rows,
     _hermite,
     _unit,
-    canonical_primitive,
     canonical_sign,
     check_primitive_rows,
     is_primitive,
@@ -232,13 +239,6 @@ def _pivot(row):
     return next(j for j, x in enumerate(row) if x)
 
 
-def _reduce(v, p, row):
-    """One fraction-free step: v, nonzero at row's pivot p, with that entry
-    cleared by row, primitive with first nonzero entry positive."""
-    a, b = row[p], v[p]
-    return canonical_primitive([a * x - b * y for x, y in zip(v, row)])
-
-
 def _rows(arr):
     """The walls' rows for the flat search: the augmented rows (normal,
     offset) of an affine arrangement, and the normals alone of a central
@@ -248,12 +248,22 @@ def _rows(arr):
     return [c.hyperplane.normal for c in arr.components]
 
 
+# _BYTE_BITS[b]: the indices of the set bits of the byte b, ascending; each
+# bit j doubles the table, as b + 2^j has b's bits and then j
+_BYTE_BITS = [()]
+for _j in range(8):
+    _BYTE_BITS += [bits + (_j,) for bits in _BYTE_BITS]
+
+
 def _bits(mask):
-    """The indices of the set bits of mask, ascending."""
-    out = []
+    """The indices of the set bits of mask, ascending: the low byte's from
+    a table, which covers every wall of an arrangement of at most 8, and
+    the rest one bit at a time."""
+    out = list(_BYTE_BITS[mask & 255])
+    mask >>= 8
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        out.append(low.bit_length() + 7)
         mask ^= low
     return out
 
@@ -301,9 +311,11 @@ def _flats(arr, directions=False):
     is parallel to F, and then to every flat inside F, so it is dropped.
 
     The first time a cover G = F ∩ H is reached, its new basis row is the
-    class residual r at pivot q, and each of F's residuals needs one step,
-    `_reduce(res, q, r)`, to become G's: the result lies in span(wall, G's
-    basis) and is zero on G's pivots, and that vector is unique up to scale
+    class residual r at pivot q, and each of F's residuals res needs one
+    fraction-free step to become G's: r_q res - res_q r, made primitive with
+    its first nonzero entry positive (no division when its content is +-1).
+    The result lies in span(wall, G's basis) and is zero on G's pivots, and
+    that vector is unique up to scale
     because G's basis restricted to its pivot columns is triangular with a
     nonzero diagonal. Walls in one class of F stay in one class of G, so a
     class takes one step whatever its size. A `seen` set of member sets
@@ -332,15 +344,19 @@ def _flats(arr, directions=False):
     start from that result again when its pivots are 1.
     """
     n = arr.n
-    walls = [(r, 1 << k) for k, r in enumerate(_rows(arr))]
+    rows = _rows(arr)
+    affine = bool(rows) and len(rows[0]) > n
+    walls = [(r, 1 << k) for k, r in enumerate(rows)]
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     stack = [(bit, r, [], walls, identity, True) for r, bit in reversed(walls)]
     seen = set()
     while stack:
         # the parent's direction and whether its pivots are 1, then G's
         members, row, parent_basis, parent_classes, direction, unit = stack.pop()
-        q = _pivot(row)
-        basis = sorted(parent_basis + [(q, row)])
+        a = next(filter(None, row))
+        q = row.index(a)
+        basis = parent_basis.copy()
+        insort(basis, (q, row))
         if directions:
             direction = _cut(direction, row) if unit else None
             if direction is None:
@@ -356,10 +372,16 @@ def _flats(arr, directions=False):
             # and a residual that is 0 at q is already G's
             if res is row:
                 continue
-            if res[q]:
-                res = _reduce(res, q, row)
-                if not any(res[:n]):
+            b = res[q]
+            if b:
+                v = [a * x - b * y for x, y in zip(res, row)]
+                # a central wall outside a flat's members is never parallel to it
+                if affine and not any(v[:n]):
                     continue
+                g = gcd(*v)
+                if next(filter(None, v)) < 0:
+                    g = -g
+                res = tuple(v) if g == 1 else tuple([x // g for x in v])
             classes[res] = classes.get(res, 0) | ks
         classes = list(classes.items())
         for res, ks in reversed(classes):
@@ -418,12 +440,7 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
             continue
         members = tuple(_bits(members))
         point = origin if central or not any(r[n] for _, r in basis) else _point_of(basis, n)
-        flat = FlatDescriptor(
-            members=frozenset(members),
-            direction=IntMatrix._of(direction, n),
-            point=point,
-            codimension=len(basis),
-        )
+        flat = FlatDescriptor(frozenset(members), IntMatrix._of(direction, n), point, len(basis))
         found.append((members, flat))
     found.sort(key=itemgetter(0))
     return FlatList(flat for _, flat in found)
@@ -452,32 +469,90 @@ def _extends_to_basis(normals):
 
 
 def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
-    """Conditions (a) and (b) read off the flats.
+    """Conditions (a) and (b): certified from the circuits when the slice is
+    simple, else read off the flats, which list every violation.
 
-    Walls meet iff they are members of a common flat. A subset of normals
-    that extend to a Z-basis extends too, so (b) only tests the subsets of
-    flats whose whole member set fails; a subset larger than the flat's
+    Lemma (Bielawski and Dancer 2000; Hausel and Sturmfels, Doc. Math.
+    2002). Let every wall <b_i, eta> = lambda_i have multiplicity 1 and the
+    normals be unimodular of rank n. Then the arrangement is simple iff
+    <c, lambda> != 0 for every circuit c of the normals' dependencies.
+    - (if) Walls S that meet at eta have independent normals: a circuit c
+      with support in S would give <c, lambda> = sum_i c_i <b_i, eta> =
+      <sum_i c_i b_i, eta> = 0. So at most n walls meet, which is (a), and
+      their normals extend to a basis of n rows with determinant +-1, a
+      Z-basis, which is (b).
+    - (only if) Let <c, lambda> = 0 and k in supp c. The walls of supp c
+      without k have independent normals, so they meet; at any point eta
+      they share, c_k <b_k, eta> = -sum_{i != k} c_i lambda_i = c_k lambda_k,
+      so wall k passes through it too. The walls of supp c meet and their
+      normals are dependent, against (b).
+    The hypotheses are checked on the way to the circuits: one HNF of the
+    normals' transpose gives their rank and, when its pivots are 1, [I | R]
+    up to column order, whose kernel rows (`_fundamental_rows`) span the
+    dependencies. `_elementary` enumerates the circuits from them, or gives
+    None at the first entry outside {-1, 0, 1}: then the normals are not
+    unimodular (`intmat._Forms.unimodularity`).
+    On such an arrangement that is not simple, a subset of walls that meet
+    fails (b) iff its normals are dependent, iff it contains the support of
+    a circuit, and that circuit has <c, lambda> = 0 by (if): one bitmask
+    test per subset against those supports.
+
+    Otherwise, and to list the violations, the walk decides. Walls meet iff
+    they are members of a common flat, and every flat lies in one of
+    codimension r, the rank of all the normals: a wall whose normal is
+    outside a flat's normal span meets it in a flat with more members. So
+    only the flats of codimension r are read. A subset of normals that
+    extend to a Z-basis extends too, so (b) only tests the subsets of flats
+    whose whole member set fails; a subset larger than the flat's
     codimension is linearly dependent and fails without a test. A wall k of
     multiplicity >= 2 is coincident hyperplanes, whose equal normals are
     dependent, so it fails on its own as (k,); a wall of multiplicity 1 has
     a primitive normal and passes.
     """
     n = arr.n
-    normals = [c.hyperplane.normal for c in arr.components]
+    comps = arr.components
+    normals = [c.hyperplane.normal for c in comps]
+    # one HNF of the normals' transpose: their rank r, and [I | R] up to
+    # column order when its pivots are 1
+    a = [list(col) for col in zip(*normals)]
+    pivots = _hermite(a, len(comps))
+    supports = None
+    if len(pivots) == n and _unit(a, pivots) and all(c.multiplicity == 1 for c in comps):
+        circuits = _elementary(*_fundamental_rows(a, pivots, len(comps)))
+        if circuits is not None:
+            # <c, lambda> over the offsets' common denominator, in integers
+            offsets = [c.hyperplane.offset for c in comps]
+            scale = lcm(*(f.denominator for f in offsets))
+            lam = [scale // f.denominator * f.numerator for f in offsets]
+            zero = [c for c in circuits if not sum(map(mul, c, lam))]
+            if not zero:
+                return SimplicityReport(True, True)
+            supports = [sum(1 << i for i, x in enumerate(c) if x) for c in zero]
+    bits = [1 << k for k in range(len(comps))]
     violations_a = set()
-    violations_b = {(k,) for k, c in enumerate(arr.components) if c.multiplicity > 1}
+    violations_b = {(k,) for k, c in enumerate(comps) if c.multiplicity > 1}
     for members, basis, _ in _flats(arr):
-        if len(basis) < 2:
+        if len(basis) < len(pivots):
             continue
-        members = _bits(members)
-        violations_a.update(combinations(members, n + 1))
-        if _extends_to_basis([normals[i] for i in members]):
-            continue
-        for k in range(2, len(members) + 1):
+        walls = _bits(members)
+        violations_a.update(combinations(walls, n + 1))
+        if supports is None:
+            if _extends_to_basis([normals[i] for i in walls]):
+                continue
+
+            def independent(s):
+                return _extends_to_basis([normals[i] for i in s])
+        else:
+            inner = [d for d in supports if d & members == d]
+            if not inner:
+                continue
+
+            def independent(s, inner=inner):
+                mask = sum(map(bits.__getitem__, s))
+                return not any(d & mask == d for d in inner)
+        for k in range(2, len(walls) + 1):
             violations_b.update(
-                s
-                for s in combinations(members, k)
-                if k > len(basis) or not _extends_to_basis([normals[i] for i in s])
+                s for s in combinations(walls, k) if k > len(basis) or not independent(s)
             )
     return SimplicityReport(
         no_excess_intersections=not violations_a,

@@ -216,11 +216,11 @@ def family_slice(H: HypertoricData, line: DeformationLine, t) -> ArrangementSpec
 def simple_by_construction(H: HypertoricData, line: DeformationLine) -> bool:
     """True when the t = 1 slice is simple by this O(N log N) certificate: B
     is unimodular, the offsets vanish on a Z-basis of rows, and off it their
-    absolute values are superincreasing. Lemma (Bielawski and Dancer 2000;
-    Hausel and Sturmfels, Doc. Math. 2002): the slice is simple iff
-    <c, lambda> != 0 for every circuit c of B's row dependencies. Such c is
-    a {0, +-1} vector, so <c, lambda> = sum_j c_j lambda_j over the rows j
-    off the basis, and the largest |lambda_j| it meets outweighs the rest."""
+    absolute values are superincreasing. The slice is then simple iff
+    <c, lambda> != 0 for every circuit c of B's row dependencies (the lemma
+    in `arrangement.check_simplicity`). Such c is a {0, +-1} vector, so
+    <c, lambda> = sum_j c_j lambda_j over the rows j off the basis, and the
+    largest |lambda_j| it meets outweighs the rest."""
     if not _is_z_basis(H, line.basis_rows):
         return False
     basis = set(line.basis_rows)
@@ -232,7 +232,8 @@ def simple_by_construction(H: HypertoricData, line: DeformationLine) -> bool:
 
 def t1_simplicity(H: HypertoricData, line: DeformationLine, slice1) -> SimplicityReport:
     """Simplicity of the line's t = 1 slice `slice1`: certified by
-    `simple_by_construction`, else read off its flats by `check_simplicity`."""
+    `simple_by_construction`, else decided by `check_simplicity`, from the
+    slice's circuits or its flats."""
     if simple_by_construction(H, line):
         return SimplicityReport(True, True)
     return check_simplicity(slice1)

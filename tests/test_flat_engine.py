@@ -12,7 +12,9 @@ the member set and echelon basis of the closure by levels, and with the
 direction `kernel_basis` gives its member normals, whether the engine took
 it from the parent's in one step or fell back; the circuits that
 `intmat.circuits` enumerates must be the vectors B x for x spanning the
-lines of that closure, up to sign.
+lines of that closure, up to sign. `check_simplicity` must certify every
+simple slice its circuit test applies to without entering `_flats`, and
+walk, equal to the scan, where it does not apply.
 """
 
 import random
@@ -316,3 +318,110 @@ class TestFlatsAgainstLevels:
 
     def test_circuits_on_r10(self):
         self.assert_same_circuits(r10())
+
+
+class TestSimplicityCertificate:
+    """`check_simplicity` certifies a simple slice from the circuits of its
+    normals' dependencies when every wall has multiplicity 1 and the normals
+    are unimodular, and walks the flats otherwise or to list violations."""
+
+    @staticmethod
+    def walks(arr, monkeypatch):
+        """(check_simplicity(arr), whether it entered `_flats`)."""
+        entered = []
+        real = arrangement._flats
+        monkeypatch.setattr(arrangement, "_flats", lambda *a: entered.append(1) or real(*a))
+        report = check_simplicity(arr)
+        monkeypatch.undo()
+        return report, bool(entered)
+
+    @staticmethod
+    def no_walk(monkeypatch):
+        def walk(*args):
+            raise AssertionError("_flats ran")
+
+        monkeypatch.setattr(arrangement, "_flats", walk)
+
+    def test_simple_corpus_slices_are_certified(self, corpus_slices, monkeypatch):
+        slices = [arr for arr in corpus_slices if affine(arr)]
+        verdicts = [check_simplicity(arr).simple for arr in slices]
+        self.no_walk(monkeypatch)
+        for arr, simple in zip(slices, verdicts):
+            if simple:
+                assert check_simplicity(arr) == (True, True, (), ()), arr
+            else:
+                with pytest.raises(AssertionError, match="_flats ran"):
+                    check_simplicity(arr)
+        assert verdicts.count(False) == 24 and len(slices) == 1161
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+    def test_complete_graph_slices_are_certified(self, m, monkeypatch):
+        H = HypertoricData.from_matrix(complete_graph(m))
+        arr = family_slice(H, choose_deformation_line(H), 1)
+        self.no_walk(monkeypatch)
+        assert check_simplicity(arr) == (True, True, (), ())
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_circuits_decide_b_like_extends_to_basis(self, m, monkeypatch):
+        # the consecutive line's slice is not simple: (b) from the circuits'
+        # supports equals (b) from one _extends_to_basis per subset
+        arr = complete_graph_slices((m,))[1]
+        report, walked = self.walks(arr, monkeypatch)
+        assert walked and report.violations_b
+        monkeypatch.setattr(arrangement, "_elementary", lambda rows, units: None)
+        assert check_simplicity(arr) == report
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            # rows 2 and 3 of [[1, 0], [0, 1], [1, 1], [1, 1]] with equal
+            # offsets: one wall of multiplicity 2, in a slice that is
+            # otherwise simple
+            group_hyperplanes(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 1), ((1, 1), 1)]),
+            non_unit_pivot_arrangement(),
+            build_discriminant(complete_graph(4)),
+            group_hyperplanes(3, [((1, 1, 0), 0), ((1, -1, 0), 1), ((0, 0, 1), 2)]),
+        ],
+        ids=["multiplicity-2", "non-unit-pivots", "central-K4", "index-2-pair"],
+    )
+    def test_walks_where_the_certificate_does_not_apply(self, arr, monkeypatch):
+        report, walked = self.walks(arr, monkeypatch)
+        assert walked
+        assert report == check_simplicity_scan(arr)
+        assert not report.simple
+
+    def test_seeded_offsets_on_corpus(self, monkeypatch):
+        # integer and fractional offsets on every valid corpus matrix: equal
+        # offsets on parallel rows make walls of multiplicity 2, and small
+        # offsets make circuits with <c, lambda> = 0
+        rng = random.Random(89)
+        seen = set()
+        for H in valid_hypertoric(corpus_matrices()):
+            if H.N == H.n:
+                continue
+            offsets = [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(H.N)]
+            line = DeformationLine(H.basis_rows, tuple(offsets), ())
+            arr = family_slice(H, line, 1)
+            report, walked = self.walks(arr, monkeypatch)
+            assert report == check_simplicity_scan(arr), (H.B, offsets)
+            assert walked or report.simple
+            seen.add((report.simple, walked, max(c.multiplicity for c in arr.components) > 1))
+        assert {(True, False, False), (False, True, False), (False, True, True)} <= seen
+
+
+def bits_by_loop(mask):
+    """The set bits of mask, lowest first, one at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_byte_table_bits_match_the_bit_loop():
+    rng = random.Random(97)
+    masks = [0, 1, 255, 256, 2**70 - 1, 2**70] + [rng.getrandbits(rng.randint(1, 70))
+                                                   for _ in range(2000)]
+    for mask in masks:
+        assert arrangement._bits(mask) == bits_by_loop(mask), mask
