@@ -248,22 +248,12 @@ def _rows(arr):
     return [c.hyperplane.normal for c in arr.components]
 
 
-# _BYTE_BITS[b]: the indices of the set bits of the byte b, ascending; each
-# bit j doubles the table, as b + 2^j has b's bits and then j
-_BYTE_BITS = [()]
-for _j in range(8):
-    _BYTE_BITS += [bits + (_j,) for bits in _BYTE_BITS]
-
-
 def _bits(mask):
-    """The indices of the set bits of mask, ascending: the low byte's from
-    a table, which covers every wall of an arrangement of at most 8, and
-    the rest one bit at a time."""
-    out = list(_BYTE_BITS[mask & 255])
-    mask >>= 8
+    """The indices of the set bits of mask, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() + 7)
+        out.append(low.bit_length() - 1)
         mask ^= low
     return out
 
@@ -344,9 +334,7 @@ def _flats(arr, directions=False):
     start from that result again when its pivots are 1.
     """
     n = arr.n
-    rows = _rows(arr)
-    affine = bool(rows) and len(rows[0]) > n
-    walls = [(r, 1 << k) for k, r in enumerate(rows)]
+    walls = [(r, 1 << k) for k, r in enumerate(_rows(arr))]
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     stack = [(bit, r, [], walls, identity, True) for r, bit in reversed(walls)]
     seen = set()
@@ -375,8 +363,7 @@ def _flats(arr, directions=False):
             b = res[q]
             if b:
                 v = [a * x - b * y for x, y in zip(res, row)]
-                # a central wall outside a flat's members is never parallel to it
-                if affine and not any(v[:n]):
+                if not any(v[:n]):
                     continue
                 g = gcd(*v)
                 if next(filter(None, v)) < 0:
@@ -492,10 +479,6 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     dependencies. `_elementary` enumerates the circuits from them, or gives
     None at the first entry outside {-1, 0, 1}: then the normals are not
     unimodular (`intmat._Forms.unimodularity`).
-    On such an arrangement that is not simple, a subset of walls that meet
-    fails (b) iff its normals are dependent, iff it contains the support of
-    a circuit, and that circuit has <c, lambda> = 0 by (if): one bitmask
-    test per subset against those supports.
 
     Otherwise, and to list the violations, the walk decides. Walls meet iff
     they are members of a common flat, and every flat lies in one of
@@ -516,7 +499,6 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     # column order when its pivots are 1
     a = [list(col) for col in zip(*normals)]
     pivots = _hermite(a, len(comps))
-    supports = None
     if len(pivots) == n and _unit(a, pivots) and all(c.multiplicity == 1 for c in comps):
         circuits = _elementary(*_fundamental_rows(a, pivots, len(comps)))
         if circuits is not None:
@@ -524,35 +506,22 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
             offsets = [c.hyperplane.offset for c in comps]
             scale = lcm(*(f.denominator for f in offsets))
             lam = [scale // f.denominator * f.numerator for f in offsets]
-            zero = [c for c in circuits if not sum(map(mul, c, lam))]
-            if not zero:
+            if all(sum(map(mul, c, lam)) for c in circuits):
                 return SimplicityReport(True, True)
-            supports = [sum(1 << i for i, x in enumerate(c) if x) for c in zero]
-    bits = [1 << k for k in range(len(comps))]
     violations_a = set()
     violations_b = {(k,) for k, c in enumerate(comps) if c.multiplicity > 1}
     for members, basis, _ in _flats(arr):
         if len(basis) < len(pivots):
             continue
-        walls = _bits(members)
-        violations_a.update(combinations(walls, n + 1))
-        if supports is None:
-            if _extends_to_basis([normals[i] for i in walls]):
-                continue
-
-            def independent(s):
-                return _extends_to_basis([normals[i] for i in s])
-        else:
-            inner = [d for d in supports if d & members == d]
-            if not inner:
-                continue
-
-            def independent(s, inner=inner):
-                mask = sum(map(bits.__getitem__, s))
-                return not any(d & mask == d for d in inner)
-        for k in range(2, len(walls) + 1):
+        members = _bits(members)
+        violations_a.update(combinations(members, n + 1))
+        if _extends_to_basis([normals[i] for i in members]):
+            continue
+        for k in range(2, len(members) + 1):
             violations_b.update(
-                s for s in combinations(walls, k) if k > len(basis) or not independent(s)
+                s
+                for s in combinations(members, k)
+                if k > len(basis) or not _extends_to_basis([normals[i] for i in s])
             )
     return SimplicityReport(
         no_excess_intersections=not violations_a,

@@ -446,23 +446,14 @@ def _parse_window(text):
 
 
 @functools.cache
-def build_parser(command=None):
-    """The hkit parser with the subparser of `command` alone, or with all of
-    them when `command` is not a subcommand, so that `--help`, a missing or
-    a bad subcommand print what they print with every subparser. With one
-    subparser the usage line still names every subcommand."""
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="hkit",
         description="Exact toolkit for hypertoric data: Gale duality, "
         "discriminant arrangements, invariant rings, and divisor round trips.",
     )
-    if command in _HANDLERS:
-        names = (command,)
-        metavar = "{" + ",".join(_HANDLERS) + "}"
-    else:
-        names, metavar = _HANDLERS, None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--in", dest="input_source", required=True,
                        help="input file path or inline JSON")
@@ -481,9 +472,7 @@ def build_parser(command=None):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _HANDLERS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     budget = args.budget
     if budget is None:
         try:

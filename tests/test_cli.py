@@ -418,67 +418,3 @@ class TestSvg:
         arr = group_hyperplanes(2, [((1, 1), 20)])
         svg = plot_arrangement(arr)
         assert "<line" not in svg  # line misses the default window entirely
-
-
-class TestParserPerSubcommand:
-    """`main` builds the subparser of the command it parses and no other.
-    Its Namespace, help and errors must equal those of the parser with every
-    subparser, which `--help` and a bad subcommand still get."""
-
-    FLAGS = ["--out", "r.json", "--format", "svg", "--budget", "7", "--basis-rows", "0,2",
-             "--shifts", "1/2,3", "--window", "0,1,-1,1/2"]
-
-    @staticmethod
-    def outcome(parser, argv, capsys):
-        """(Namespace or exit code, stdout, stderr) of parser on argv."""
-        try:
-            result = parser.parse_args(argv)
-        except SystemExit as err:
-            result = err.code
-        captured = capsys.readouterr()
-        return result, captured.out, captured.err
-
-    @pytest.mark.parametrize("name", list(cli._HANDLERS))
-    def test_matches_full_parser(self, name, capsys):
-        argvs = [
-            [name, "--in", "{}"],
-            [name, "--in", "{}"] + self.FLAGS,
-            [name, "--help"],
-            [name],
-            [name, "--in", "{}", "--degree-cap", "20"],
-            [name, "--in", "{}", "extra"],
-            [name, "--in", "{}", "--window", "0,1"],
-            [name, "--in", "{}", "--format", "png"],
-        ]
-        for argv in argvs:
-            one = self.outcome(cli.build_parser(name), argv, capsys)
-            full = self.outcome(cli.build_parser(), argv, capsys)
-            assert one == full, argv
-            assert one[1] or one[2] or one[0].command == name, argv
-        # no other subcommand is built
-        other = next(c for c in cli._HANDLERS if c != name)
-        assert self.outcome(cli.build_parser(name), [other, "--in", "{}"], capsys)[0] == 2
-
-    @pytest.mark.parametrize(
-        "argv", [[], ["--help"], ["nope"], ["--in", "{}"], ["Gale", "--in", "{}"]]
-    )
-    def test_other_first_arguments_get_every_subparser(self, argv, capsys, monkeypatch):
-        built = []
-        real = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
-                            or real(command))
-        want = self.outcome(real(), argv, capsys)
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        captured = capsys.readouterr()
-        assert (err.value.code, captured.out, captured.err) == want
-        assert built == [None]
-
-    def test_main_builds_one_subparser(self, capsys, monkeypatch):
-        built = []
-        real = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
-                            or real(command))
-        code, out = run_cli(["gale", "--in", '{"rows": [[1], [1]]}'], capsys)
-        assert code == 0 and report_of(out)["result"]["A"]["rows"] == [[1, -1]]
-        assert built == ["gale"]

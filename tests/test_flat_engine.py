@@ -26,6 +26,10 @@ import pytest
 from corpus import cographic, complete_graph, corpus_matrices, r10, valid_hypertoric
 from hkit import arrangement
 from hkit.arrangement import (
+    ArrangementComponent,
+    ArrangementSpec,
+    Hyperplane,
+    Kind,
     _flats,
     build_discriminant,
     check_simplicity,
@@ -361,16 +365,6 @@ class TestSimplicityCertificate:
         self.no_walk(monkeypatch)
         assert check_simplicity(arr) == (True, True, (), ())
 
-    @pytest.mark.parametrize("m", [5, 6])
-    def test_circuits_decide_b_like_extends_to_basis(self, m, monkeypatch):
-        # the consecutive line's slice is not simple: (b) from the circuits'
-        # supports equals (b) from one _extends_to_basis per subset
-        arr = complete_graph_slices((m,))[1]
-        report, walked = self.walks(arr, monkeypatch)
-        assert walked and report.violations_b
-        monkeypatch.setattr(arrangement, "_elementary", lambda rows, units: None)
-        assert check_simplicity(arr) == report
-
     @pytest.mark.parametrize(
         "arr",
         [
@@ -409,19 +403,13 @@ class TestSimplicityCertificate:
         assert {(True, False, False), (False, True, False), (False, True, True)} <= seen
 
 
-def bits_by_loop(mask):
-    """The set bits of mask, lowest first, one at a time."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def test_byte_table_bits_match_the_bit_loop():
-    rng = random.Random(97)
-    masks = [0, 1, 255, 256, 2**70 - 1, 2**70] + [rng.getrandbits(rng.randint(1, 70))
-                                                   for _ in range(2000)]
-    for mask in masks:
-        assert arrangement._bits(mask) == bits_by_loop(mask), mask
+    @pytest.mark.parametrize("normals", [[(1, 0), (-1, 0), (0, 1)], [(1, 0), (2, 0), (0, 1)]])
+    def test_normals_that_are_not_canonical(self, normals):
+        # ArrangementSpec does not canonicalise normals, so a residual of a
+        # central wall can vanish; the walk skips it instead of failing
+        comps = tuple(
+            ArrangementComponent(Hyperplane(b, Fraction(0)), 1, Kind.SECOND_KIND) for b in normals
+        )
+        arr = ArrangementSpec(2, comps)
+        assert f_locus(arr)
+        check_simplicity(arr)
