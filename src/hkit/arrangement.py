@@ -24,17 +24,15 @@ arrangement's rows leave out the offset column, which would stay 0. Only
 `f_locus` asks for directions.
 A simple slice is certified from circuits, not flats: when its walls have
 multiplicity 1 and unimodular normals, `check_simplicity` enumerates the
-circuits of the normals' dependencies with `intmat._elementary` and tests
-<c, lambda> != 0 on each (its docstring has the proof). The flat walk runs
-only to list the violations of a slice that is not simple, or when that
-certificate does not apply.
+circuits of the normals' dependencies with `_Forms.dependency_circuits`
+and tests <c, lambda> != 0 on each (its docstring has the proof). The flat
+walk runs only to list the violations of a slice that is not simple, or
+when that certificate does not apply.
 Points come from integer back-substitution over one common denominator.
 The lines of the central arrangement of B's rows match the circuits of B's
 column lattice, but those come from `intmat.circuits`, the enumerator that
 decides unimodularity.
 """
-
-from __future__ import annotations
 
 from bisect import insort
 from enum import Enum
@@ -47,8 +45,7 @@ from typing import NamedTuple
 from .errors import DimensionMismatch
 from .intmat import (
     IntMatrix,
-    _elementary,
-    _fundamental_rows,
+    _Forms,
     _hermite,
     _unit,
     canonical_sign,
@@ -473,12 +470,12 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
       they share, c_k <b_k, eta> = -sum_{i != k} c_i lambda_i = c_k lambda_k,
       so wall k passes through it too. The walls of supp c meet and their
       normals are dependent, against (b).
-    The hypotheses are checked on the way to the circuits: one HNF of the
-    normals' transpose gives their rank and, when its pivots are 1, [I | R]
-    up to column order, whose kernel rows (`_fundamental_rows`) span the
-    dependencies. `_elementary` enumerates the circuits from them, or gives
-    None at the first entry outside {-1, 0, 1}: then the normals are not
-    unimodular (`intmat._Forms.unimodularity`).
+    The hypotheses are checked on the way to the circuits: the `_Forms` of
+    the normals, one HNF of their transpose, gives their rank and, when its
+    pivots are 1, [I | R] up to column order, whose kernel rows span the
+    dependencies. `dependency_circuits` enumerates the circuits from them,
+    or gives None at the first entry outside {-1, 0, 1}: then the normals
+    are not unimodular (`intmat._Forms.unimodularity`).
 
     Otherwise, and to list the violations, the walk decides. Walls meet iff
     they are members of a common flat, and every flat lies in one of
@@ -494,13 +491,12 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     """
     n = arr.n
     comps = arr.components
-    normals = [c.hyperplane.normal for c in comps]
+    normals = tuple(c.hyperplane.normal for c in comps)
     # one HNF of the normals' transpose: their rank r, and [I | R] up to
     # column order when its pivots are 1
-    a = [list(col) for col in zip(*normals)]
-    pivots = _hermite(a, len(comps))
-    if len(pivots) == n and _unit(a, pivots) and all(c.multiplicity == 1 for c in comps):
-        circuits = _elementary(*_fundamental_rows(a, pivots, len(comps)))
+    forms = _Forms(IntMatrix._of(normals, n))
+    if forms.rank == n and forms.unit and all(c.multiplicity == 1 for c in comps):
+        circuits = forms.dependency_circuits()
         if circuits is not None:
             # <c, lambda> over the offsets' common denominator, in integers
             offsets = [c.hyperplane.offset for c in comps]
@@ -511,7 +507,7 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     violations_a = set()
     violations_b = {(k,) for k, c in enumerate(comps) if c.multiplicity > 1}
     for members, basis, _ in _flats(arr):
-        if len(basis) < len(pivots):
+        if len(basis) < forms.rank:
             continue
         members = _bits(members)
         violations_a.update(combinations(members, n + 1))

@@ -4,8 +4,6 @@ rejected), and verify that the rebuilt discriminant reproduces the input
 divisor as a multiset.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .arrangement import ZERO, ArrangementSpec, _central, _row_classes

@@ -1,13 +1,14 @@
 """Command-line front end: JSON in, JSON (or SVG) report out.
 
 Subcommands wrap the pipeline stages one-to-one: gale, check, discriminant,
-build, reconstruct, deform, local-model, round-trip. Reports are canonical
+build, reconstruct, deform, local-model, round-trip. One parser reads the
+subcommand as a positional argument and the options once for all of them,
+so an option may come before or after the subcommand. Reports are canonical
 JSON (sorted keys) with a schema_version, the echoed input, the result,
 provenance notes, and a timing field; domain errors exit 1 with a
-machine-readable error code, parse/I-O problems exit 2.
+machine-readable error code, parse/I-O problems exit 2. Handlers put exact
+values in a report as they are, and `_wire` gives each its JSON form.
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
@@ -50,11 +51,17 @@ class JobSpec(NamedTuple):
 # -- JSON codecs -----------------------------------------------------------------
 
 
-def _frac(f):
-    f = Fraction(f)
-    if f.denominator == 1:
-        return int(f)
-    return {"num": f.numerator, "den": f.denominator}
+def _wire(value):
+    """The JSON form of an exact value that json does not know: an integral
+    Fraction as an int, another as {"num": p, "den": q}, and an IntMatrix as
+    {"rows": ..., "cols": ...}."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return value.numerator
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, IntMatrix):
+        return {"rows": value.data, "cols": value.cols}
+    raise TypeError(f"{type(value).__name__} has no JSON form")
 
 
 def _int(x, what):
@@ -69,10 +76,6 @@ def _int_list(v, what):
     if not isinstance(v, list):
         raise ValueError(f"{what} must be a list of integers, got {v!r}")
     return [_int(x, what) for x in v]
-
-
-def _matrix(M: IntMatrix):
-    return {"rows": M.row_list(), "cols": M.cols}
 
 
 def _parse_matrix(obj):
@@ -97,8 +100,8 @@ def _parse_divisor(obj):
 def _arrangement(arr):
     return [
         {
-            "normal": list(c.hyperplane.normal),
-            "offset": _frac(c.hyperplane.offset),
+            "normal": c.hyperplane.normal,
+            "offset": c.hyperplane.offset,
             "multiplicity": c.multiplicity,
             "kind": c.kind.value,
         }
@@ -108,8 +111,8 @@ def _arrangement(arr):
 
 def _monomial(g):
     return {
-        "u": list(g.u),
-        "v": list(g.v),
+        "u": g.u,
+        "v": g.v,
         "degree": g.degree,
         "monomial": str(g),
     }
@@ -118,7 +121,7 @@ def _monomial(g):
 def _leaves(leaves):
     return [
         {
-            "normal": list(leaf.normal),
+            "normal": leaf.normal,
             "multiplicity": leaf.multiplicity,
             "singularity": leaf.singularity,
             "kind": leaf.kind,
@@ -127,24 +130,14 @@ def _leaves(leaves):
     ]
 
 
-def _case(tag):
-    return {
-        "case": tag.case,
-        "reason": tag.reason,
-        "condition_star": tag.condition_star,
-        "unimodular": tag.unimodular,
-        "coker_torsion_free": tag.coker_torsion_free,
-    }
-
-
 def _flats(arr):
     return {
         "flats": [
             {
-                "members": list(f.sorted_members()),
+                "members": f.sorted_members(),
                 "codimension": f.codimension,
-                "point": [_frac(x) for x in f.point],
-                "direction": _matrix(f.direction),
+                "point": f.point,
+                "direction": f.direction,
             }
             for f in f_locus(arr)
         ],
@@ -166,7 +159,7 @@ def _cmd_gale(payload, job, notes):
     # The empty Gale dual (N = n) counts as unimodular.
     ua = ub if A.rows else True
     return {
-        "A": _matrix(A),
+        "A": A,
         "N": B.rows,
         "n": B.cols,
         "unimodular_B": ub,
@@ -186,12 +179,12 @@ def _cmd_check(payload, job, notes):
         "non_primitive_rows": bad_rows,
         "rank": r,
         "injective": r == B.cols,
-        "invariant_factors": list(snf.invariant_factors),
+        "invariant_factors": snf.invariant_factors,
         "coker_torsion_free": snf.torsion_free,
     }
     if not bad_rows:
         tag = classify_case(B)
-        result["case"] = _case(tag)
+        result["case"] = tag._asdict()
     # the case split's verdict holds for N >= n; a wide B is decided from
     # the HNF of B itself, and can still be unimodular
     tall = not bad_rows and B.rows >= B.cols
@@ -224,34 +217,22 @@ def _cmd_build(payload, job, notes):
     return {
         "N": H.N,
         "n": H.n,
-        "A": _matrix(H.A),
+        "A": H.A,
         "dimension": coordinate_dimension(H, basis),
         "moment_map": "sum_i a_i z_i w_i over the columns a_i of A",
         "hilbert_basis": [_monomial(g) for g in basis],
         "presentation": {
             "generator_count": len(pres.generators),
             "binomial_relations": [
-                {"left": list(left), "right": list(right)}
-                for left, right in pres.binomial_relations
+                {"left": left, "right": right} for left, right in pres.binomial_relations
             ],
-            "moment_rows": _matrix(pres.moment_rows),
+            "moment_rows": pres.moment_rows,
             "relation_degree_cap": pres.relation_degree_cap,
             "reduced": {
                 "pure_generators": [_monomial(g) for g in pres.reduced.pure_generators],
-                "s_classes": [
-                    {
-                        "normal": list(c.normal),
-                        "members": list(c.members),
-                        "signs": list(c.signs),
-                    }
-                    for c in pres.reduced.s_classes
-                ],
+                "s_classes": [c._asdict() for c in pres.reduced.s_classes],
                 "relations": [
-                    {
-                        "left": [list(s) for s in left],
-                        "right": [list(s) for s in right],
-                        "sign": sign,
-                    }
+                    {"left": left, "right": right, "sign": sign}
                     for left, right, sign in pres.reduced.relations
                 ],
             },
@@ -264,7 +245,7 @@ def _cmd_reconstruct(payload, job, notes):
     d = _parse_divisor(payload)
     B = reconstruct_B(d)
     notes.append("walls sorted canonically, repeats adjacent")
-    return {"B": _matrix(B), "N": B.rows, "n": B.cols, "case": _case(classify_case(B))}
+    return {"B": B, "N": B.rows, "n": B.cols, "case": classify_case(B)._asdict()}
 
 
 def _cmd_deform(payload, job, notes):
@@ -278,25 +259,10 @@ def _cmd_deform(payload, job, notes):
     slice1 = localmodel.family_slice(H, line, 1)
     simplicity = localmodel.t1_simplicity(H, line, slice1)
     return {
-        "line": {
-            "basis_rows": list(line.basis_rows),
-            "offsets": [_frac(x) for x in line.offsets],
-            "direction": [_frac(x) for x in line.direction],
-            "adjusted": line.adjusted,
-        },
-        "genericity": {
-            "common_intersection_empty": report.common_intersection_empty,
-            "central_slice_matches": report.central_slice_matches,
-            "offsets_not_all_zero": report.offsets_not_all_zero,
-            "all_pass": report.all_pass,
-        },
+        "line": line._asdict(),
+        "genericity": {**report._asdict(), "all_pass": report.all_pass},
         "slices": {"t0": _arrangement(slice0), "t1": _arrangement(slice1)},
-        "t1_simplicity": {
-            "no_excess_intersections": simplicity.no_excess_intersections,
-            "normals_extend_to_basis": simplicity.normals_extend_to_basis,
-            "violations_a": [list(v) for v in simplicity.violations_a],
-            "violations_b": [list(v) for v in simplicity.violations_b],
-        },
+        "t1_simplicity": simplicity._asdict(),
         "family_f_locus_codimension": localmodel.family_f_locus_codimension(H),
     }
 
@@ -310,9 +276,9 @@ def _cmd_local_model(payload, job, notes):
             "m": model.m,
             "n": model.n,
             "equation": model.equation,
-            "moment_formula": list(model.moment_formula),
+            "moment_formula": model.moment_formula,
             "symplectic_form": model.symplectic_form,
-            "rhs_coefficients": [_frac(c) for c in model.rhs_coefficients],
+            "rhs_coefficients": model.rhs_coefficients,
         },
         "deformed": None,
     }
@@ -320,11 +286,9 @@ def _cmd_local_model(payload, job, notes):
         deformed = localmodel.deform_local_model(model, job.shifts)
         result["deformed"] = {
             "equation": deformed.equation,
-            "shifts": [_frac(a) for a in deformed.shifts],
-            "coefficients": [_frac(c) for c in deformed.coefficients],
-            "discriminant_points_at_t1": [
-                _frac(x) for x in deformed.discriminant_points(1)
-            ],
+            "shifts": deformed.shifts,
+            "coefficients": deformed.coefficients,
+            "discriminant_points_at_t1": deformed.discriminant_points(1),
         }
     return result
 
@@ -334,14 +298,14 @@ def _cmd_round_trip(payload, job, notes):
     rep = round_trip(d)
     notes.extend(rep.warnings)
     return {
-        "B": _matrix(rep.B),
-        "A": _matrix(rep.A),
-        "case": _case(rep.case),
+        "B": rep.B,
+        "A": rep.A,
+        "case": rep.case._asdict(),
         "unimodular_B": rep.unimodular_B,
         "unimodular_A": rep.unimodular_A,
         "discriminant": _arrangement(rep.discriminant),
         "equal": rep.equal,
-        "warnings": list(rep.warnings),
+        "warnings": rep.warnings,
     }
 
 
@@ -377,28 +341,27 @@ def _emit(text, output_path):
 
 
 def _report_text(report):
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, default=_wire) + "\n"
 
 
 def run(job: JobSpec) -> int:
     """Execute one job and write its report; returns the exit status."""
     started = time.perf_counter()
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": job.command,
-        "input": None,
-        "result": None,
-        "notes": [],
-        "error": None,
-    }
     try:
         payload = _load_input(job.input_source)
     except (OSError, json.JSONDecodeError, ValueError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return 2
 
-    report["input"] = payload
-    notes = report["notes"]
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": job.command,
+        "input": payload,
+        "result": None,
+        "notes": [],
+        "error": None,
+    }
+    status = 0
     try:
         if job.fmt == "svg":
             if job.command != "discriminant":
@@ -406,20 +369,17 @@ def run(job: JobSpec) -> int:
             arr = build_discriminant(_parse_matrix(payload))
             _emit(plot_arrangement(arr, job.window), job.output_path)
             return 0
-        result = _HANDLERS[job.command](payload, job, notes)
+        report["result"] = _HANDLERS[job.command](payload, job, report["notes"])
     except HkitError as err:
         report["error"] = {"code": err.code, "message": str(err)}
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-        _emit(_report_text(report), job.output_path)
-        return 1
+        status = 1
     except (ValueError, KeyError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return 2
 
-    report["result"] = result
     report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
     _emit(_report_text(report), job.output_path)
-    return 0
+    return status
 
 
 def _parse_int_list(text):
@@ -452,45 +412,32 @@ def build_parser():
         description="Exact toolkit for hypertoric data: Gale duality, "
         "discriminant arrangements, invariant rings, and divisor round trips.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--in", dest="input_source", required=True,
-                       help="input file path or inline JSON")
-        p.add_argument("--out", dest="output_path", default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "svg"), default="json")
-        p.add_argument("--budget", type=int, default=None,
-                       help="presentation search budget (default HKIT_BUDGET or "
-                       f"{DEFAULT_CANDIDATE_BUDGET})")
-        p.add_argument("--basis-rows", type=_parse_int_list, default=None,
-                       help="comma-separated zero-based row indices (deform)")
-        p.add_argument("--shifts", type=_parse_frac_list, default=None,
-                       help="comma-separated shift constants (local-model)")
-        p.add_argument("--window", type=_parse_window, default=None,
-                       help="xmin,xmax,ymin,ymax for svg output")
+    parser.add_argument("command", choices=_HANDLERS, help="the pipeline stage to run")
+    parser.add_argument("--in", dest="input_source", required=True,
+                        help="input file path or inline JSON")
+    parser.add_argument("--out", dest="output_path", default=None)
+    parser.add_argument("--format", dest="fmt", choices=("json", "svg"), default="json")
+    parser.add_argument("--budget", type=int, default=None,
+                        help="presentation search budget (default HKIT_BUDGET or "
+                        f"{DEFAULT_CANDIDATE_BUDGET})")
+    parser.add_argument("--basis-rows", type=_parse_int_list, default=None,
+                        help="comma-separated zero-based row indices (deform)")
+    parser.add_argument("--shifts", type=_parse_frac_list, default=None,
+                        help="comma-separated shift constants (local-model)")
+    parser.add_argument("--window", type=_parse_window, default=None,
+                        help="xmin,xmax,ymin,ymax for svg output")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    budget = args.budget
-    if budget is None:
+    if args.budget is None:
         try:
-            budget = int(os.environ.get("HKIT_BUDGET", DEFAULT_CANDIDATE_BUDGET))
+            args.budget = int(os.environ.get("HKIT_BUDGET", DEFAULT_CANDIDATE_BUDGET))
         except ValueError as err:
             sys.stderr.write(f"input error: HKIT_BUDGET: {err}\n")
             return 2
-    job = JobSpec(
-        command=args.command,
-        input_source=args.input_source,
-        output_path=args.output_path,
-        fmt=args.fmt,
-        budget=budget,
-        basis_rows=args.basis_rows,
-        shifts=args.shifts,
-        window=args.window,
-    )
-    return run(job)
+    return run(JobSpec(**vars(args)))
 
 
 if __name__ == "__main__":

@@ -12,8 +12,6 @@ generating set is read off them; `intmat.circuits` builds them with the
 same enumerator that decided unimodularity in validation.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple
 

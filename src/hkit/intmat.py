@@ -24,8 +24,6 @@ immutable after construction, so all functions here are safe to call
 concurrently. No floating point anywhere.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import cached_property
 from math import gcd
@@ -536,10 +534,15 @@ class _Forms:
         if min(N, n) == 0 or self.rank < n or not self.unit:
             return False
         if n <= N - n:
-            rows, units = self.echelon[:n], self.pivots
-        else:
-            rows, units = _fundamental_rows(self.echelon, self.pivots, N)
-        return _elementary(rows, units) is not None
+            return _elementary(self.echelon[:n], self.pivots) is not None
+        return self.dependency_circuits() is not None
+
+    def dependency_circuits(self):
+        """The circuits of the dependencies among B's rows, one per sign
+        pair, for B^T with unit pivots: the elementary vectors of the span of
+        the kernel rows x_free = e_j, x_pivot = -R e_j, or None at the first
+        entry outside {-1, 0, 1}."""
+        return _elementary(*_fundamental_rows(self.echelon, self.pivots, self.B.rows))
 
 
 def _gale(B):

@@ -13,8 +13,6 @@ two variables (x3, t): coefficient of x3^(m-k) t^k is the k-th elementary
 symmetric function of the shifts. No symbolic-algebra dependency needed.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -232,8 +230,11 @@ def simple_by_construction(H: HypertoricData, line: DeformationLine) -> bool:
 
 def t1_simplicity(H: HypertoricData, line: DeformationLine, slice1) -> SimplicityReport:
     """Simplicity of the line's t = 1 slice `slice1`: certified by
-    `simple_by_construction`, else decided by `check_simplicity`, from the
-    slice's circuits or its flats."""
+    `simple_by_construction`, which holds for every line that
+    `choose_deformation_line` builds (0 on the Z-basis it accepts, 2^k off
+    it), so `hkit deform` always takes it. A line that a library caller
+    builds otherwise is decided by `check_simplicity`, from the slice's
+    circuits or its flats."""
     if simple_by_construction(H, line):
         return SimplicityReport(True, True)
     return check_simplicity(slice1)

@@ -3,8 +3,6 @@ wall, stroke width proportional to multiplicity, labels carrying (normal,
 multiplicity). Coordinates are computed exactly and quantized to fixed
 decimals, so identical input yields byte-identical output."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .arrangement import ArrangementSpec

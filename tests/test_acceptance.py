@@ -8,6 +8,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from operator import add, ge, sub
 
 from corpus import (
     corpus_matrices,
@@ -25,7 +26,7 @@ from hkit.characterization import (
     round_trip,
 )
 from hkit.cli import main
-from hkit.hypertoric import hilbert_basis, presentation
+from hkit.hypertoric import MonomialGen, hilbert_basis, presentation
 from hkit.intmat import (
     IntMatrix,
     gale_dual,
@@ -136,6 +137,36 @@ def test_criterion_3_klein_forms():
     report(3, "Klein-form reproduction (m = 2, 3, 4)", failures, elapsed, 5)
 
 
+def _decomposable(invariants, basis):
+    """{u + v: whether it is a sum of basis elements} over the invariants,
+    which come in degree order: t is one iff some basis element b <= t
+    leaves t - b zero or decomposable, and t - b, an invariant of lower
+    degree, is already in the table."""
+    keys = [b.u + b.v for b in basis]
+    table = {}
+    for t in invariants:
+        x = t.u + t.v
+        table[x] = any(
+            not any(rest) or table[rest]
+            for k in keys
+            if all(map(ge, x, k))
+            for rest in [tuple(map(sub, x, k))]
+        )
+    return table
+
+
+def _reducible(g, basis, table):
+    """Whether basis element g is h + (a decomposable invariant) for some
+    other basis element h <= g; g - h has lower degree than g, so its
+    decomposition cannot use g."""
+    x = g.u + g.v
+    return any(
+        table[tuple(map(sub, x, h.u + h.v))]
+        for h in basis
+        if h != g and all(map(ge, x, h.u + h.v))
+    )
+
+
 def test_criterion_4_hilbert_basis_oracle():
     started = time.perf_counter()
     failures = []
@@ -144,13 +175,30 @@ def test_criterion_4_hilbert_basis_oracle():
     for H in valid_hypertoric(corpus_matrices(max_N=5)):
         matrices += 1
         basis = hilbert_basis(H)
-        for target in brute_force_invariants(H, 6):
-            invariants += 1
-            if decompose_over_basis(target, basis) is None:
-                failures.append((H.B, target, "no decomposition"))
-        for i, g in enumerate(basis):
-            if decompose_over_basis(g, basis[:i] + basis[i + 1 :]) is not None:
-                failures.append((H.B, g, "reducible basis element"))
+        # every g - h of _reducible is then an invariant of degree <= 6
+        assert all(g.degree <= 6 for g in basis)
+        targets = brute_force_invariants(H, 6)
+        invariants += len(targets)
+        table = _decomposable(targets, basis)
+        failures += [(H.B, t, "no decomposition") for t in targets if not table[t.u + t.v]]
+        failures += [
+            (H.B, g, "reducible basis element") for g in basis if _reducible(g, basis, table)
+        ]
+        if matrices <= 20:
+            # the verdicts against the exhaustive search, on the basis, on it
+            # without one element and with the sum of its two lowest added
+            a, b = sorted(basis, key=MonomialGen.sort_key)[:2]
+            extra = MonomialGen(tuple(map(add, a.u, b.u)), tuple(map(add, a.v, b.v)))
+            assert extra.degree <= 6
+            for gens in (basis, basis[1:], basis + [extra]):
+                table = _decomposable(targets, gens)
+                for t in targets:
+                    assert table[t.u + t.v] == (decompose_over_basis(t, gens) is not None)
+                for i, g in enumerate(gens):
+                    others = gens[:i] + gens[i + 1:]
+                    assert _reducible(g, gens, table) == (
+                        decompose_over_basis(g, others) is not None
+                    )
     elapsed = time.perf_counter() - started
     report(4, "Hilbert-basis completeness and minimality", failures, elapsed, 60,
            detail=f"{matrices} matrices, {invariants} invariants")

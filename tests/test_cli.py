@@ -2,12 +2,13 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from corpus import complete_graph
 from hkit import arrangement, cli, intmat, localmodel
-from hkit.arrangement import build_discriminant, group_hyperplanes
+from hkit.arrangement import Kind, build_discriminant, group_hyperplanes
 from hkit.cli import main
 from hkit.errors import UnsupportedDimension
 from hkit.intmat import IntMatrix
@@ -347,6 +348,76 @@ class TestCommands:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["A"]["rows"] == [[1, -1]]
+
+
+class TestWire:
+    def test_integral_fraction_is_an_int(self):
+        value = cli._wire(Fraction(4, 2))
+        assert value == 2 and type(value) is int
+
+    def test_fraction_is_num_over_den(self):
+        assert cli._wire(Fraction(-1, 3)) == {"num": -1, "den": 3}
+
+    def test_empty_matrix_keeps_its_width(self):
+        text = json.dumps(IntMatrix([], cols=3), default=cli._wire)
+        assert json.loads(text) == {"rows": [], "cols": 3}
+
+    @pytest.mark.parametrize(
+        "value", [object(), 0.5, {1, 2}, 1j, Kind.FIRST_KIND, b"1"],
+        ids=["object", "float", "set", "complex", "enum", "bytes"],
+    )
+    def test_other_values_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._wire(value)
+
+
+OPTIONS = [
+    "--in", "{}", "--out", "r.json", "--format", "svg", "--budget", "7",
+    "--basis-rows", "0,2", "--shifts", "1/2,-3", "--window", "0,1,-1/2,1",
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(cli._HANDLERS))
+    def test_options_before_or_after_the_command(self, command):
+        parser = cli.build_parser()
+        after = vars(parser.parse_args([command, *OPTIONS]))
+        before = vars(parser.parse_args([*OPTIONS, command]))
+        assert after == before == {
+            "command": command,
+            "input_source": "{}",
+            "output_path": "r.json",
+            "fmt": "svg",
+            "budget": 7,
+            "basis_rows": (0, 2),
+            "shifts": (Fraction(1, 2), Fraction(-3)),
+            "window": (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1)),
+        }
+        assert tuple(after) == cli.JobSpec._fields
+
+    def test_options_before_the_command_run_it(self, capsys):
+        payload = '{"rows": [[1], [1]]}'
+        code, first = run_cli(["--in", payload, "gale"], capsys)
+        assert code == 0
+        code, second = run_cli(["gale", "--in", payload], capsys)
+        assert code == 0
+        assert report_of(first)["result"] == report_of(second)["result"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gale"], ["--budget", "3", "deform"], ["frobnicate", "--in", "{}"], ["--in", "{}"], []],
+        ids=["missing-in", "missing-in-before", "unknown-command", "no-command", "empty"],
+    )
+    def test_argument_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_help_lists_each_option_once(self):
+        text = cli.build_parser().format_help()
+        listed = [line.split()[0] for line in text.splitlines() if line.startswith("  --")]
+        assert sorted(listed) == sorted(OPTIONS[::2])
 
 
 class TestDeterminism:

@@ -2,7 +2,8 @@
 build` and `hkit discriminant` report on the valid corpus matrices, `deform`
 on K_3..K_7, `build` on K_3..K_5 and `discriminant` on K_3..K_8, K_4*..K_6*
 and R10, every `hkit check` and `hkit gale` report on the whole corpus and
-every `hkit reconstruct` and `hkit round-trip` report on its divisors stays
+every `hkit reconstruct` and `hkit round-trip` report on its divisors and
+every `hkit local-model` report of `report_digest.local_model_jobs` stays
 byte-identical apart from timing, and so does the repr of every valid
 corpus matrix's t = 0 and t = 1 slices. A deliberate change to those reports (a
 schema bump, a new field) updates these values in the same change."""
@@ -96,4 +97,14 @@ def test_reconstruct_digest():
     assert len(divisors) == 5687
     assert report_digest.digest("reconstruct", divisors) == (
         "d9e98a8e7170100ebb9d81d0ecb44bd792bbe8adb5b2ee04356e71b72e9b08a5"
+    )
+
+
+def test_local_model_digest():
+    # the one report whose exact values are all Fractions: integral ones go
+    # out as ints and the others as {"num", "den"}
+    payloads, options = zip(*report_digest.local_model_jobs())
+    assert len(payloads) == 48
+    assert report_digest.digest("local-model", payloads, options) == (
+        "379465ca9be7bfefa791d43ab4fe3db520f4786cdb05835f20ce45b26865b829"
     )

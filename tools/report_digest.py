@@ -15,10 +15,12 @@ is simple by construction, so its violation lists are empty, and `deform`
 reads that off the offsets instead of walking the slice's flats).
 `discriminant-regular` is `discriminant` on the non-graphic regular
 matroids K_4*, K_5*, K_6* (the cographic matrices of K_4..K_6; K_6* has
-13651 flats) and R10. `slices` is not a report: it hashes the repr of
-`family_slice` at t = 0 and t = 1 on the default line of every valid corpus
-matrix, so the walls, offsets (with their type), multiplicities, kinds and
-order of every slice stay the same.
+13651 flats) and R10. `local-model` takes no matrix: it runs on m = 1..4
+and n = 1..3, each without shifts and with integral, fractional and
+negative shifts (`local_model_jobs`). `slices` is not a report: it hashes
+the repr of `family_slice` at t = 0 and t = 1 on the default line of every
+valid corpus matrix, so the walls, offsets (with their type),
+multiplicities, kinds and order of every slice stay the same.
 Each report is hashed with its exit status, after dropping every line that
 contains "timing_ms", so a digest changes exactly when some report changes
 apart from its timing. Run it on two
@@ -62,20 +64,41 @@ def regular_matrices():
     return [cographic(m) for m in (4, 5, 6)] + [r10()]
 
 
-def report(command, payload):
-    """Exit status and report text of `hkit <command>` on the JSON payload,
-    timing dropped."""
+def local_model_jobs():
+    """(payload, options) of `hkit local-model` on m = 1..4 and n = 1..3:
+    no shifts, then the shifts 0..m-1, k/(k+1) and -k/(1 + k % 2) for
+    k = 1..m."""
+    jobs = []
+    for m in range(1, 5):
+        ks = range(1, m + 1)
+        for n in range(1, 4):
+            payload = {"m": m, "n": n}
+            jobs.append((payload, ()))
+            for shifts in (
+                [k - 1 for k in ks],
+                [f"{k}/{k + 1}" for k in ks],
+                [f"-{k}/{1 + k % 2}" for k in ks],
+            ):
+                jobs.append((payload, ("--shifts=" + ",".join(map(str, shifts)),)))
+    return jobs
+
+
+def report(command, payload, *options):
+    """Exit status and report text of `hkit <command> --in <payload>
+    <options>`, timing dropped."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        status = cli.main([command, "--in", json.dumps(payload)])
+        status = cli.main([command, "--in", json.dumps(payload), *options])
     kept = [line for line in out.getvalue().splitlines() if "timing_ms" not in line]
     return f"{status}\n" + "\n".join(kept) + "\n"
 
 
-def digest(command, payloads):
+def digest(command, payloads, options=None):
+    """sha256 of the reports on payloads; options[k], when given, are the
+    extra arguments that go with payloads[k]."""
     h = hashlib.sha256()
-    for payload in payloads:
-        h.update(report(command, payload).encode())
+    for payload, extra in zip(payloads, options or [()] * len(payloads)):
+        h.update(report(command, payload, *extra).encode())
     return h.hexdigest()
 
 
@@ -114,6 +137,8 @@ def main():
         print(f"{command}-km {len(km)} {digest(command, km)}")
     regular = [matrix_json(B) for B in regular_matrices()]
     print(f"discriminant-regular {len(regular)} {digest('discriminant', regular)}")
+    payloads, options = zip(*local_model_jobs())
+    print(f"local-model {len(payloads)} {digest('local-model', payloads, options)}")
     print(f"slices {len(valid)} {slices_digest(valid)}")
 
 
