@@ -475,7 +475,7 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     pivots are 1, [I | R] up to column order, whose kernel rows span the
     dependencies. `dependency_circuits` enumerates the circuits from them,
     or gives None at the first entry outside {-1, 0, 1}: then the normals
-    are not unimodular (`intmat._Forms.unimodularity`).
+    are not unimodular (`intmat._Forms.unimodular`).
 
     Otherwise, and to list the violations, the walk decides. Walls meet iff
     they are members of a common flat, and every flat lies in one of

@@ -8,9 +8,7 @@ from typing import NamedTuple
 
 from .arrangement import ZERO, ArrangementSpec, _central, _row_classes
 from .errors import CaseRejected, NonPrimitiveRow
-from .intmat import (
-    IntMatrix, _Forms, canonical_sign, check_primitive_rows, is_primitive, is_unimodular,
-)
+from .intmat import IntMatrix, _Forms, canonical_sign, check_primitive_rows, is_primitive
 
 SMOOTH = "smooth_affine_space"
 HYPERTORIC = "hypertoric"
@@ -90,7 +88,7 @@ def _classify(B):
         ), forms
     # square and unimodular (smooth) makes condition_star False and the
     # cokernel torsion-free
-    unimod = forms.unimodularity()
+    unimod = forms.unimodular
     return CaseTag(
         case=SMOOTH if N == n and unimod else HYPERTORIC,
         condition_star=N > n,
@@ -123,26 +121,13 @@ def round_trip(d: DivisorData) -> RoundTripReport:
     if tag.case == REJECTED:
         raise CaseRejected(tag.reason)
 
-    # saturated integer kernel; coincides with the exact Gale dual whenever
-    # the cokernel is torsion-free
-    A = forms.kernel()
     warnings = []
     if not tag.coker_torsion_free:
         warnings.append(
             "cokernel has torsion: the two-step sequence is not exact over Z; "
             "A spans the saturated orthogonal lattice"
         )
-    unimodular_B = tag.unimodular
-    if not A.rows:
-        # N = n: the empty Gale dual counts as unimodular
-        unimodular_A = True
-    elif tag.coker_torsion_free:
-        # Gale duality: the complementary maximal minors of A and B agree up
-        # to one global sign.
-        unimodular_A = unimodular_B
-    else:
-        unimodular_A = is_unimodular(A)
-    if not unimodular_B:
+    if not tag.unimodular:
         warnings.append("B is not unimodular: no symplectic resolution hypothesis")
 
     # _classify checked B's rows, so this is build_discriminant(B) without
@@ -152,10 +137,10 @@ def round_trip(d: DivisorData) -> RoundTripReport:
     return RoundTripReport(
         divisor=d,
         B=B,
-        A=A,
+        A=forms.kernel,
         case=tag,
-        unimodular_B=unimodular_B,
-        unimodular_A=unimodular_A,
+        unimodular_B=tag.unimodular,
+        unimodular_A=forms.dual_unimodular(),
         discriminant=disc,
         equal=equal,
         warnings=tuple(warnings),

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import localmodel
 from .arrangement import build_discriminant, f_locus
-from .characterization import DivisorData, classify_case, reconstruct_B, round_trip
+from .characterization import DivisorData, _classify, classify_case, reconstruct_B, round_trip
 from .errors import HkitError, UnsupportedDimension
 from .hypertoric import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -31,7 +31,9 @@ from .hypertoric import (
     leaf_descriptors,
     presentation,
 )
-from .intmat import IntMatrix, _gale, is_unimodular, non_primitive_rows, smith_normal_form
+from .intmat import (
+    IntMatrix, _Forms, _gale, is_unimodular, non_primitive_rows, smith_normal_form,
+)
 from .plot import plot_arrangement
 
 SCHEMA_VERSION = 2
@@ -150,46 +152,45 @@ def _flats(arr):
 def _cmd_gale(payload, job, notes):
     B = _parse_matrix(payload)
     forms = _gale(B)
-    A = forms.kernel()
+    A = forms.kernel
     if A.rows == 0:
         notes.append("N = n")
-    ub = forms.unimodularity()
-    # _gale succeeded, so B has rank n, the cokernel is torsion-free and A's
-    # verdict is B's (Gale duality: the same maximal minors up to one sign).
-    # The empty Gale dual (N = n) counts as unimodular.
-    ua = ub if A.rows else True
     return {
         "A": A,
         "N": B.rows,
         "n": B.cols,
-        "unimodular_B": ub,
-        "unimodular_A": ua,
+        "unimodular_B": forms.unimodular,
+        "unimodular_A": forms.dual_unimodular(),
     }
 
 
 def _cmd_check(payload, job, notes):
     B = _parse_matrix(payload)
     bad_rows = non_primitive_rows(B)
-    snf = smith_normal_form(B)
-    r = len(snf.invariant_factors)
     result = {
         "N": B.rows,
         "n": B.cols,
         "rows_primitive": not bad_rows,
         "non_primitive_rows": bad_rows,
-        "rank": r,
-        "injective": r == B.cols,
-        "invariant_factors": snf.invariant_factors,
-        "coker_torsion_free": snf.torsion_free,
     }
-    if not bad_rows:
-        tag = classify_case(B)
+    if bad_rows:
+        forms = _Forms(B)
+    else:
+        tag, forms = _classify(B)
         result["case"] = tag._asdict()
-    # the case split's verdict holds for N >= n; a wide B is decided from
-    # the HNF of B itself, and can still be unimodular
-    tall = not bad_rows and B.rows >= B.cols
-    result["unimodular"] = tag.unimodular if tall else is_unimodular(B)
-    result["unimodularity_method"] = "minors"
+    # unit pivots in B^T's HNF put an identity minor of size rank in it, so
+    # every invariant factor is 1
+    factors = (1,) * forms.rank if forms.unit else smith_normal_form(B).invariant_factors
+    result.update(
+        rank=forms.rank,
+        injective=forms.rank == B.cols,
+        invariant_factors=factors,
+        coker_torsion_free=set(factors) <= {1},
+        # the forms decide unimodularity for N >= n; a wide B is decided
+        # from the HNF of B itself, and can still be unimodular
+        unimodular=forms.unimodular if B.rows >= B.cols else is_unimodular(B),
+        unimodularity_method="minors",
+    )
     return result
 
 
@@ -423,9 +424,11 @@ def build_parser():
     parser.add_argument("--basis-rows", type=_parse_int_list, default=None,
                         help="comma-separated zero-based row indices (deform)")
     parser.add_argument("--shifts", type=_parse_frac_list, default=None,
-                        help="comma-separated shift constants (local-model)")
+                        help="comma-separated shift constants (local-model); "
+                        "a list that starts with '-' needs the = form: --shifts=-1,2")
     parser.add_argument("--window", type=_parse_window, default=None,
-                        help="xmin,xmax,ymin,ymax for svg output")
+                        help="xmin,xmax,ymin,ymax for svg output; a window that "
+                        "starts with '-' needs the = form: --window=-5,5,-5,5")
     return parser
 
 

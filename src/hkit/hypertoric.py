@@ -38,9 +38,9 @@ class HypertoricData(NamedTuple):
     def from_matrix(cls, B: IntMatrix):
         check_primitive_rows(B)
         forms = _gale(B)  # raises NotInjective / TorsionCokernel
-        if not forms.unimodularity():
+        if not forms.unimodular:
             raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
-        return cls(B=B, A=forms.kernel(), N=B.rows, n=B.cols, groups=_row_classes(B),
+        return cls(B=B, A=forms.kernel, N=B.rows, n=B.cols, groups=_row_classes(B),
                    basis_rows=tuple(forms.pivots))
 
 

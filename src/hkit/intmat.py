@@ -14,10 +14,13 @@ _elementary, builds those circuits with work that grows with their number,
 for that verdict and for `circuits`. A pivot that is not 1 makes B not
 unimodular; the torsion test and the kernel then take one HNF of B with
 its transform, built on first use. One class, _Forms, holds these forms
-and is the only code that decides rank, torsion, the Gale dual and
-unimodularity; unimodularity_report is _Forms on M oriented tall. The
-Smith normal form runs the same loop on rows and columns in turn; only
-`hkit check` and the TorsionCokernel message call it.
+and is the only code that decides rank, torsion, the Gale dual, the
+kernel and unimodularity, on B's side and on A's; unimodularity_report is
+_Forms on M oriented tall and kernel_basis is _Forms on M^T. The Smith
+normal form runs the same loop on rows and columns in turn. `hkit check`
+calls it only for a B^T whose HNF has a pivot other than 1 (with unit
+pivots an identity minor of size rank makes every invariant factor 1);
+the TorsionCokernel message still calls it.
 
 Everything is arbitrary-precision (plain Python ints) and every value is
 immutable after construction, so all functions here are safe to call
@@ -96,10 +99,7 @@ class IntMatrix:
     # -- algebra -----------------------------------------------------------
 
     def transpose(self):
-        return IntMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return IntMatrix._of(tuple(zip(*self._data)) if self.rows else ((),) * self.cols, self.rows)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -339,9 +339,9 @@ def is_unimodular(M: IntMatrix) -> bool:
 
 
 def unimodularity_report(M: IntMatrix):
-    """(verdict, "minors"): _Forms.unimodularity on M oriented tall, with the
+    """(verdict, "minors"): _Forms.unimodular on M oriented tall, with the
     method name that reports carry."""
-    return _Forms(M if M.rows >= M.cols else M.transpose()).unimodularity(), "minors"
+    return _Forms(M if M.rows >= M.cols else M.transpose()).unimodular, "minors"
 
 
 def _elementary(rows, unit_cols):
@@ -356,7 +356,7 @@ def _elementary(rows, unit_cols):
     whose line in j's hyperplane is new. Cheaper tests go first: u_j u and
     v_j v must not agree on a done column (it would cut a third line out of
     the flat), and the union must leave len(rows) - 2 done columns zero.
-    _Forms.unimodularity has the proof.
+    _Forms.unimodular has the proof.
     """
     vectors, pos, neg = [], [], []  # the vectors and their +1 and -1 columns
 
@@ -404,8 +404,7 @@ def circuits(B: IntMatrix):
     """The circuits of the column lattice of a unimodular B, one per sign
     pair: the elementary vectors of the row space of B^T's echelon form.
     Raises NotUnimodular when B is not unimodular."""
-    forms = _Forms(B)
-    found = _elementary(forms.echelon[: forms.rank], forms.pivots) if forms.unit else None
+    found = _Forms(B).circuits()
     if found is None:
         raise NotUnimodular(f"matrix {B!r} is not unimodular")
     return found
@@ -415,19 +414,9 @@ def circuits(B: IntMatrix):
 
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
-    """Basis of the saturated right kernel {x : M x = 0}, as rows, HNF-canonical.
-
-    With unit pivots the reduced echelon form [I | R] of M (up to column
-    order) gives it directly: one row per non-pivot column j, with x_j = 1,
-    x_pivot = -R e_j and 0 elsewhere. Otherwise the rows of the HNF transform
-    that map M^T onto zero HNF rows form a basis; it is saturated because it
-    is a direct summand of the ambient lattice.
-    """
-    a = M.row_list()
-    pivots = _hermite(a, M.cols)
-    if _unit(a, pivots):
-        return _kernel_from_echelon(a, pivots, M.cols)
-    return _left_kernel(*_with_transform(M.transpose()), M.rows)
+    """Basis of the saturated right kernel {x : M x = 0}, as rows,
+    HNF-canonical: _Forms.kernel of M^T."""
+    return _Forms(M.transpose()).kernel
 
 
 def _fundamental_rows(a, pivots, width):
@@ -445,35 +434,19 @@ def _fundamental_rows(a, pivots, width):
     return rows, free
 
 
-def _kernel_from_echelon(a, pivots, width):
-    """kernel_basis read off the reduced echelon rows a with unit pivots."""
-    rows, _ = _fundamental_rows(a, pivots, width)
-    _hermite(rows, width)
-    return IntMatrix(rows, cols=width)
-
-
-def _left_kernel(H, pivots, n):
-    """{u : u M = 0} in HNF, for M with n columns, from the rows [H | U] of
-    its HNF U @ M = H: the rows of U on H's zero rows."""
-    width = len(H)
-    rows = [row[n:] for row in H[len(pivots):]]
-    _hermite(rows, width)
-    return IntMatrix(rows, cols=width)
-
-
 def gale_dual(B: IntMatrix) -> IntMatrix:
     """The (N-n) x N matrix A completing 0 -> Z^n -> Z^N -> Z^(N-n) -> 0.
 
     Rows of A are the HNF-canonical basis of the saturated left-orthogonal
     lattice of B, so A @ B = 0 exactly and A is surjective.
     """
-    return _gale(B).kernel()
+    return _gale(B).kernel
 
 
 class _Forms:
-    """The one decider of rank, torsion, the Gale dual and unimodularity, for
-    B (N x n): the HNF of B^T, and one HNF of B with its transform, built on
-    first use.
+    """The one decider of rank, torsion, the kernel, unimodularity and the
+    Gale dual's unimodularity, for B (N x n): the HNF of B^T, and one HNF of
+    B with its transform, built on first use.
 
     Pivots of B^T's HNF that are all 1 make it [I | R] up to column order
     with pivot minor 1: the cokernel is torsion-free, and the kernel of B^T
@@ -501,13 +474,29 @@ class _Forms:
         """For B of rank n: whether the cokernel is torsion-free."""
         return self.unit or _unit(*self.transform)
 
+    @cached_property
     def kernel(self):
-        """kernel_basis(B^T), for B of rank n."""
+        """kernel_basis(B^T) at any rank: with unit pivots the rows
+        x_free = e_j, x_pivot = -R e_j, HNF-reduced; otherwise the rows of
+        the transform U on the zero rows of U @ B = H, which span the
+        saturated kernel because U's rows are a basis of Z^N."""
+        N, n = self.B.shape
         if self.unit:
-            return _kernel_from_echelon(self.echelon, self.pivots, self.B.rows)
-        return _left_kernel(*self.transform, self.B.cols)
+            rows, _ = _fundamental_rows(self.echelon, self.pivots, N)
+        else:
+            H, pivots = self.transform
+            rows = [row[n:] for row in H[len(pivots):]]
+        _hermite(rows, N)
+        return IntMatrix._of(tuple(map(tuple, rows)), N)
 
-    def unimodularity(self):
+    def circuits(self):
+        """The elementary vectors of the row space of B^T's echelon rows,
+        one per sign pair, or None when a pivot is not 1 or at the first
+        entry outside {-1, 0, 1}: the circuits of B's column lattice."""
+        return _elementary(self.echelon[: self.rank], self.pivots) if self.unit else None
+
+    @cached_property
+    def unimodular(self):
         """Whether B, with N >= n, is unimodular: exact at every size.
 
         Row operations keep maximal minors up to sign, so a rank below n or a
@@ -534,7 +523,7 @@ class _Forms:
         if min(N, n) == 0 or self.rank < n or not self.unit:
             return False
         if n <= N - n:
-            return _elementary(self.echelon[:n], self.pivots) is not None
+            return self.circuits() is not None
         return self.dependency_circuits() is not None
 
     def dependency_circuits(self):
@@ -544,9 +533,24 @@ class _Forms:
         entry outside {-1, 0, 1}."""
         return _elementary(*_fundamental_rows(self.echelon, self.pivots, self.B.rows))
 
+    def dual_unimodular(self):
+        """Whether the Gale dual A = self.kernel is unimodular, for B of
+        rank n. The empty A (N = n) counts as unimodular. With a torsion-free
+        cokernel, 0 -> Z^n -> Z^N -> Z^(N-n) -> 0 is exact with maps B and A,
+        and the maximal minor of A on a set of columns equals, up to one
+        global sign, the maximal minor of B on the complementary rows (Hausel
+        and Sturmfels, Doc. Math. 2002), so A is unimodular iff B is. With
+        torsion, A spans only the saturated orthogonal lattice and
+        is_unimodular(A) decides."""
+        if not self.kernel.rows:
+            return True
+        if self.torsion_free:
+            return self.unimodular
+        return is_unimodular(self.kernel)
+
 
 def _gale(B):
-    """The _Forms of B, whose kernel() is gale_dual(B), once B has rank n
+    """The _Forms of B, whose kernel is gale_dual(B), once B has rank n
     and a torsion-free cokernel. Errors come in the order rank, torsion; the
     Smith normal form only words the torsion message."""
     forms = _Forms(B)

@@ -110,9 +110,9 @@ class TestCommands:
         assert rep["result"]["unimodular"] is True
         assert rep["result"]["case"]["case"] == "hypertoric"
 
-    def test_check_reduces_transpose_once(self, capsys, monkeypatch):
-        # the Smith form takes two reductions and the HNF of B^T gives the
-        # case and the unimodularity verdict
+    @staticmethod
+    def counted_check(rows, capsys, monkeypatch):
+        """The result of one `hkit check` on rows and its `_hermite` calls."""
         calls = []
         hermite = intmat._hermite
 
@@ -121,12 +121,28 @@ class TestCommands:
             return hermite(H, n)
 
         monkeypatch.setattr(intmat, "_hermite", counted)
-        code, out = run_cli(["check", "--in", '{"rows": [[1, 0], [0, 1], [1, 1]]}'], capsys)
+        code, out = run_cli(["check", "--in", json.dumps({"rows": rows})], capsys)
         assert code == 0
-        result = report_of(out)["result"]
+        return report_of(out)["result"], len(calls)
+
+    def test_check_reduces_transpose_once(self, capsys, monkeypatch):
+        # the HNF of B^T has unit pivots: it gives the rank, the invariant
+        # factors, the case and the unimodularity verdict, with no Smith form
+        result, calls = self.counted_check([[1, 0], [0, 1], [1, 1]], capsys, monkeypatch)
         assert result["unimodular"] is True
         assert result["unimodularity_method"] == "minors"
-        assert len(calls) == 3
+        assert result["invariant_factors"] == [1, 1]
+        assert calls == 1
+
+    def test_check_smith_form_off_the_unit_path(self, capsys, monkeypatch):
+        # B^T's HNF has a pivot 2 and B's HNF decides the torsion-free
+        # cokernel; the invariant factors take the Smith form's two reductions
+        result, calls = self.counted_check([[1, 1], [1, -1], [0, 1]], capsys, monkeypatch)
+        assert result["invariant_factors"] == [1, 1]
+        assert result["coker_torsion_free"] is True
+        assert result["unimodular"] is False
+        assert result["case"]["coker_torsion_free"] is True
+        assert calls == 4
 
     def test_check_wide_matrix(self, capsys):
         # rank below n: the case is rejected, but [[1, 0]] is unimodular
@@ -413,6 +429,14 @@ class TestParser:
             main(argv)
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_negative_values_need_the_equals_form(self):
+        # a separate word that starts with "-" reads as an option
+        parser = cli.build_parser()
+        args = parser.parse_args(["local-model", "--in", "{}", "--shifts=-1,2",
+                                  "--window=-5,5,-5,5"])
+        assert args.shifts == (Fraction(-1), Fraction(2))
+        assert args.window == (Fraction(-5), Fraction(5), Fraction(-5), Fraction(5))
 
     def test_help_lists_each_option_once(self):
         text = cli.build_parser().format_help()

@@ -221,6 +221,21 @@ class TestSmith:
             assert prod == abs(det(M))
 
 
+class TestUnitPivotFactors:
+    """`hkit check` reports (1,) * rank as the invariant factors when the HNF
+    of B^T has unit pivots: it holds an identity minor of size rank. The
+    Smith normal form is the oracle."""
+
+    def test_corpus(self):
+        unit = 0
+        for B in corpus_matrices():
+            forms = _Forms(B)
+            if forms.unit:
+                unit += 1
+                assert smith_normal_form(B).invariant_factors == (1,) * forms.rank, B
+        assert unit == 3912
+
+
 class TestSmithAgainstClosures:
     """The Smith normal form by alternating row and column HNFs against the
     closure-based one it replaced: the same S and invariant factors, and
@@ -487,12 +502,12 @@ class TestEchelonAgainstNormalForms:
 
 
 class TestUnimodularityExits:
-    """Each way out of _Forms.unimodularity, read off the forms of M."""
+    """Each way out of _Forms.unimodular, read off the forms of M."""
 
     def test_rank_deficient(self):
         M = IntMatrix([[1, 1], [2, 2]])
         assert _Forms(M).rank == 1
-        assert _Forms(M).unimodularity() is False
+        assert _Forms(M).unimodular is False
         assert unimodularity_report(M) == (False, "minors")
 
     def test_pivot_of_two(self):
@@ -516,7 +531,7 @@ class TestUnimodularityExits:
     def test_wide_matrix_is_oriented_tall(self):
         # [[1, 0]] has rank 1 < 2 as a 1 x 2 B, but its one maximal minor is 1
         M = IntMatrix([[1, 0]])
-        assert _Forms(M).unimodularity() is False
+        assert _Forms(M).unimodular is False
         assert unimodularity_report(M) == (True, "minors")
 
     @pytest.mark.parametrize(
