@@ -46,8 +46,6 @@ from .errors import DimensionMismatch
 from .intmat import (
     IntMatrix,
     _Forms,
-    _hermite,
-    _unit,
     canonical_sign,
     check_primitive_rows,
     is_primitive,
@@ -446,10 +444,10 @@ class SimplicityReport(NamedTuple):
 
 def _extends_to_basis(normals):
     """k normals extend to a Z-basis iff the n x k matrix with them as
-    columns maps Z^n onto Z^k, that is iff its HNF has k pivots, all 1."""
-    a = [list(col) for col in zip(*normals)]
-    pivots = _hermite(a, len(normals))
-    return len(pivots) == len(normals) and _unit(a, pivots)
+    columns maps Z^n onto Z^k, that is iff its HNF has k pivots, all 1: the
+    rank and unit pivots of the _Forms of the k x n matrix of the normals."""
+    forms = _Forms(IntMatrix._of(tuple(normals), len(normals[0])))
+    return forms.rank == len(normals) and forms.unit
 
 
 def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:

@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import localmodel
 from .arrangement import build_discriminant, f_locus
@@ -31,23 +30,10 @@ from .hypertoric import (
     leaf_descriptors,
     presentation,
 )
-from .intmat import (
-    IntMatrix, _Forms, _gale, is_unimodular, non_primitive_rows, smith_normal_form,
-)
+from .intmat import IntMatrix, _Forms, _gale, non_primitive_rows
 from .plot import plot_arrangement
 
 SCHEMA_VERSION = 2
-
-
-class JobSpec(NamedTuple):
-    command: str
-    input_source: str
-    output_path: str = None
-    fmt: str = "json"
-    budget: int = DEFAULT_CANDIDATE_BUDGET
-    basis_rows: tuple = None
-    shifts: tuple = None
-    window: tuple = None
 
 
 # -- JSON codecs -----------------------------------------------------------------
@@ -120,18 +106,6 @@ def _monomial(g):
     }
 
 
-def _leaves(leaves):
-    return [
-        {
-            "normal": leaf.normal,
-            "multiplicity": leaf.multiplicity,
-            "singularity": leaf.singularity,
-            "kind": leaf.kind,
-        }
-        for leaf in leaves
-    ]
-
-
 def _flats(arr):
     return {
         "flats": [
@@ -178,17 +152,13 @@ def _cmd_check(payload, job, notes):
     else:
         tag, forms = _classify(B)
         result["case"] = tag._asdict()
-    # unit pivots in B^T's HNF put an identity minor of size rank in it, so
-    # every invariant factor is 1
-    factors = (1,) * forms.rank if forms.unit else smith_normal_form(B).invariant_factors
+    factors = forms.invariant_factors
     result.update(
         rank=forms.rank,
         injective=forms.rank == B.cols,
         invariant_factors=factors,
         coker_torsion_free=set(factors) <= {1},
-        # the forms decide unimodularity for N >= n; a wide B is decided
-        # from the HNF of B itself, and can still be unimodular
-        unimodular=forms.unimodular if B.rows >= B.cols else is_unimodular(B),
+        unimodular=forms.unimodular,
         unimodularity_method="minors",
     )
     return result
@@ -198,15 +168,13 @@ def _cmd_discriminant(payload, job, notes):
     B = _parse_matrix(payload)
     arr = build_discriminant(B)
     notes.append("normals canonicalized: primitive, first nonzero coordinate positive")
-    result = {
+    leaves = leaf_descriptors((c.hyperplane.normal, c.multiplicity) for c in arr.components)
+    return {
         "n": arr.n,
         "components": _arrangement(arr),
-        "leaves": _leaves(
-            leaf_descriptors((c.hyperplane.normal, c.multiplicity) for c in arr.components)
-        ),
+        "leaves": [leaf._asdict() for leaf in leaves],
         "f_locus": _flats(arr),
     }
-    return result
 
 
 def _cmd_build(payload, job, notes):
@@ -238,7 +206,7 @@ def _cmd_build(payload, job, notes):
                 ],
             },
         },
-        "leaves": _leaves(leaf_classification(H)),
+        "leaves": [leaf._asdict() for leaf in leaf_classification(H)],
     }
 
 
@@ -334,19 +302,27 @@ def _load_input(source):
 
 
 def _emit(text, output_path):
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write text to output_path, or to stdout; the exit status 2 when that
+    fails, else 0."""
+    try:
+        if output_path:
+            with open(output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as err:
+        sys.stderr.write(f"output error: {err}\n")
+        return 2
+    return 0
 
 
 def _report_text(report):
     return json.dumps(report, indent=2, sort_keys=True, default=_wire) + "\n"
 
 
-def run(job: JobSpec) -> int:
-    """Execute one job and write its report; returns the exit status."""
+def run(job: argparse.Namespace) -> int:
+    """Execute one job, the arguments that build_parser parsed, and write its
+    report; returns the exit status."""
     started = time.perf_counter()
     try:
         payload = _load_input(job.input_source)
@@ -368,8 +344,7 @@ def run(job: JobSpec) -> int:
             if job.command != "discriminant":
                 raise UnsupportedDimension("svg output is only available for discriminant")
             arr = build_discriminant(_parse_matrix(payload))
-            _emit(plot_arrangement(arr, job.window), job.output_path)
-            return 0
+            return _emit(plot_arrangement(arr, job.window), job.output_path)
         report["result"] = _HANDLERS[job.command](payload, job, report["notes"])
     except HkitError as err:
         report["error"] = {"code": err.code, "message": str(err)}
@@ -379,8 +354,7 @@ def run(job: JobSpec) -> int:
         return 2
 
     report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _emit(_report_text(report), job.output_path)
-    return status
+    return _emit(_report_text(report), job.output_path) or status
 
 
 def _parse_int_list(text):
@@ -440,7 +414,7 @@ def main(argv=None) -> int:
         except ValueError as err:
             sys.stderr.write(f"input error: HKIT_BUDGET: {err}\n")
             return 2
-    return run(JobSpec(**vars(args)))
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -273,7 +273,6 @@ def _reduce_presentation(H, gens, relations):
 
 
 class LeafDescriptor(NamedTuple):
-    group_id: int
     normal: tuple
     multiplicity: int
     singularity: str
@@ -291,13 +290,12 @@ def leaf_descriptors(classes):
     1 classes are smooth walls."""
     return [
         LeafDescriptor(
-            group_id=gid,
             normal=normal,
             multiplicity=m,
             singularity=f"A{m - 1}" if m >= 2 else None,
             kind=_kind_from_multiplicity(m).value,
         )
-        for gid, (normal, m) in enumerate(classes)
+        for normal, m in classes
     ]
 
 

@@ -14,13 +14,14 @@ _elementary, builds those circuits with work that grows with their number,
 for that verdict and for `circuits`. A pivot that is not 1 makes B not
 unimodular; the torsion test and the kernel then take one HNF of B with
 its transform, built on first use. One class, _Forms, holds these forms
-and is the only code that decides rank, torsion, the Gale dual, the
-kernel and unimodularity, on B's side and on A's; unimodularity_report is
-_Forms on M oriented tall and kernel_basis is _Forms on M^T. The Smith
-normal form runs the same loop on rows and columns in turn. `hkit check`
-calls it only for a B^T whose HNF has a pivot other than 1 (with unit
-pivots an identity minor of size rank makes every invariant factor 1);
-the TorsionCokernel message still calls it.
+and is the only code that decides rank, torsion, the invariant factors,
+the Gale dual, the kernel and unimodularity (a wide B on B^T), on B's
+side and on A's; unimodularity_report is _Forms on M oriented tall and
+kernel_basis is _Forms on M^T. The Smith normal form runs the same loop
+on rows and columns in turn. _Forms.invariant_factors, which `hkit check`
+and the TorsionCokernel message read, calls it only for a B^T whose HNF
+has a pivot other than 1 (with unit pivots an identity minor of size rank
+makes every invariant factor 1).
 
 Everything is arbitrary-precision (plain Python ints) and every value is
 immutable after construction, so all functions here are safe to call
@@ -44,8 +45,8 @@ class IntMatrix:
         rows = tuple(map(tuple, data))
         if set(map(type, itertools.chain.from_iterable(rows))) - {int}:  # bool is not int
             raise ValueError(f"matrix entries must be int, got {rows!r}")
-        if cols is not None and type(cols) is not int:
-            raise ValueError(f"cols must be int, got {cols!r}")
+        if cols is not None and (type(cols) is not int or cols < 0):
+            raise ValueError(f"cols must be a nonnegative int, got {cols!r}")
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -444,9 +445,9 @@ def gale_dual(B: IntMatrix) -> IntMatrix:
 
 
 class _Forms:
-    """The one decider of rank, torsion, the kernel, unimodularity and the
-    Gale dual's unimodularity, for B (N x n): the HNF of B^T, and one HNF of
-    B with its transform, built on first use.
+    """The one decider of rank, torsion, the invariant factors, the kernel,
+    unimodularity and the Gale dual's unimodularity, for B (N x n): the HNF
+    of B^T, and one HNF of B with its transform, built on first use.
 
     Pivots of B^T's HNF that are all 1 make it [I | R] up to column order
     with pivot minor 1: the cokernel is torsion-free, and the kernel of B^T
@@ -474,6 +475,13 @@ class _Forms:
         """For B of rank n: whether the cokernel is torsion-free."""
         return self.unit or _unit(*self.transform)
 
+    @property
+    def invariant_factors(self):
+        """B's invariant factors: (1,) * rank when the pivots are 1, whose
+        rows hold an identity minor of size rank, otherwise the Smith normal
+        form's."""
+        return (1,) * self.rank if self.unit else smith_normal_form(self.B).invariant_factors
+
     @cached_property
     def kernel(self):
         """kernel_basis(B^T) at any rank: with unit pivots the rows
@@ -497,13 +505,15 @@ class _Forms:
 
     @cached_property
     def unimodular(self):
-        """Whether B, with N >= n, is unimodular: exact at every size.
+        """Whether B is unimodular: exact at every size and shape.
 
-        Row operations keep maximal minors up to sign, so a rank below n or a
-        pivot d > 1 (a minor of d) says no. Otherwise B^T reduces to
-        E = [I | R] up to column order, and B is unimodular iff every
-        elementary vector of E's row space is a {0, +-1} vector (Tutte,
-        Canad. J. Math. 1956); _elementary builds them column by column.
+        A wide B (N < n) is decided on B^T, which has the same maximal
+        minors. Row operations keep maximal minors up to sign, so a rank
+        below n or a pivot d > 1 (a minor of d) says no. Otherwise B^T
+        reduces to E = [I | R] up to column order, and B is unimodular iff
+        every elementary vector of E's row space is a {0, +-1} vector
+        (Tutte, Canad. J. Math. 1956); _elementary builds them column by
+        column.
         - (<=) For a basis M of n columns, each row of M^-1 E is elementary
           with a unit entry, so it is {0, +-1}; M^-1 is integral, det M = +-1.
         - Exactness: a new line lies in one 2-dimensional flat of the done
@@ -520,6 +530,8 @@ class _Forms:
         enumerator runs on E when n <= N - n and on them otherwise.
         """
         N, n = self.B.shape
+        if N < n:
+            return _Forms(self.B.transpose()).unimodular
         if min(N, n) == 0 or self.rank < n or not self.unit:
             return False
         if n <= N - n:
@@ -552,13 +564,12 @@ class _Forms:
 def _gale(B):
     """The _Forms of B, whose kernel is gale_dual(B), once B has rank n
     and a torsion-free cokernel. Errors come in the order rank, torsion; the
-    Smith normal form only words the torsion message."""
+    invariant factors only word the torsion message."""
     forms = _Forms(B)
     if forms.rank < B.cols:
         raise NotInjective(f"matrix of shape {B.shape} has rank below {B.cols}")
     if not forms.torsion_free:
-        snf = smith_normal_form(B)
         raise TorsionCokernel(
-            f"invariant factors {list(snf.invariant_factors)} contain an entry > 1"
+            f"invariant factors {list(forms.invariant_factors)} contain an entry > 1"
         )
     return forms

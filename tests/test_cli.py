@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -13,6 +14,8 @@ from hkit.cli import main
 from hkit.errors import UnsupportedDimension
 from hkit.intmat import IntMatrix
 from hkit.plot import plot_arrangement
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # K_8 with one edge swapped for a row that makes a maximal minor -2
 K8_HOLE_ROWS = complete_graph(8).row_list()[:-1] + [[1, 1, 1, 0, 0, 0, 0]]
@@ -76,6 +79,7 @@ class TestCommands:
             ("gale", '{"rows": 5}'),
             ("gale", '{"rows": [1, 2]}'),
             ("gale", '{"rows": [[1, 0], [0, 1]], "cols": 2.0}'),
+            ("build", '{"rows": [], "cols": -1}'),
             ("local-model", '{"m": 2.7, "n": 2}'),
             ("local-model", '{"m": 2, "n": true}'),
             ("round-trip", '{"n": 1, "walls": [{"normal": [1], "mult": 2.5}]}'),
@@ -212,7 +216,6 @@ class TestCommands:
             return hermite(H, n)
 
         monkeypatch.setattr(intmat, "_hermite", counted)
-        monkeypatch.setattr(arrangement, "_hermite", counted)
         code, out = run_cli(["deform", "--in", '{"rows": [[1], [1], [1]]}'], capsys)
         assert code == 0
         result = report_of(out)["result"]
@@ -356,11 +359,26 @@ class TestCommands:
         rep = json.loads(out_path.read_text())
         assert rep["result"]["A"] == {"rows": [[1, -1]], "cols": 2}
 
+    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    def test_unwritable_output_exit_2(self, fmt, tmp_path, capsys):
+        # an I/O problem, not a traceback with the exit 1 of domain errors
+        out_path = tmp_path / "missing" / "report.out"
+        payload = '{"rows": [[1, 0], [0, 1], [1, 1]]}'
+        code = main(["discriminant", "--in", payload, "--format", fmt, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("output error:")
+        assert not out_path.parent.exists()
+
     def test_console_entry_point(self):
+        # the subprocess needs src on its path as much as the test run does
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "hkit.cli", "gale", "--in", '{"rows": [[1], [1]]}'],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["A"]["rows"] == [[1, -1]]
@@ -409,7 +427,6 @@ class TestParser:
             "shifts": (Fraction(1, 2), Fraction(-3)),
             "window": (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1)),
         }
-        assert tuple(after) == cli.JobSpec._fields
 
     def test_options_before_the_command_run_it(self, capsys):
         payload = '{"rows": [[1], [1]]}'

@@ -8,7 +8,7 @@ import pytest
 from corpus import (
     cographic, complete_graph, corpus_matrices, divisor_of, graphic_rows, is_valid_matrix, r10,
 )
-from hkit import arrangement, intmat
+from hkit import intmat
 from hkit.characterization import DivisorData, classify_case, round_trip
 from hkit.errors import HkitError, NotInjective, NotUnimodular, TorsionCokernel
 from hkit.hypertoric import HypertoricData
@@ -79,7 +79,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IntMatrix([[1, 0], [0, entry]])
 
-    @pytest.mark.parametrize("cols", [2.5, 2.0, True])
+    @pytest.mark.parametrize("cols", [2.5, 2.0, True, -1])
     def test_rejects_cols_that_are_not_int(self, cols):
         with pytest.raises(ValueError):
             IntMatrix([], cols=cols)
@@ -245,6 +245,7 @@ class TestSmithAgainstClosures:
     def assert_agrees(M):
         res, oracle = smith_normal_form(M), smith_normal_form_by_closures(M)
         assert (res.S, res.invariant_factors) == (oracle.S, oracle.invariant_factors), M
+        assert _Forms(M).invariant_factors == res.invariant_factors, M
         assert res.U @ M @ res.V == res.S, M
         assert abs(det(res.U)) == abs(det(res.V)) == 1, M
 
@@ -336,6 +337,7 @@ class TestUnimodularityAgainstMinors:
         against every maximal minor."""
         verdict = unimodularity_report(M)
         assert verdict == (unimodular_by_scan(M), "minors"), M
+        assert _Forms(M).unimodular == verdict[0], M
         if minors:
             assert verdict == (unimodular_by_minors(M), "minors"), M
         return verdict[0]
@@ -531,7 +533,7 @@ class TestUnimodularityExits:
     def test_wide_matrix_is_oriented_tall(self):
         # [[1, 0]] has rank 1 < 2 as a 1 x 2 B, but its one maximal minor is 1
         M = IntMatrix([[1, 0]])
-        assert _Forms(M).unimodular is False
+        assert _Forms(M).unimodular is True
         assert unimodularity_report(M) == (True, "minors")
 
     @pytest.mark.parametrize(
@@ -554,7 +556,6 @@ class TestUnimodularityExits:
             return hermite(H, n)
 
         monkeypatch.setattr(intmat, "_hermite", counted)
-        monkeypatch.setattr(arrangement, "_hermite", counted)
         if bundle is None:
             with pytest.raises(NotUnimodular):
                 HypertoricData.from_matrix(B)

@@ -72,7 +72,6 @@ def _records():
         deform_local_model(model, (0, 1)),
         line,
         verify_genericity(H, line),
-        cli.JobSpec("gale", "{}"),
     ]
 
 
@@ -88,7 +87,7 @@ def test_every_record_type_is_covered():
         and value.__module__ == module.__name__ and not name.startswith("_")
     }
     assert declared == {type(r) for r in RECORDS}
-    assert len(declared) == 20
+    assert len(declared) == 19
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -118,11 +117,6 @@ def test_defaults():
     assert SimplicityReport(True, True).violations_b == ()
     assert RoundTripReport(*(None,) * 8).warnings == ()
     assert DeformationLine((0,), (Fraction(0),), ()).adjusted is False
-    job = cli.JobSpec("gale", "{}")
-    assert (job.output_path, job.fmt, job.basis_rows, job.shifts, job.window) == (
-        None, "json", None, None, None,
-    )
-    assert job.budget == hypertoric.DEFAULT_CANDIDATE_BUDGET
 
 
 def test_hyperplane_and_monomial_field_order_and_hash():
