@@ -22,12 +22,11 @@ direction come from its parent's in one step each, with `kernel_basis` as
 the fallback for a direction; `_flats` has both proofs. A central
 arrangement's rows leave out the offset column, which would stay 0. Only
 `f_locus` asks for directions.
-A simple slice is certified from circuits, not flats: when its walls have
-multiplicity 1 and unimodular normals, `check_simplicity` enumerates the
-circuits of the normals' dependencies with `_Forms.dependency_circuits`
-and tests <c, lambda> != 0 on each (its docstring has the proof). The flat
-walk runs only to list the violations of a slice that is not simple, or
-when that certificate does not apply.
+Slice simplicity is decided from circuits, not flats: `check_simplicity`
+enumerates the circuits of the normals' dependencies with
+`_Forms.dependency_circuits` and tests <c, lambda> != 0 on each (its
+docstring has the proof, at any rank of the normals). The flat walk runs
+only to list the violations of a slice that is not simple.
 Points come from integer back-substitution over one common denominator.
 The lines of the central arrangement of B's rows match the circuits of B's
 column lattice, but those come from `intmat.circuits`, the enumerator that
@@ -451,41 +450,49 @@ def _extends_to_basis(normals):
 
 
 def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
-    """Conditions (a) and (b): certified from the circuits when the slice is
-    simple, else read off the flats, which list every violation.
+    """Conditions (a) and (b): decided from the circuits, and read off the
+    flats, which list every violation, only for a slice that is not simple.
 
     Lemma (Bielawski and Dancer 2000; Hausel and Sturmfels, Doc. Math.
-    2002). Let every wall <b_i, eta> = lambda_i have multiplicity 1 and the
-    normals be unimodular of rank n. Then the arrangement is simple iff
-    <c, lambda> != 0 for every circuit c of the normals' dependencies.
-    - (if) Walls S that meet at eta have independent normals: a circuit c
-      with support in S would give <c, lambda> = sum_i c_i <b_i, eta> =
-      <sum_i c_i b_i, eta> = 0. So at most n walls meet, which is (a), and
-      their normals extend to a basis of n rows with determinant +-1, a
-      Z-basis, which is (b).
-    - (only if) Let <c, lambda> = 0 and k in supp c. The walls of supp c
-      without k have independent normals, so they meet; at any point eta
-      they share, c_k <b_k, eta> = -sum_{i != k} c_i lambda_i = c_k lambda_k,
-      so wall k passes through it too. The walls of supp c meet and their
-      normals are dependent, against (b).
-    The hypotheses are checked on the way to the circuits: the `_Forms` of
-    the normals, one HNF of their transpose, gives their rank and, when its
-    pivots are 1, [I | R] up to column order, whose kernel rows span the
-    dependencies. `dependency_circuits` enumerates the circuits from them,
-    or gives None at the first entry outside {-1, 0, 1}: then the normals
-    are not unimodular (`intmat._Forms.unimodular`).
+    2002). Let the walls be <b_i, eta> = lambda_i, with normals of any rank
+    r. The slice is simple iff every wall has multiplicity 1, the HNF of the
+    normals' transpose has unit pivots, every circuit c of the normals'
+    dependencies is a {0, +-1} vector, and <c, lambda> != 0 for each. Unit
+    pivots make the HNF's nonzero rows E = [I | R] up to column order: the
+    normals' lattice L is saturated, and E holds each normal's coordinates
+    in the basis of pivot normals. So r independent normals extend to a
+    Z-basis iff they span L, iff their minor of E is +-1, and fewer extend
+    when r such contain them.
+    - (if) The circuits are {0, +-1}, so every maximal minor of E is in
+      {0, +-1} (`intmat._Forms.unimodular`). Walls S that meet at eta have
+      independent normals: a circuit c with support in S would give
+      <c, lambda> = sum_i c_i <b_i, eta> = <sum_i c_i b_i, eta> = 0. So at
+      most r <= n walls meet, which is (a), and S lies in r independent
+      normals, whose minor is nonzero, so +-1, which is (b).
+    - (only if) Independent walls always meet, since independent affine
+      equations have a rational solution, so each failure below is a
+      violation of (b). A wall of multiplicity >= 2 is coincident
+      hyperplanes. A pivot d > 1 is a pivot of the pivot normals' own HNF,
+      so they do not extend (`_extends_to_basis`). A circuit entry outside
+      {0, +-1} means a maximal minor of E outside {0, +-1}, whose r normals
+      do not extend. Finally let <c, lambda> = 0 and k in supp c. The walls
+      of supp c without k are independent, so they meet; at any point eta
+      they share, c_k <b_k, eta> = -sum_{i != k} c_i lambda_i =
+      c_k lambda_k, so wall k passes through it too, and the walls of
+      supp c, whose normals are dependent, meet.
+    One HNF of the normals' transpose, their `_Forms`, gives the pivots and
+    the kernel rows, and `dependency_circuits` enumerates the circuits from
+    them, or gives None at the first entry outside {-1, 0, 1}.
 
-    Otherwise, and to list the violations, the walk decides. Walls meet iff
-    they are members of a common flat, and every flat lies in one of
-    codimension r, the rank of all the normals: a wall whose normal is
-    outside a flat's normal span meets it in a flat with more members. So
-    only the flats of codimension r are read. A subset of normals that
-    extend to a Z-basis extends too, so (b) only tests the subsets of flats
-    whose whole member set fails; a subset larger than the flat's
-    codimension is linearly dependent and fails without a test. A wall k of
-    multiplicity >= 2 is coincident hyperplanes, whose equal normals are
-    dependent, so it fails on its own as (k,); a wall of multiplicity 1 has
-    a primitive normal and passes.
+    To list the violations, the walk reads the flats. Walls meet iff they
+    are members of a common flat, and every flat lies in one of
+    codimension r: a wall whose normal is outside a flat's normal span
+    meets it in a flat with more members. So only the flats of codimension
+    r are read. A subset of normals that extend to a Z-basis extends too,
+    so (b) only tests the subsets of flats whose whole member set fails; a
+    subset larger than the flat's codimension is linearly dependent and
+    fails without a test. A wall k of multiplicity >= 2 fails on its own as
+    (k,); a wall of multiplicity 1 has a primitive normal and passes.
     """
     n = arr.n
     comps = arr.components
@@ -493,7 +500,7 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     # one HNF of the normals' transpose: their rank r, and [I | R] up to
     # column order when its pivots are 1
     forms = _Forms(IntMatrix._of(normals, n))
-    if forms.rank == n and forms.unit and all(c.multiplicity == 1 for c in comps):
+    if forms.unit and all(c.multiplicity == 1 for c in comps):
         circuits = forms.dependency_circuits()
         if circuits is not None:
             # <c, lambda> over the offsets' common denominator, in integers

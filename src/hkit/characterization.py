@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .arrangement import ZERO, ArrangementSpec, _central, _row_classes
 from .errors import CaseRejected, NonPrimitiveRow
-from .intmat import IntMatrix, _Forms, canonical_sign, check_primitive_rows, is_primitive
+from .intmat import IntMatrix, _oriented, canonical_sign, check_primitive_rows, is_primitive
 
 SMOOTH = "smooth_affine_space"
 HYPERTORIC = "hypertoric"
@@ -74,12 +74,12 @@ def classify_case(B: IntMatrix) -> CaseTag:
 
 
 def _classify(B):
-    """(case tag, the _Forms of B): the HNF of B^T gives the rank, and with
-    unit pivots a torsion-free cokernel and unimodularity; a pivot that is not
-    1 means B is not unimodular, and one HNF of B settles the torsion."""
+    """(case tag, `intmat._oriented(B)`), which decides the rank and
+    unimodularity and, for a B that is not rejected (so tall), the torsion.
+    A wide B is rejected by its rank."""
     check_primitive_rows(B)
     N, n = B.rows, B.cols
-    forms = _Forms(B)
+    forms = _oriented(B)
     if forms.rank < n:
         return CaseTag(
             case=REJECTED,

@@ -30,7 +30,7 @@ from .hypertoric import (
     leaf_descriptors,
     presentation,
 )
-from .intmat import IntMatrix, _Forms, _gale, non_primitive_rows
+from .intmat import IntMatrix, _gale, _oriented, non_primitive_rows
 from .plot import plot_arrangement
 
 SCHEMA_VERSION = 2
@@ -148,7 +148,7 @@ def _cmd_check(payload, job, notes):
         "non_primitive_rows": bad_rows,
     }
     if bad_rows:
-        forms = _Forms(B)
+        forms = _oriented(B)
     else:
         tag, forms = _classify(B)
         result["case"] = tag._asdict()
@@ -414,6 +414,9 @@ def main(argv=None) -> int:
         except ValueError as err:
             sys.stderr.write(f"input error: HKIT_BUDGET: {err}\n")
             return 2
+    if args.budget < 0:
+        sys.stderr.write(f"input error: budget must be nonnegative, got {args.budget}\n")
+        return 2
     return run(args)
 
 

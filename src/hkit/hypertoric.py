@@ -24,8 +24,8 @@ DEFAULT_CANDIDATE_BUDGET = 10**5
 
 class HypertoricData(NamedTuple):
     """Validated bundle (B, A) with the parallel-class grouping of B's rows
-    and the pivots of the HNF of B^T. The pivots are all 1 for valid B, so
-    they are the lexicographically first rows that form a Z-basis of Z^n."""
+    and, as basis_rows, the pivots of validation's `intmat._Forms`: for a
+    valid B the first rows that form a Z-basis of Z^n (`_Forms` says why)."""
 
     B: IntMatrix
     A: IntMatrix

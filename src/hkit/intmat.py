@@ -15,13 +15,15 @@ for that verdict and for `circuits`. A pivot that is not 1 makes B not
 unimodular; the torsion test and the kernel then take one HNF of B with
 its transform, built on first use. One class, _Forms, holds these forms
 and is the only code that decides rank, torsion, the invariant factors,
-the Gale dual, the kernel and unimodularity (a wide B on B^T), on B's
-side and on A's; unimodularity_report is _Forms on M oriented tall and
-kernel_basis is _Forms on M^T. The Smith normal form runs the same loop
-on rows and columns in turn. _Forms.invariant_factors, which `hkit check`
-and the TorsionCokernel message read, calls it only for a B^T whose HNF
-has a pivot other than 1 (with unit pivots an identity minor of size rank
-makes every invariant factor 1).
+the Gale dual, the kernel and unimodularity, on B's side and on A's. One
+rule, _oriented, turns a matrix tall for a verdict: it takes the _Forms of
+M or of M^T, whichever is tall, and unimodularity_report, the case split
+and `hkit check` read it; kernel_basis is _Forms on M^T. The Smith normal
+form runs the same loop on rows and columns in turn.
+_Forms.invariant_factors, which `hkit check` and the TorsionCokernel
+message read, calls it only for a B^T whose HNF has a pivot other than 1
+(with unit pivots an identity minor of size rank makes every invariant
+factor 1).
 
 Everything is arbitrary-precision (plain Python ints) and every value is
 immutable after construction, so all functions here are safe to call
@@ -340,9 +342,17 @@ def is_unimodular(M: IntMatrix) -> bool:
 
 
 def unimodularity_report(M: IntMatrix):
-    """(verdict, "minors"): _Forms.unimodular on M oriented tall, with the
-    method name that reports carry."""
-    return _Forms(M if M.rows >= M.cols else M.transpose()).unimodular, "minors"
+    """(verdict, "minors"): _oriented(M).unimodular, with the method name
+    that reports carry."""
+    return _oriented(M).unimodular, "minors"
+
+
+def _oriented(M):
+    """The _Forms that decides M's verdicts: of M when it is tall (rows >=
+    cols), else of M^T. The rank, the invariant factors and the maximal
+    minors, so unimodularity, do not change under transposition, and a wide
+    M has rank below its column count."""
+    return _Forms(M if M.rows >= M.cols else M.transpose())
 
 
 def _elementary(rows, unit_cols):
@@ -449,9 +459,11 @@ class _Forms:
     unimodularity and the Gale dual's unimodularity, for B (N x n): the HNF
     of B^T, and one HNF of B with its transform, built on first use.
 
-    Pivots of B^T's HNF that are all 1 make it [I | R] up to column order
-    with pivot minor 1: the cokernel is torsion-free, and the kernel of B^T
-    and the circuits that decide unimodularity are read off it. A pivot
+    The pivots of B^T's HNF are the rows of B that are independent of the
+    rows before them. Pivots that are all 1 make it [I | R] up to column
+    order with pivot minor 1, so at rank n the pivot rows are a Z-basis of
+    Z^n, the cokernel is torsion-free, and the kernel of B^T and the
+    circuits that decide unimodularity are read off [I | R]. A pivot
     d > 1 puts d in the pivot minor, so B is not unimodular; then the HNF of
     B has pivots that multiply to the gcd of B's maximal minors, so the
     cokernel is torsion-free iff they are all 1, and its transform gives the
@@ -505,12 +517,12 @@ class _Forms:
 
     @cached_property
     def unimodular(self):
-        """Whether B is unimodular: exact at every size and shape.
+        """Whether a tall B (N >= n) is unimodular, exact at every size;
+        `_oriented` turns a wide B tall first.
 
-        A wide B (N < n) is decided on B^T, which has the same maximal
-        minors. Row operations keep maximal minors up to sign, so a rank
-        below n or a pivot d > 1 (a minor of d) says no. Otherwise B^T
-        reduces to E = [I | R] up to column order, and B is unimodular iff
+        Row operations keep maximal minors up to sign, so a rank below n or
+        a pivot d > 1 (a minor of d) says no. Otherwise B^T reduces to
+        E = [I | R] up to column order, and B is unimodular iff
         every elementary vector of E's row space is a {0, +-1} vector
         (Tutte, Canad. J. Math. 1956); _elementary builds them column by
         column.
@@ -530,8 +542,6 @@ class _Forms:
         enumerator runs on E when n <= N - n and on them otherwise.
         """
         N, n = self.B.shape
-        if N < n:
-            return _Forms(self.B.transpose()).unimodular
         if min(N, n) == 0 or self.rank < n or not self.unit:
             return False
         if n <= N - n:
@@ -547,14 +557,17 @@ class _Forms:
 
     def dual_unimodular(self):
         """Whether the Gale dual A = self.kernel is unimodular, for B of
-        rank n. The empty A (N = n) counts as unimodular. With a torsion-free
-        cokernel, 0 -> Z^n -> Z^N -> Z^(N-n) -> 0 is exact with maps B and A,
+        rank n. The empty A (N = n) counts as unimodular, and so does the
+        A = I_N of a B with no columns (n = 0), which B's own verdict cannot
+        give: a matrix with no columns has no maximal minors for
+        is_unimodular. With a torsion-free cokernel,
+        0 -> Z^n -> Z^N -> Z^(N-n) -> 0 is exact with maps B and A,
         and the maximal minor of A on a set of columns equals, up to one
         global sign, the maximal minor of B on the complementary rows (Hausel
         and Sturmfels, Doc. Math. 2002), so A is unimodular iff B is. With
         torsion, A spans only the saturated orthogonal lattice and
         is_unimodular(A) decides."""
-        if not self.kernel.rows:
+        if not self.B.cols or not self.kernel.rows:
             return True
         if self.torsion_free:
             return self.unimodular

@@ -234,7 +234,7 @@ def t1_simplicity(H: HypertoricData, line: DeformationLine, slice1) -> Simplicit
     `choose_deformation_line` builds (0 on the Z-basis it accepts, 2^k off
     it), so `hkit deform` always takes it. A line that a library caller
     builds otherwise is decided by `check_simplicity`, from the slice's
-    circuits or its flats."""
+    circuits."""
     if simple_by_construction(H, line):
         return SimplicityReport(True, True)
     return check_simplicity(slice1)

@@ -12,7 +12,7 @@ from hkit import arrangement, cli, intmat, localmodel
 from hkit.arrangement import Kind, build_discriminant, group_hyperplanes
 from hkit.cli import main
 from hkit.errors import UnsupportedDimension
-from hkit.intmat import IntMatrix
+from hkit.intmat import IntMatrix, is_unimodular
 from hkit.plot import plot_arrangement
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -56,6 +56,17 @@ class TestCommands:
         assert code == 0
         assert report_of(out)["result"]["unimodular_B"] is True
         assert len(calls) == 2
+
+    def test_gale_of_matrix_without_columns(self, capsys):
+        # n = 0: A = I_2 is unimodular, as is_unimodular says, while B has no
+        # maximal minors and keeps its verdict
+        code, out = run_cli(["gale", "--in", '{"rows": [[], []], "cols": 0}'], capsys)
+        assert code == 0
+        result = report_of(out)["result"]
+        assert result["A"] == {"rows": [[1, 0], [0, 1]], "cols": 2}
+        assert is_unimodular(IntMatrix.identity(2))
+        assert result["unimodular_A"] is True
+        assert result["unimodular_B"] is False
 
     def test_gale_domain_error(self, capsys):
         code, out = run_cli(["gale", "--in", '{"rows": [[1, 0], [1, 0]]}'], capsys)
@@ -136,6 +147,16 @@ class TestCommands:
         assert result["unimodular"] is True
         assert result["unimodularity_method"] == "minors"
         assert result["invariant_factors"] == [1, 1]
+        assert calls == 1
+
+    @pytest.mark.parametrize("rows", [[[1, 0]], [[1, 0, 1], [0, 1, 1]]])
+    def test_check_reduces_wide_matrix_once(self, rows, capsys, monkeypatch):
+        # a wide B is decided on its tall transpose: one HNF, of B, gives the
+        # rank, the invariant factors, the rejected case and the verdict
+        result, calls = self.counted_check(rows, capsys, monkeypatch)
+        assert result["unimodular"] is True
+        assert result["invariant_factors"] == [1] * len(rows)
+        assert result["case"]["case"] == "rejected"
         assert calls == 1
 
     def test_check_smith_form_off_the_unit_path(self, capsys, monkeypatch):
@@ -294,6 +315,21 @@ class TestCommands:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("input error: HKIT_BUDGET")
+
+    @pytest.mark.parametrize(
+        "args, env",
+        [(["--budget", "-1"], None), ([], "-1")],
+        ids=["flag", "env"],
+    )
+    def test_negative_budget_exit_2(self, capsys, monkeypatch, args, env):
+        # an argument error, not budget_exceeded; a budget of 0 stays legal
+        if env is not None:
+            monkeypatch.setenv("HKIT_BUDGET", env)
+        code = main(["build", "--in", '{"rows": [[1], [1]]}', *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
 
     def test_budget_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HKIT_BUDGET", "0")

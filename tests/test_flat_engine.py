@@ -12,9 +12,9 @@ the member set and echelon basis of the closure by levels, and with the
 direction `kernel_basis` gives its member normals, whether the engine took
 it from the parent's in one step or fell back; the circuits that
 `intmat.circuits` enumerates must be the vectors B x for x spanning the
-lines of that closure, up to sign. `check_simplicity` must certify every
-simple slice its circuit test applies to without entering `_flats`, and
-walk, equal to the scan, where it does not apply.
+lines of that closure, up to sign. `check_simplicity` must decide every
+slice from its circuits, at any rank of the normals, and enter `_flats`,
+equal to the scan, only for a slice that is not simple.
 """
 
 import random
@@ -37,7 +37,7 @@ from hkit.arrangement import (
     group_hyperplanes,
 )
 from hkit.hypertoric import HypertoricData
-from hkit.intmat import IntMatrix, canonical_sign, circuits, is_primitive, kernel_basis
+from hkit.intmat import IntMatrix, _Forms, canonical_sign, circuits, is_primitive, kernel_basis
 from hkit.localmodel import (
     DeformationLine,
     _line_direction,
@@ -325,9 +325,11 @@ class TestFlatsAgainstLevels:
 
 
 class TestSimplicityCertificate:
-    """`check_simplicity` certifies a simple slice from the circuits of its
-    normals' dependencies when every wall has multiplicity 1 and the normals
-    are unimodular, and walks the flats otherwise or to list violations."""
+    """`check_simplicity` decides every slice from the circuits of its
+    normals' dependencies, at any rank of the normals, and walks the flats
+    only to list the violations of a slice that is not simple. Where the
+    certificate refuses (a wall of multiplicity >= 2, a pivot other than 1,
+    a circuit entry outside {0, +-1}), the scan finds a violation of (b)."""
 
     @staticmethod
     def walks(arr, monkeypatch):
@@ -338,6 +340,28 @@ class TestSimplicityCertificate:
         report = check_simplicity(arr)
         monkeypatch.undo()
         return report, bool(entered)
+
+    @staticmethod
+    def refused(arr):
+        """Whether the certificate's hypotheses fail on arr."""
+        forms = _Forms(IntMatrix([c.hyperplane.normal for c in arr.components], cols=arr.n))
+        return (
+            any(c.multiplicity > 1 for c in arr.components)
+            or not forms.unit
+            or forms.dependency_circuits() is None
+        )
+
+    def assert_decided(self, arr, monkeypatch):
+        """check_simplicity(arr), checked against the scan: it walks exactly
+        when arr is not simple, and a refused certificate leaves a violation
+        of (b). Returns (report, whether the certificate refused)."""
+        report, walked = self.walks(arr, monkeypatch)
+        scan = check_simplicity_scan(arr)
+        assert report == scan, arr
+        assert walked is not report.simple, arr
+        refused = self.refused(arr)
+        assert scan.violations_b or not refused, arr
+        return report, refused
 
     @staticmethod
     def no_walk(monkeypatch):
@@ -356,6 +380,7 @@ class TestSimplicityCertificate:
             else:
                 with pytest.raises(AssertionError, match="_flats ran"):
                     check_simplicity(arr)
+                assert check_simplicity_scan(arr).violations_b or not self.refused(arr), arr
         assert verdicts.count(False) == 24 and len(slices) == 1161
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
@@ -379,9 +404,7 @@ class TestSimplicityCertificate:
         ids=["multiplicity-2", "non-unit-pivots", "central-K4", "index-2-pair"],
     )
     def test_walks_where_the_certificate_does_not_apply(self, arr, monkeypatch):
-        report, walked = self.walks(arr, monkeypatch)
-        assert walked
-        assert report == check_simplicity_scan(arr)
+        report, _ = self.assert_decided(arr, monkeypatch)
         assert not report.simple
 
     def test_seeded_offsets_on_corpus(self, monkeypatch):
@@ -396,11 +419,24 @@ class TestSimplicityCertificate:
             offsets = [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(H.N)]
             line = DeformationLine(H.basis_rows, tuple(offsets), ())
             arr = family_slice(H, line, 1)
-            report, walked = self.walks(arr, monkeypatch)
-            assert report == check_simplicity_scan(arr), (H.B, offsets)
-            assert walked or report.simple
-            seen.add((report.simple, walked, max(c.multiplicity for c in arr.components) > 1))
-        assert {(True, False, False), (False, True, False), (False, True, True)} <= seen
+            report, refused = self.assert_decided(arr, monkeypatch)
+            seen.add((report.simple, refused, max(c.multiplicity for c in arr.components) > 1))
+        assert {(True, False, False), (False, False, False), (False, True, True)} <= seen
+
+    def test_rank_deficient_slices(self, monkeypatch):
+        # normals of rank below n: every valid corpus matrix with a zero
+        # column appended, under seeded offsets, and x = 0, y = 0, x + y = 1
+        # in n = 3, which is simple
+        arr = group_hyperplanes(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 1, 0), 1)])
+        assert self.assert_decided(arr, monkeypatch) == ((True, True, (), ()), False)
+        rng = random.Random(97)
+        seen = set()
+        for H in valid_hypertoric(corpus_matrices()):
+            offsets = [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(H.N)]
+            arr = group_hyperplanes(H.n + 1, [(b + (0,), c) for b, c in zip(H.B.data, offsets)])
+            report, refused = self.assert_decided(arr, monkeypatch)
+            seen.add((report.simple, refused))
+        assert seen == {(True, False), (False, False), (False, True)}
 
 
     @pytest.mark.parametrize("normals", [[(1, 0), (-1, 0), (0, 1)], [(1, 0), (2, 0), (0, 1)]])

@@ -15,6 +15,7 @@ from hkit.hypertoric import HypertoricData
 from hkit.intmat import (
     IntMatrix,
     _Forms,
+    _oriented,
     canonical_primitive,
     canonical_sign,
     det,
@@ -337,7 +338,9 @@ class TestUnimodularityAgainstMinors:
         against every maximal minor."""
         verdict = unimodularity_report(M)
         assert verdict == (unimodular_by_scan(M), "minors"), M
-        assert _Forms(M).unimodular == verdict[0], M
+        forms = _oriented(M)
+        assert forms.B == (M if M.rows >= M.cols else M.transpose()), M
+        assert forms.unimodular == verdict[0], M
         if minors:
             assert verdict == (unimodular_by_minors(M), "minors"), M
         return verdict[0]
@@ -533,7 +536,10 @@ class TestUnimodularityExits:
     def test_wide_matrix_is_oriented_tall(self):
         # [[1, 0]] has rank 1 < 2 as a 1 x 2 B, but its one maximal minor is 1
         M = IntMatrix([[1, 0]])
-        assert _Forms(M).unimodular is True
+        forms = _oriented(M)
+        assert forms.B == M.transpose()
+        assert (forms.rank, forms.invariant_factors) == (1, (1,))
+        assert forms.unimodular is True
         assert unimodularity_report(M) == (True, "minors")
 
     @pytest.mark.parametrize(
