@@ -14,23 +14,31 @@ one by (canonical normal, offset numerator, offset denominator). Only
 `localmodel.family_slice` takes those checked groups as they are, and its
 t = 0 slice is `groups` with one shared zero offset.
 
-Flats come from one engine that closes the intersection lattice cover by
-cover (Orlik and Terao, Arrangements of Hyperplanes, ch. 2), so the F-locus
-is complete for any number of walls. The closure is a depth-first search,
-and each flat is expanded once. A new flat's wall residuals and its
-direction come from its parent's in one step each, with `kernel_basis` as
-the fallback for a direction; `_flats` has both proofs. A central
-arrangement's rows leave out the offset column, which would stay 0. Only
-`f_locus` asks for directions.
+Flats come from one depth-first closure of the intersection lattice, cover
+by cover (Orlik and Terao, Arrangements of Hyperplanes, ch. 2), so the
+F-locus is complete for any number of walls. `_closure` expands each flat
+once and takes its direction from its parent's in one elimination step,
+`_cut`, with `kernel_basis` as the fallback. Two walks feed it the keys
+that group a flat's other walls into its covers. A central arrangement
+whose normals have {0, +-1} circuits, no two of them parallel, is closed
+from its lines (`_lines`):
+the lines are the zero sets of the circuits of the normals' column
+lattice, which `_Forms.circuits` enumerates as it does to decide
+unimodularity; the lattice is coatomistic, so a flat is known by the
+bitmask sigma of the lines inside it, and a wall w's key is C_w & sigma,
+C_w being the lines inside w, one integer AND per class. The empty key is
+the top flat, the center, and the row of the cut is the normal of any wall
+of the class; `f_locus` has the proof. Every other arrangement, and the
+walk of `check_simplicity`, take `_flats`, whose key is a wall's residual,
+made from its parent's in one fraction-free step; `_flats` has that proof
+and the cut's. A central arrangement's rows leave out the offset column,
+which would stay 0. Only `f_locus` asks for directions.
 Slice simplicity is decided from circuits, not flats: `check_simplicity`
 enumerates the circuits of the normals' dependencies with
 `_Forms.dependency_circuits` and tests <c, lambda> != 0 on each (its
 docstring has the proof, at any rank of the normals). The flat walk runs
 only to list the violations of a slice that is not simple.
 Points come from integer back-substitution over one common denominator.
-The lines of the central arrangement of B's rows match the circuits of B's
-column lattice, but those come from `intmat.circuits`, the enumerator that
-decides unimodularity.
 """
 
 from bisect import insort
@@ -273,18 +281,56 @@ def _cut(D, r):
 
 
 def _direction(basis, n):
-    """kernel_basis of the flat's normals, as rows, and whether its pivots
-    are 1."""
+    """kernel_basis of the normals of a flat's basis, a list of (index, row)
+    pairs, as rows, and whether its pivots are 1."""
     D = kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).data
     return D, all(d[_pivot(d)] == 1 for d in D)
 
 
+def _closure(n, walls, expand, directions):
+    """Every flat as (member bitmask, basis, direction), depth first: the
+    walk that `_flats` and `_lines` share. Each member set comes exactly
+    once, in no particular order.
+
+    walls is the bottom flat's classes, one (key, bit) pair per wall, and
+    each wall is a flat of its own. A flat is expanded when it is taken off
+    the stack: expand(key, class bitmask, parent's basis, parent's classes)
+    gives its basis, the row that cut it out of its parent, and its
+    classes, one (key, wall bitmask) pair per cover, whose members are the
+    flat's and the class's walls. A `seen` set of member sets makes each
+    flat expanded once, from its first parent; children wait on the stack
+    with their parent's classes, and a flat's classes are made only when it
+    is taken off the stack, so only the flats along one path hold them.
+    The direction is None unless asked for; then `_cut` takes it from the
+    parent's with the row, and `_direction` from the basis where the cut
+    does not apply (`_flats` has the proof)."""
+    identity = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+    stack = [(bit, key, bit, [], walls, identity, True) for key, bit in reversed(walls)]
+    seen = set()
+    while stack:
+        # the parent's direction and whether its pivots are 1, then G's
+        members, key, ks, parent_basis, parent_classes, direction, unit = stack.pop()
+        basis, row, classes = expand(key, ks, parent_basis, parent_classes)
+        if directions:
+            direction = _cut(direction, row) if unit else None
+            if direction is None:
+                direction, unit = _direction(basis, n)
+        else:
+            direction = None
+        yield members, basis, direction
+        for key, ks in reversed(classes):
+            child = members | ks
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, key, ks, basis, classes, direction, unit))
+
+
 def _flats(arr, directions=False):
     """Every flat as (member bitmask, echelon basis of (pivot, row) pairs
-    sorted by pivot, direction), depth first. Each member set comes exactly
-    once, in no particular order. The rows are augmented (normal, offset)
-    when the arrangement is affine and the normals alone when it is central.
-    The direction is None unless asked for; then it is the HNF rows of the
+    sorted by pivot, direction), from `_closure`, with the walls' residuals
+    as the class keys. The rows are augmented (normal, offset) when the
+    arrangement is affine and the normals alone when it is central. The
+    direction is None unless asked for; then it is the HNF rows of the
     flat's saturated direction lattice, `kernel_basis` of its normals.
 
     A flat F carries the residual classes of the walls that are neither its
@@ -302,11 +348,7 @@ def _flats(arr, directions=False):
     that vector is unique up to scale
     because G's basis restricted to its pivot columns is triangular with a
     nonzero diagonal. Walls in one class of F stay in one class of G, so a
-    class takes one step whatever its size. A `seen` set of member sets
-    makes each flat expanded once, from its first parent; children wait on
-    the stack with their parent's classes, and a flat's classes are made
-    only when it is taken off the stack, so only the flats along one path
-    hold them.
+    class takes one step whatever its size.
 
     G's direction comes from F's in one elimination step, `_cut`. The
     direction lattice L of F is saturated, and L ∩ r^⊥ is G's: r lies in
@@ -328,26 +370,14 @@ def _flats(arr, directions=False):
     start from that result again when its pivots are 1.
     """
     n = arr.n
-    walls = [(r, 1 << k) for k, r in enumerate(_rows(arr))]
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    stack = [(bit, r, [], walls, identity, True) for r, bit in reversed(walls)]
-    seen = set()
-    while stack:
-        # the parent's direction and whether its pivots are 1, then G's
-        members, row, parent_basis, parent_classes, direction, unit = stack.pop()
+
+    def expand(row, ks, parent_basis, parent_classes):
         a = next(filter(None, row))
         q = row.index(a)
         basis = parent_basis.copy()
         insort(basis, (q, row))
-        if directions:
-            direction = _cut(direction, row) if unit else None
-            if direction is None:
-                direction, unit = _direction(basis, n)
-        else:
-            direction = None
-        yield members, basis, direction
         if len(basis) == n:
-            continue
+            return basis, row, ()
         classes = {}
         for res, ks in parent_classes:
             # the class whose residual is the new row joined the members,
@@ -364,12 +394,45 @@ def _flats(arr, directions=False):
                     g = -g
                 res = tuple(v) if g == 1 else tuple([x // g for x in v])
             classes[res] = classes.get(res, 0) | ks
-        classes = list(classes.items())
-        for res, ks in reversed(classes):
-            key = members | ks
-            if key not in seen:
-                seen.add(key)
-                stack.append((key, res, basis, classes, direction, unit))
+        return basis, row, classes.items()
+
+    return _closure(n, [(r, 1 << k) for k, r in enumerate(_rows(arr))], expand, directions)
+
+
+def _lines(arr):
+    """The flats of a central arrangement, as `_flats(arr, directions=True)`
+    gives them, from `_closure` with the lines inside each wall as its
+    class key. None unless the HNF of the normals' transpose has unit
+    pivots, every circuit is a {0, +-1} vector and no two walls are
+    parallel (an `ArrangementSpec` built by hand need not merge normals
+    that differ in sign). A flat's basis holds one (wall, normal) pair per
+    cover on its way from the bottom. `f_locus` has the proof."""
+    normals = tuple(c.hyperplane.normal for c in arr.components)
+    found = _Forms(IntMatrix._of(normals, arr.n)).circuits()
+    if found is None:
+        return None
+    # C_w: the lines inside wall w, bit l when circuit l is 0 at w
+    on = [0] * len(normals)
+    for l, c in enumerate(found):
+        for w, x in enumerate(c):
+            if not x:
+                on[w] |= 1 << l
+    # walls with the same lines inside are parallel
+    if len(set(on)) < len(on):
+        return None
+
+    def expand(sigma, ks, parent_basis, parent_classes):
+        k = (ks & -ks).bit_length() - 1
+        row = normals[k]
+        classes = {}
+        for key, ks in parent_classes:
+            # only G's own class keeps all of sigma
+            key &= sigma
+            if key != sigma:
+                classes[key] = classes.get(key, 0) | ks
+        return parent_basis + [(k, row)], row, classes.items()
+
+    return _closure(arr.n, [(c, 1 << w) for w, c in enumerate(on)], expand, True)
 
 
 def _point_of(basis, n):
@@ -411,12 +474,58 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
     """All flats spanned by >= 2 distinct walls, with exact codimension,
     sorted by member set. Point is the particular solution of the flat's
     equations with free coordinates zero; direction is the HNF-canonical
-    basis of the saturated direction lattice."""
+    basis of the saturated direction lattice. A central arrangement is
+    closed from its lines when `_lines` can read them, and every other one
+    by `_flats`; both walks give the same member sets, and the direction of
+    each is the unique HNF, so the list does not depend on the walk.
+
+    The line closure. Let E be the k x n matrix of the normals, of rank r.
+    A flat is known by its members, the walls that contain it; the member
+    sets are the closed sets of the matroid of E's rows, from the whole
+    space (no member) to the center (every wall, codimension r).
+    - Lines are circuits. Call a flat of codimension r - 1 a line (a line
+      through 0 when r = n). For x in a line and not in the center, E x is
+      0 exactly on the line's members and has minimal support among the
+      nonzero vectors of E's column space, and the zero set of each such
+      vector is the member set of a line. So the lines are the circuits of
+      E's column lattice up to sign, which `_Forms(E).circuits()` lists
+      when E^T's HNF has unit pivots and every circuit is a {0, +-1}
+      vector; otherwise it gives None and `_flats` walks.
+    - The lattice is coatomistic: a closed set of a matroid is the
+      intersection of the hyperplanes that contain it. So a flat F is the
+      span of the lines inside it and is known by their bitmask sigma_F;
+      a wall w carries C_w, the lines inside it (the circuits that are 0
+      at w). The whole space has every line and the center none.
+    - Covers: for a wall w that is not a member of F, the cover
+      G = F ∩ H_w holds the lines inside both, sigma_G = C_w & sigma_F.
+      A flat is known by its sigma, so two such walls give the same cover
+      iff they have the same key C_w & sigma_F: F's other walls grouped by
+      key are its covers, one class each. A class's walls are what G adds
+      to F's members, and its key is sigma_G. The empty key means that no
+      line lies in G: G is the center, the top flat, every wall is a
+      member and it has no covers.
+    - Keys carry down: C_w & sigma_G = (C_w & sigma_F) & sigma_G, so F's
+      classes become G's by one AND with sigma_G each, and a class of F
+      stays in one class of G, where `_flats` takes a fraction-free vector
+      step. Two walls with the same lines inside are parallel, so when no
+      two C_w are equal every flat of the walk holds all the walls that
+      contain it, and the only class whose key keeps all of sigma_G is
+      G's own, which joined the members.
+    - Directions: G's is F's cut by the normal of any wall of its class
+      (`_cut`). That normal lies in the span of F's normals and H_w's and
+      outside the span of F's, which is all that the proof in `_flats` asks
+      of the row. The basis along the walk holds those normals, one per
+      cover, so its length is G's codimension and `kernel_basis` of it is
+      the fallback.
+    """
     n = arr.n
     central = not any(c.hyperplane.offset for c in arr.components)
-    origin = (Fraction(0),) * n
+    origin = (ZERO,) * n
     found = []
-    for members, basis, direction in _flats(arr, directions=True):
+    walk = _lines(arr) if central else None
+    if walk is None:
+        walk = _flats(arr, directions=True)
+    for members, basis, direction in walk:
         if len(basis) < 2:
             continue
         members = tuple(_bits(members))
@@ -424,7 +533,7 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
         flat = FlatDescriptor(frozenset(members), IntMatrix._of(direction, n), point, len(basis))
         found.append((members, flat))
     found.sort(key=itemgetter(0))
-    return FlatList(flat for _, flat in found)
+    return FlatList(map(itemgetter(1), found))
 
 
 class SimplicityReport(NamedTuple):

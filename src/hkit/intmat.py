@@ -31,7 +31,6 @@ concurrently. No floating point anywhere.
 """
 
 import itertools
-from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
@@ -372,11 +371,20 @@ def _elementary(rows, unit_cols):
     vectors, pos, neg = [], [], []  # the vectors and their +1 and -1 columns
 
     def admit(x):
-        if not set(x) <= {-1, 0, 1}:
-            return False
+        p = n = 0
+        bit = 1
+        for e in x:
+            if e:
+                if e == 1:
+                    p |= bit
+                elif e == -1:
+                    n |= bit
+                else:
+                    return False
+            bit <<= 1
         vectors.append(tuple(x))
-        pos.append(sum(1 << c for c, e in enumerate(x) if e == 1))
-        neg.append(sum(1 << c for c, e in enumerate(x) if e == -1))
+        pos.append(p)
+        neg.append(n)
         return True
 
     if not all(map(admit, rows)):
@@ -454,6 +462,26 @@ def gale_dual(B: IntMatrix) -> IntMatrix:
     return _gale(B).kernel
 
 
+class _on_first_use:
+    """A method read as an attribute: the first read stores its value in the
+    instance's __dict__, which every later read finds before the class, so
+    the value is then a plain attribute. Unlike functools.cached_property
+    before Python 3.12, no lock is taken."""
+
+    def __init__(self, method):
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, forms, owner=None):
+        if forms is None:
+            return self
+        value = forms.__dict__[self.name] = self.method(forms)
+        return value
+
+
 class _Forms:
     """The one decider of rank, torsion, the invariant factors, the kernel,
     unimodularity and the Gale dual's unimodularity, for B (N x n): the HNF
@@ -477,7 +505,7 @@ class _Forms:
         self.rank = len(self.pivots)
         self.unit = _unit(self.echelon, self.pivots)
 
-    @cached_property
+    @_on_first_use
     def transform(self):
         """(rows [H | U], pivots) of the HNF U @ B = H."""
         return _with_transform(self.B)
@@ -494,7 +522,7 @@ class _Forms:
         form's."""
         return (1,) * self.rank if self.unit else smith_normal_form(self.B).invariant_factors
 
-    @cached_property
+    @_on_first_use
     def kernel(self):
         """kernel_basis(B^T) at any rank: with unit pivots the rows
         x_free = e_j, x_pivot = -R e_j, HNF-reduced; otherwise the rows of
@@ -515,7 +543,7 @@ class _Forms:
         entry outside {-1, 0, 1}: the circuits of B's column lattice."""
         return _elementary(self.echelon[: self.rank], self.pivots) if self.unit else None
 
-    @cached_property
+    @_on_first_use
     def unimodular(self):
         """Whether a tall B (N >= n) is unimodular, exact at every size;
         `_oriented` turns a wide B tall first.

@@ -14,7 +14,10 @@ it from the parent's in one step or fell back; the circuits that
 `intmat.circuits` enumerates must be the vectors B x for x spanning the
 lines of that closure, up to sign. `check_simplicity` must decide every
 slice from its circuits, at any rank of the normals, and enter `_flats`,
-equal to the scan, only for a slice that is not simple.
+equal to the scan, only for a slice that is not simple. A central
+arrangement closed from its lines (`_lines`) must give the F-locus that
+`_flats` walks, field for field, and take that walk wherever `_lines`
+declines.
 """
 
 import random
@@ -23,7 +26,7 @@ from math import comb
 
 import pytest
 
-from corpus import cographic, complete_graph, corpus_matrices, r10, valid_hypertoric
+from corpus import cographic, complete_graph, corpus_matrices, graphic_rows, r10, valid_hypertoric
 from hkit import arrangement
 from hkit.arrangement import (
     ArrangementComponent,
@@ -154,21 +157,24 @@ def test_family_codimension_matches_scan():
         assert family_f_locus_codimension(H) == seen[key], H.B
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 9])
 def test_complete_graph_flats_are_set_partitions(m):
     # flats of K_m <-> set partitions of its m vertices; the whole space and
-    # the C(m, 2) single walls are not in the F-locus
-    flats = f_locus(build_discriminant(complete_graph(m)))
+    # the C(m, 2) single walls are not in the F-locus. Its lines <-> the
+    # partitions into two blocks, one circuit each up to sign
+    B = complete_graph(m)
+    flats = f_locus(build_discriminant(B))
     assert len(flats) == bell(m) - 1 - comb(m, 2)
     assert not flats.truncated
+    assert len(circuits(B)) == 2 ** (m - 1) - 1
+
+
+# pivots 2, 3, 4, ... and nonzero offsets
+NON_UNIT_PIVOT_WALLS = [((2, 3, 0), 1), ((3, -5, 0), 2), ((4, 1, 2), 3), ((0, 3, 4), 5), ((5, 0, 2), 7)]
 
 
 def non_unit_pivot_arrangement():
-    # pivots 2, 3, 4, ... and nonzero offsets
-    return group_hyperplanes(
-        3,
-        [((2, 3, 0), 1), ((3, -5, 0), 2), ((4, 1, 2), 3), ((0, 3, 4), 5), ((5, 0, 2), 7)],
-    )
+    return group_hyperplanes(3, NON_UNIT_PIVOT_WALLS)
 
 
 def test_points_with_non_unit_pivots():
@@ -184,6 +190,98 @@ def test_points_with_non_unit_pivots():
         assert consistent and rank == f.codimension, f
         assert f.point == point, f
         assert all(isinstance(x, Fraction) for x in f.point)
+
+
+def flats_walked(arr, monkeypatch):
+    """f_locus(arr) with `_lines` turned off, so that `_flats` walks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(arrangement, "_lines", lambda arr: None)
+        return f_locus(arr)
+
+
+def central(n, normals):
+    """The central arrangement of normals taken as they are."""
+    return ArrangementSpec(n, tuple(
+        ArrangementComponent(Hyperplane(b, Fraction(0)), 1, Kind.SECOND_KIND) for b in normals
+    ))
+
+
+class TestLineClosure:
+    """A central arrangement whose normals have {0, +-1} circuits is closed
+    from its lines, and its F-locus equals the one `_flats` walks, field
+    for field; where `_lines` declines, `_flats` walks anyway."""
+
+    @staticmethod
+    def assert_same_f_locus(arr, monkeypatch):
+        """Whether the line walk ran, after checking f_locus against the
+        F-locus that `_flats` walks."""
+        assert list(f_locus(arr)) == list(flats_walked(arr, monkeypatch)), arr
+        return arrangement._lines(arr) is not None
+
+    def test_corpus_discriminants(self, corpus_discriminants, monkeypatch):
+        # most corpus matrices are not unimodular, and their walls fall back
+        lined = [self.assert_same_f_locus(arr, monkeypatch) for arr in corpus_discriminants]
+        assert (lined.count(True), lined.count(False)) == (480, 1159)
+
+    @pytest.mark.parametrize(
+        "B",
+        [complete_graph(m) for m in range(3, 10)] + [cographic(m) for m in (4, 5, 6)] + [r10()],
+        ids=[f"K{m}" for m in range(3, 10)] + [f"K{m}*" for m in (4, 5, 6)] + ["R10"],
+    )
+    def test_regular_matroids(self, B, monkeypatch):
+        assert self.assert_same_f_locus(build_discriminant(B), monkeypatch)
+
+    def test_seeded_graphs(self, monkeypatch):
+        # multigraphs on v <= 10 vertices with 2(v - 1) edges: parallel
+        # edges merge into one wall of multiplicity >= 2
+        rng = random.Random(23)
+        for v in range(2, 11):
+            for _ in range(3):
+                B = IntMatrix(graphic_rows(rng, v, v - 1), cols=v - 1)
+                assert self.assert_same_f_locus(build_discriminant(B), monkeypatch)
+
+    @pytest.mark.parametrize(
+        "arr, lined",
+        [
+            (group_hyperplanes(3, [(b, 0) for b, _ in NON_UNIT_PIVOT_WALLS]), False),
+            (central(2, [(1, 0), (0, 1), (1, 2)]), False),
+            (central(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]), True),
+            (central(2, []), True),
+            (central(2, [(1, 1)]), True),
+            (central(2, [(1, 0), (-1, 0), (0, 1)]), False),
+            (central(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 1, 0), (0, 0, 1)]), False),
+        ],
+        ids=[
+            "non-unit-pivots",
+            "not-unimodular",
+            "rank-deficient",
+            "no-wall",
+            "one-wall",
+            "parallel",
+            "parallel-rank-3",
+        ],
+    )
+    def test_edge_cases(self, arr, lined, monkeypatch):
+        assert self.assert_same_f_locus(arr, monkeypatch) is lined
+
+    @pytest.mark.parametrize("B", [complete_graph(5), r10()], ids=["K5", "R10"])
+    def test_directions_without_the_cut(self, B, monkeypatch):
+        # every direction from kernel_basis of the line walk's basis
+        arr = build_discriminant(B)
+        want = flats_walked(arr, monkeypatch)
+        monkeypatch.setattr(arrangement, "_cut", lambda D, r: None)
+        assert f_locus(arr) == want
+
+    def test_regular_input_takes_the_line_walk(self, monkeypatch):
+        arr = build_discriminant(complete_graph(6))
+        want = flats_walked(arr, monkeypatch)
+
+        def walk(*args):
+            raise AssertionError("_flats ran")
+
+        monkeypatch.setattr(arrangement, "_flats", walk)
+        assert f_locus(arr) == want
+        assert len(want) == bell(6) - 1 - comb(6, 2)
 
 
 def member_set(mask):
