@@ -7,8 +7,13 @@ or affine for slices of a deformation family. All arithmetic is exact:
 normals are int tuples and every offset is a Fraction. Walls are grouped in
 one place, `_parallel_classes`, on int keys, so no offset is hashed: a
 central wall by its canonical normal (parallel rows up to sign), an affine
-one by (canonical normal, offset numerator, offset denominator). Only
-`group_hyperplanes` checks its walls (int entries, primitive normals).
+one by (canonical normal, offset numerator, offset denominator).
+`ArrangementSpec`'s constructor is the one check of a spec built by hand:
+canonical walls (primitive int normals whose first nonzero entry is
+positive), distinct and of length n, so that no two central walls are
+parallel, which both flat walks take for granted. `group_hyperplanes`
+brings its pairs to canonical form and goes through that constructor.
+hkit's own specs are made by `_spec` without the checks:
 `build_discriminant` checks B's rows once with `check_primitive_rows`, and
 `HypertoricData.from_matrix` groups them the same way for `groups`;
 `localmodel.family_slice` takes those checked groups as they are, and its
@@ -20,8 +25,7 @@ F-locus is complete for any number of walls. `_closure` expands each flat
 once and takes its direction from its parent's in one elimination step,
 `_cut`, with `kernel_basis` as the fallback. Two walks feed it the keys
 that group a flat's other walls into its covers. A central arrangement
-whose normals have {0, +-1} circuits, no two of them parallel, is closed
-from its lines (`_lines`):
+whose normals have {0, +-1} circuits is closed from its lines (`_lines`):
 the lines are the zero sets of the circuits of the normals' column
 lattice, which `_Forms.circuits` enumerates as it does to decide
 unimodularity; the lattice is coatomistic, so a flat is known by the
@@ -45,7 +49,7 @@ from bisect import insort
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -53,6 +57,7 @@ from .errors import DimensionMismatch
 from .intmat import (
     IntMatrix,
     _Forms,
+    canonical_primitive,
     canonical_sign,
     check_primitive_rows,
     is_primitive,
@@ -115,7 +120,16 @@ class ArrangementSpec(_ArrangementFields):
     """Distinct hyperplanes with multiplicities, sorted canonically. Two
     hyperplanes are the same when their normals and the numerators and
     denominators of their offsets are. Its length is the number of
-    components."""
+    components.
+
+    The constructor is the one check of a spec built by hand (`_replace`
+    goes through it too): every wall is canonical, as `_checked` leaves it
+    (a primitive normal of int entries whose first nonzero entry is
+    positive, and an int or Fraction offset), of length n and distinct,
+    and each component's multiplicity is at least 1 and its kind the one
+    `_kind_from_multiplicity` gives. So no two central walls are parallel,
+    and the flat walks and `check_simplicity` rely on that. `_spec` makes
+    the specs of hkit's own groupings without these checks."""
 
     __slots__ = ()
 
@@ -125,8 +139,12 @@ class ArrangementSpec(_ArrangementFields):
             h = comp.hyperplane
             if comp.multiplicity < 1:
                 raise ValueError("multiplicity below 1")
+            if comp.kind is not _kind_from_multiplicity(comp.multiplicity):
+                raise ValueError(f"kind {comp.kind} does not fit multiplicity {comp.multiplicity}")
             if len(h.normal) != n:
                 raise DimensionMismatch("component dimension differs from ambient n")
+            if not isinstance(h.offset, (int, Fraction)) or _checked(*h) != h:
+                raise ValueError(f"{h} is not canonical: leading entry < 0 or offset not exact")
             key = (h.normal, h.offset.numerator, h.offset.denominator)
             if key in seen:
                 raise ValueError(f"duplicate hyperplane {h}")
@@ -176,11 +194,14 @@ def _row_classes(B):
 
 def _spec(n, classes):
     """The ArrangementSpec of sorted, distinct (normal, offset,
-    multiplicity) classes."""
-    return ArrangementSpec(n=n, components=tuple(
+    multiplicity) classes whose walls are canonical and of length n, as the
+    grouping of `_row_classes` or `_affine` leaves them, taken as they are,
+    as `IntMatrix._of` takes rows: the constructor's checks would only
+    confirm them."""
+    return tuple.__new__(ArrangementSpec, (n, tuple(
         ArrangementComponent(Hyperplane(normal, offset), m, _kind_from_multiplicity(m))
         for normal, offset, m in classes
-    ))
+    )))
 
 
 def _central(n, groups):
@@ -191,7 +212,9 @@ def _central(n, groups):
 
 def _affine(n, walls):
     """The arrangement of walls that are already checked: a list of
-    (canonical normal, Fraction offset) pairs. Walls group on the int key
+    (canonical normal, Fraction offset) pairs. Their length is not checked
+    here: hkit's walls have length n, and `group_hyperplanes` hands the
+    result to the checking constructor. Walls group on the int key
     (normal, offset numerator, offset denominator), so no offset is hashed,
     and the distinct classes are sorted once."""
     classes = _parallel_classes((b, c.numerator, c.denominator) for b, c in walls)
@@ -204,9 +227,11 @@ def group_hyperplanes(n, pairs):
     Each normal must have int entries and be primitive (ValueError
     otherwise). Pairs with equal canonical hyperplane are merged into one
     component whose multiplicity is the group size. Kind is multiplicity
-    >= 2 -> first kind.
+    >= 2 -> first kind. The pairs come from outside hkit, so the result goes
+    through the checking constructor, which raises DimensionMismatch for a
+    normal whose length is not n.
     """
-    return _affine(n, [_checked(normal, offset) for normal, offset in pairs])
+    return ArrangementSpec(*_affine(n, [_checked(normal, offset) for normal, offset in pairs]))
 
 
 def build_discriminant(B: IntMatrix) -> ArrangementSpec:
@@ -389,10 +414,7 @@ def _flats(arr, directions=False):
                 v = [a * x - b * y for x, y in zip(res, row)]
                 if not any(v[:n]):
                     continue
-                g = gcd(*v)
-                if next(filter(None, v)) < 0:
-                    g = -g
-                res = tuple(v) if g == 1 else tuple([x // g for x in v])
+                res = canonical_primitive(v)
             classes[res] = classes.get(res, 0) | ks
         return basis, row, classes.items()
 
@@ -403,10 +425,10 @@ def _lines(arr):
     """The flats of a central arrangement, as `_flats(arr, directions=True)`
     gives them, from `_closure` with the lines inside each wall as its
     class key. None unless the HNF of the normals' transpose has unit
-    pivots, every circuit is a {0, +-1} vector and no two walls are
-    parallel (an `ArrangementSpec` built by hand need not merge normals
-    that differ in sign). A flat's basis holds one (wall, normal) pair per
-    cover on its way from the bottom. `f_locus` has the proof."""
+    pivots and every circuit is a {0, +-1} vector. No two walls are
+    parallel, since `ArrangementSpec` holds distinct canonical normals. A
+    flat's basis holds one (wall, normal) pair per cover on its way from
+    the bottom. `f_locus` has the proof."""
     normals = tuple(c.hyperplane.normal for c in arr.components)
     found = _Forms(IntMatrix._of(normals, arr.n)).circuits()
     if found is None:
@@ -417,9 +439,6 @@ def _lines(arr):
         for w, x in enumerate(c):
             if not x:
                 on[w] |= 1 << l
-    # walls with the same lines inside are parallel
-    if len(set(on)) < len(on):
-        return None
 
     def expand(sigma, ks, parent_basis, parent_classes):
         k = (ks & -ks).bit_length() - 1
@@ -507,8 +526,9 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
     - Keys carry down: C_w & sigma_G = (C_w & sigma_F) & sigma_G, so F's
       classes become G's by one AND with sigma_G each, and a class of F
       stays in one class of G, where `_flats` takes a fraction-free vector
-      step. Two walls with the same lines inside are parallel, so when no
-      two C_w are equal every flat of the walk holds all the walls that
+      step. Two walls with the same lines inside are parallel, and the
+      distinct canonical normals of a central `ArrangementSpec` are not, so
+      no two C_w are equal: every flat of the walk holds all the walls that
       contain it, and the only class whose key keeps all of sigma_G is
       G's own, which joined the members.
     - Directions: G's is F's cut by the normal of any wall of its class
@@ -601,7 +621,8 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     so (b) only tests the subsets of flats whose whole member set fails; a
     subset larger than the flat's codimension is linearly dependent and
     fails without a test. A wall k of multiplicity >= 2 fails on its own as
-    (k,); a wall of multiplicity 1 has a primitive normal and passes.
+    (k,); a wall of multiplicity 1 passes, as its normal is primitive, which
+    `ArrangementSpec`'s constructor checks for a spec built by hand.
     """
     n = arr.n
     comps = arr.components

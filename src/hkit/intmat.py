@@ -173,7 +173,7 @@ def canonical_primitive(v):
         return tuple(v)
     if next(filter(None, v)) < 0:
         g = -g
-    return tuple([x // g for x in v])
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
 def non_primitive_rows(B):

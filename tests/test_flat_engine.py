@@ -22,7 +22,7 @@ declines.
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -40,7 +40,15 @@ from hkit.arrangement import (
     group_hyperplanes,
 )
 from hkit.hypertoric import HypertoricData
-from hkit.intmat import IntMatrix, _Forms, canonical_sign, circuits, is_primitive, kernel_basis
+from hkit.intmat import (
+    IntMatrix,
+    _Forms,
+    canonical_sign,
+    circuits,
+    det,
+    is_primitive,
+    kernel_basis,
+)
 from hkit.localmodel import (
     DeformationLine,
     _line_direction,
@@ -169,6 +177,36 @@ def test_complete_graph_flats_are_set_partitions(m):
     assert len(circuits(B)) == 2 ** (m - 1) - 1
 
 
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_cographic_circuits_are_cycles(m):
+    # the circuits of K_m* <-> the cycles of K_m, C(m, k) (k - 1)! / 2 of
+    # length k: 7, 37, 197 and 1172
+    cycles = sum(comb(m, k) * factorial(k - 1) // 2 for k in range(3, m + 1))
+    assert len(circuits(cographic(m))) == cycles
+
+
+@pytest.mark.parametrize(
+    "B, bases",
+    [
+        (complete_graph(4), 16),
+        (complete_graph(5), 125),
+        (cographic(4), 16),
+        (cographic(5), 125),
+        (r10(), 162),
+    ],
+    ids=["K4", "K5", "K4*", "K5*", "R10"],
+)
+def test_simple_slice_has_a_vertex_per_basis(B, bases):
+    # Cauchy-Binet: a unimodular B has det(B^T B) bases, and in the simple
+    # t = 1 slice of the default line each basis meets in one vertex, a flat
+    # of codimension n
+    assert det(B.transpose() @ B) == bases
+    H = HypertoricData.from_matrix(B)
+    slice1 = family_slice(H, choose_deformation_line(H), 1)
+    assert check_simplicity(slice1).simple
+    assert sum(f.codimension == H.n for f in f_locus(slice1)) == bases
+
+
 # pivots 2, 3, 4, ... and nonzero offsets
 NON_UNIT_PIVOT_WALLS = [((2, 3, 0), 1), ((3, -5, 0), 2), ((4, 1, 2), 3), ((0, 3, 4), 5), ((5, 0, 2), 7)]
 
@@ -241,15 +279,19 @@ class TestLineClosure:
                 assert self.assert_same_f_locus(build_discriminant(B), monkeypatch)
 
     @pytest.mark.parametrize(
-        "arr, lined",
+        "build, lined",
         [
-            (group_hyperplanes(3, [(b, 0) for b, _ in NON_UNIT_PIVOT_WALLS]), False),
-            (central(2, [(1, 0), (0, 1), (1, 2)]), False),
-            (central(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]), True),
-            (central(2, []), True),
-            (central(2, [(1, 1)]), True),
-            (central(2, [(1, 0), (-1, 0), (0, 1)]), False),
-            (central(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 1, 0), (0, 0, 1)]), False),
+            (lambda: group_hyperplanes(3, [(b, 0) for b, _ in NON_UNIT_PIVOT_WALLS]), False),
+            (lambda: central(2, [(1, 0), (0, 1), (1, 2)]), False),
+            (lambda: central(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]), True),
+            (lambda: central(2, []), True),
+            (lambda: central(2, [(1, 1)]), True),
+            # parallel walls are refused before either walk sees them
+            (lambda: central(2, [(1, 0), (-1, 0), (0, 1)]), ValueError),
+            (
+                lambda: central(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 1, 0), (0, 0, 1)]),
+                ValueError,
+            ),
         ],
         ids=[
             "non-unit-pivots",
@@ -261,8 +303,11 @@ class TestLineClosure:
             "parallel-rank-3",
         ],
     )
-    def test_edge_cases(self, arr, lined, monkeypatch):
-        assert self.assert_same_f_locus(arr, monkeypatch) is lined
+    def test_edge_cases(self, build, lined, monkeypatch):
+        if lined is ValueError:
+            pytest.raises(ValueError, build)
+        else:
+            assert self.assert_same_f_locus(build(), monkeypatch) is lined
 
     @pytest.mark.parametrize("B", [complete_graph(5), r10()], ids=["K5", "R10"])
     def test_directions_without_the_cut(self, B, monkeypatch):
@@ -539,11 +584,10 @@ class TestSimplicityCertificate:
 
     @pytest.mark.parametrize("normals", [[(1, 0), (-1, 0), (0, 1)], [(1, 0), (2, 0), (0, 1)]])
     def test_normals_that_are_not_canonical(self, normals):
-        # ArrangementSpec does not canonicalise normals, so a residual of a
-        # central wall can vanish; the walk skips it instead of failing
+        # a normal led by a negative entry, or one that is not primitive, is
+        # refused by the constructor, so neither walk meets parallel walls
         comps = tuple(
             ArrangementComponent(Hyperplane(b, Fraction(0)), 1, Kind.SECOND_KIND) for b in normals
         )
-        arr = ArrangementSpec(2, comps)
-        assert f_locus(arr)
-        check_simplicity(arr)
+        with pytest.raises(ValueError):
+            ArrangementSpec(2, comps)

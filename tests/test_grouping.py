@@ -18,7 +18,7 @@ from hkit.arrangement import (
     build_discriminant,
     group_hyperplanes,
 )
-from hkit.errors import NonPrimitiveRow
+from hkit.errors import DimensionMismatch, NonPrimitiveRow
 from hkit.intmat import IntMatrix, canonical_sign, is_primitive
 from hkit.localmodel import DeformationLine, choose_deformation_line, family_slice
 from oracles import (
@@ -143,6 +143,12 @@ def test_group_hyperplanes_raises_the_same_errors(pairs):
     with pytest.raises(ValueError) as expected:
         group_hyperplanes_by_fractions(2, pairs)
     assert str(got.value) == str(expected.value)
+
+
+def test_group_hyperplanes_checks_the_dimension():
+    # the checking constructor is group_hyperplanes' only dimension check
+    with pytest.raises(DimensionMismatch):
+        group_hyperplanes(2, [((1, 0, 0), 0)])
 
 
 def test_spec_rejects_an_int_and_a_fraction_zero_as_duplicates():

@@ -171,6 +171,29 @@ def test_arrangement_spec_checks_direct_construction():
     assert str(err.value) == "duplicate hyperplane Hyperplane(normal=(1, 0), offset=Fraction(0, 1))"
 
 
+@pytest.mark.parametrize(
+    "hyperplane, kind",
+    [
+        (Hyperplane((-1, 0)), Kind.SECOND_KIND),
+        (Hyperplane((2, 0)), Kind.SECOND_KIND),
+        (Hyperplane((1.0, 0)), Kind.SECOND_KIND),
+        (Hyperplane((True, 0)), Kind.SECOND_KIND),
+        (Hyperplane((1, 0), 0.5), Kind.SECOND_KIND),
+        (Hyperplane((1, 0)), Kind.FIRST_KIND),
+    ],
+    ids=["negative-lead", "not-primitive", "float-entry", "bool-entry", "float-offset", "kind"],
+)
+def test_arrangement_spec_refuses_a_component_that_is_not_canonical(hyperplane, kind):
+    bad = ArrangementComponent(hyperplane, 1, kind)
+    with pytest.raises(ValueError):
+        ArrangementSpec(2, (bad,))
+    # _replace makes the record through the same constructor
+    arr = build_discriminant(IntMatrix([[1, 0], [0, 1]]))
+    assert arr._replace(n=2) == arr
+    with pytest.raises(ValueError):
+        arr._replace(components=(bad,))
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 5])
 def test_arrangement_length_counts_components(k):
     arr = group_hyperplanes(2, [((1, 0), Fraction(j)) for j in range(k)])
