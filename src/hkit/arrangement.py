@@ -73,12 +73,16 @@ class Kind(Enum):
 
 def _checked(normal, offset):
     """(canonical normal, offset flipped with it) of <normal, eta> = offset,
-    after checking that normal has int entries and is primitive."""
+    after checking that normal has int entries and is primitive and that
+    offset is exact: a float is refused, as Fraction would take its binary
+    value (0.1 is not 1/10)."""
     normal = tuple(normal)
     if set(map(type, normal)) - {int}:  # bool is not int
         raise ValueError(f"normal must have int entries, got {normal!r}")
     if not is_primitive(normal):
         raise ValueError(f"normal {list(normal)} is not primitive")
+    if isinstance(offset, float):
+        raise ValueError(f"offset must be exact, got {offset!r}")
     offset = Fraction(offset)
     flipped = canonical_sign(normal)
     if flipped != normal:
@@ -123,20 +127,26 @@ class ArrangementSpec(_ArrangementFields):
     components.
 
     The constructor is the one check of a spec built by hand (`_replace`
-    goes through it too): every wall is canonical, as `_checked` leaves it
-    (a primitive normal of int entries whose first nonzero entry is
-    positive, and an int or Fraction offset), of length n and distinct,
-    and each component's multiplicity is at least 1 and its kind the one
-    `_kind_from_multiplicity` gives. So no two central walls are parallel,
-    and the flat walks and `check_simplicity` rely on that. `_spec` makes
-    the specs of hkit's own groupings without these checks."""
+    goes through it too): n is a nonnegative int; every wall is canonical,
+    as `_checked` leaves it (a primitive normal of int entries whose first
+    nonzero entry is positive, and an int or Fraction offset), of length n
+    and distinct; and each component's multiplicity is an int of at least 1
+    and its kind the one `_kind_from_multiplicity` gives (a bool is refused
+    for n and multiplicities, as for normal entries). So no two central
+    walls are parallel, and the flat walks and `check_simplicity` rely on
+    that. `_spec` makes the specs of hkit's own groupings without these
+    checks."""
 
     __slots__ = ()
 
     def __new__(cls, n, components):
+        if type(n) is not int or n < 0:  # bool is not int
+            raise ValueError(f"n must be a nonnegative int, got {n!r}")
         seen = set()
         for comp in components:
             h = comp.hyperplane
+            if type(comp.multiplicity) is not int:
+                raise ValueError(f"multiplicity must be an int, got {comp.multiplicity!r}")
             if comp.multiplicity < 1:
                 raise ValueError("multiplicity below 1")
             if comp.kind is not _kind_from_multiplicity(comp.multiplicity):

@@ -225,15 +225,17 @@ def presentation(H: HypertoricData, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
 
 
 def _reduce_presentation(H, gens, relations):
+    """The reduced view of relations among gens: each generator read through
+    one table from its index to its reduced (symbol, sign). A pure generator
+    is ("g", k) with sign 1; z_i w_i is ("s", c) for the s-class c of row i,
+    with the sign of row i against the class normal."""
     pure = []
-    s_gen = {}  # row i -> index of the generator z_i w_i
-    symbol_of = {}
-    sign_of = {}
+    s_gen = {}  # row i -> index of the generator z_i w_i, to fill the table
+    table = {}  # generator index -> (reduced symbol, sign)
     for idx, g in enumerate(gens):
         i = _s_index(g)
         if i is None:
-            symbol_of[idx] = ("g", len(pure))
-            sign_of[idx] = 1
+            table[idx] = (("g", len(pure)), 1)
             pure.append(g)
         else:
             s_gen[i] = idx
@@ -244,28 +246,27 @@ def _reduce_presentation(H, gens, relations):
             continue
         signs = tuple(1 if H.B.row(i) == normal else -1 for i in members)
         for i, sign in zip(members, signs):
-            symbol_of[s_gen[i]] = ("s", len(s_classes))
-            sign_of[s_gen[i]] = sign
+            table[s_gen[i]] = (("s", len(s_classes)), sign)
         s_classes.append(SClass(normal=normal, members=members, signs=signs))
 
-    reduced_relations = set()
+    # No relation reduces to equal sides. Its two sides are disjoint and
+    # nonempty, and a pure symbol names one generator, so equal sides would
+    # be made of s-symbols alone; z_i w_i has exponent pair (e_i, e_i), so
+    # two such sides with one total exponent pair hold the same rows, that
+    # is the same generators.
+    reduced = set()
     for left, right in relations:
-        lsyms = tuple(sorted(symbol_of[i] for i in left))
-        rsyms = tuple(sorted(symbol_of[i] for i in right))
         sign = 1
-        for i in left:
-            sign *= sign_of[i]
-        for i in right:
-            sign *= sign_of[i]
-        if lsyms == rsyms and sign == 1:
-            continue  # trivial after reduction
-        pair = (lsyms, rsyms) if lsyms <= rsyms else (rsyms, lsyms)
-        reduced_relations.add((pair[0], pair[1], sign))
+        for i in left + right:
+            sign *= table[i][1]
+        lsyms = tuple(sorted(table[i][0] for i in left))
+        rsyms = tuple(sorted(table[i][0] for i in right))
+        reduced.add((lsyms, rsyms, sign) if lsyms < rsyms else (rsyms, lsyms, sign))
 
     return ReducedPresentation(
         pure_generators=tuple(pure),
         s_classes=tuple(s_classes),
-        relations=tuple(sorted(reduced_relations)),
+        relations=tuple(sorted(reduced)),
     )
 
 

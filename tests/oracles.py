@@ -29,6 +29,8 @@ relation search by fibers is how `presentation` found its relations before
 it paired disjoint multisets as they arrived in a fiber: a recursive
 enumeration of every multiset with its exponent pair as two tuples, then
 every two members of each fiber with their common part cancelled. The
+reduction by three maps is how `presentation` built its reduced view before
+one table gave each generator its reduced (symbol, sign). The
 Fraction-keyed grouping is how `group_hyperplanes`, `build_discriminant` and
 `family_slice` grouped walls before they keyed them on ints: one checked
 Hyperplane per wall, hashed in a dict and sorted by its field order.
@@ -68,7 +70,13 @@ from hkit.errors import (
     NotUnimodular,
     TorsionCokernel,
 )
-from hkit.hypertoric import HypertoricData, MonomialGen
+from hkit.hypertoric import (
+    HypertoricData,
+    MonomialGen,
+    ReducedPresentation,
+    SClass,
+    _s_index,
+)
 from hkit.intmat import (
     IntMatrix,
     SmithResult,
@@ -828,6 +836,57 @@ def relations_by_fibers(gens, cap, budget):
             if left and right:
                 relations.add((left, right) if left <= right else (right, left))
     return sorted(relations)
+
+
+# -- the reduced presentation by three maps -------------------------------------
+
+
+def reduce_presentation_by_maps(H, gens, relations):
+    """The reduced view of `presentation` as it was built before one table
+    gave each generator its reduced (symbol, sign): three maps, two sign
+    loops per relation and a check for relations that reduce to nothing."""
+    pure = []
+    s_gen = {}  # row i -> index of the generator z_i w_i
+    symbol_of = {}
+    sign_of = {}
+    for idx, g in enumerate(gens):
+        i = _s_index(g)
+        if i is None:
+            symbol_of[idx] = ("g", len(pure))
+            sign_of[idx] = 1
+            pure.append(g)
+        else:
+            s_gen[i] = idx
+    s_classes = []
+    for normal, rows in H.groups:
+        members = tuple(i for i in rows if i in s_gen)
+        if not members:
+            continue
+        signs = tuple(1 if H.B.row(i) == normal else -1 for i in members)
+        for i, sign in zip(members, signs):
+            symbol_of[s_gen[i]] = ("s", len(s_classes))
+            sign_of[s_gen[i]] = sign
+        s_classes.append(SClass(normal=normal, members=members, signs=signs))
+
+    reduced_relations = set()
+    for left, right in relations:
+        lsyms = tuple(sorted(symbol_of[i] for i in left))
+        rsyms = tuple(sorted(symbol_of[i] for i in right))
+        sign = 1
+        for i in left:
+            sign *= sign_of[i]
+        for i in right:
+            sign *= sign_of[i]
+        if lsyms == rsyms and sign == 1:
+            continue  # trivial after reduction
+        pair = (lsyms, rsyms) if lsyms <= rsyms else (rsyms, lsyms)
+        reduced_relations.add((pair[0], pair[1], sign))
+
+    return ReducedPresentation(
+        pure_generators=tuple(pure),
+        s_classes=tuple(s_classes),
+        relations=tuple(sorted(reduced_relations)),
+    )
 
 
 # -- grouping by Fraction-keyed hyperplanes ---------------------------------------

@@ -69,10 +69,18 @@ class TestHyperplane:
         with pytest.raises(ValueError):
             Hyperplane.canonical(normal)
 
+    @pytest.mark.parametrize("offset", [0.5, 0.1, -2.0])
+    def test_rejects_float_offsets(self, offset):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968
+        with pytest.raises(ValueError, match="^offset must be exact"):
+            Hyperplane.canonical((1, 0), offset)
+
     def test_contains(self):
         h = Hyperplane.canonical((1, 1), Fraction(2))
         assert h.contains((Fraction(1), Fraction(1)))
         assert not h.contains((Fraction(0), Fraction(0)))
+        with pytest.raises(DimensionMismatch):
+            Hyperplane((1, 0)).contains((0,))
 
 
 class TestBuildDiscriminant:

@@ -35,6 +35,10 @@ class TestDivisorData:
         with pytest.raises(ValueError):
             DivisorData.make(1, [((1,), 0)])
 
+    def test_rejects_a_wall_of_the_wrong_dimension(self):
+        with pytest.raises(ValueError, match="^wall 0 has dimension 3, expected 2$"):
+            DivisorData.make(2, [((1, 0, 0), 1)])
+
     @pytest.mark.parametrize(
         "walls",
         [[((1.9,), 2)], [((1,), 2.5)], [((1,), 2.0)], [((True,), 1)], [((1,), True)]],

@@ -93,6 +93,7 @@ class TestCommands:
             ("build", '{"rows": [], "cols": -1}'),
             ("local-model", '{"m": 2.7, "n": 2}'),
             ("local-model", '{"m": 2, "n": true}'),
+            ("local-model", '{"m": 2}'),
             ("round-trip", '{"n": 1, "walls": [{"normal": [1], "mult": 2.5}]}'),
             ("round-trip", '{"n": 1, "walls": [{"normal": [true], "mult": 2}]}'),
             ("round-trip", '{"n": 1.0, "walls": [{"normal": [1], "mult": 2}]}'),
@@ -176,6 +177,34 @@ class TestCommands:
         result = report_of(out)["result"]
         assert result["unimodular"] is True
         assert result["case"]["case"] == "rejected"
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            (
+                [[2, 0], [0, 1], [1, 1]],
+                {"N": 3, "n": 2, "rank": 2, "injective": True, "invariant_factors": [1, 1],
+                 "coker_torsion_free": True, "unimodular": False},
+            ),
+            (
+                [[2, 0, 2]],
+                {"N": 1, "n": 3, "rank": 1, "injective": False, "invariant_factors": [2],
+                 "coker_torsion_free": False, "unimodular": False},
+            ),
+        ],
+        ids=["tall", "wide"],
+    )
+    def test_check_rows_not_primitive(self, rows, expected, capsys):
+        # no case is classified, but rank, factors and the verdict still are
+        code, out = run_cli(["check", "--in", json.dumps({"rows": rows})], capsys)
+        assert code == 0
+        result = report_of(out)["result"]
+        assert result == {
+            **expected,
+            "rows_primitive": False,
+            "non_primitive_rows": [0],
+            "unimodularity_method": "minors",
+        }
 
     def test_build_a1(self, capsys):
         code, out = run_cli(["build", "--in", '{"rows": [[1], [1]]}'], capsys)
@@ -474,8 +503,17 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "argv",
-        [["gale"], ["--budget", "3", "deform"], ["frobnicate", "--in", "{}"], ["--in", "{}"], []],
-        ids=["missing-in", "missing-in-before", "unknown-command", "no-command", "empty"],
+        [
+            ["gale"],
+            ["--budget", "3", "deform"],
+            ["frobnicate", "--in", "{}"],
+            ["--in", "{}"],
+            [],
+            ["discriminant", "--in", '{"rows": [[1, 0], [0, 1]]}', "--format", "svg",
+             "--window", "0,1,2"],
+        ],
+        ids=["missing-in", "missing-in-before", "unknown-command", "no-command", "empty",
+             "window-of-three"],
     )
     def test_argument_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -553,9 +591,21 @@ class TestSvg:
         rep = report_of(out)
         assert rep["error"]["code"] == "unsupported_dimension"
 
+    def test_svg_only_for_discriminant(self, capsys):
+        code, out = run_cli(
+            ["check", "--in", '{"rows": [[1, 0], [0, 1]]}', "--format", "svg"], capsys
+        )
+        assert code == 1
+        assert report_of(out)["error"]["code"] == "unsupported_dimension"
+
     def test_plot_deterministic_bytes(self):
         arr = build_discriminant(IntMatrix([[1, 0], [1, 0], [0, 1], [1, 1]]))
         assert plot_arrangement(arr) == plot_arrangement(arr)
+
+    def test_plot_rejects_an_empty_window(self):
+        arr = build_discriminant(IntMatrix([[1, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="^window must be a nonempty box$"):
+            plot_arrangement(arr, (1, 1, 0, 1))
 
     def test_plot_rejects_n3_direct(self):
         arr = build_discriminant(IntMatrix([[1, 0, 0]]))

@@ -151,6 +151,14 @@ def test_group_hyperplanes_checks_the_dimension():
         group_hyperplanes(2, [((1, 0, 0), 0)])
 
 
+def test_group_hyperplanes_refuses_a_float_offset():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValueError, match="^offset must be exact, got 0.1$"):
+        group_hyperplanes(2, [((1, 0), 0.1)])
+    with pytest.raises(ValueError, match="^offset must be exact"):
+        group_hyperplanes(2, [((1, 0), 0), ((0, 1), 1.0)])
+
+
 def test_spec_rejects_an_int_and_a_fraction_zero_as_duplicates():
     components = tuple(
         ArrangementComponent(h, 1, Kind.SECOND_KIND)

@@ -17,7 +17,6 @@ from hkit.hypertoric import (
     DEFAULT_CANDIDATE_BUDGET,
     HypertoricData,
     MonomialGen,
-    _reduce_presentation,
     coordinate_dimension,
     hilbert_basis,
     leaf_classification,
@@ -30,6 +29,7 @@ from oracles import (
     decompose_over_basis,
     graver_basis,
     hilbert_basis_completion,
+    reduce_presentation_by_maps,
     relations_by_fibers,
 )
 
@@ -360,14 +360,15 @@ class TestPresentation:
 
 
 class TestRelationsAgainstFibers:
-    """The relation search against the fiber enumeration it replaced."""
+    """The relation search and its reduced view against the fiber
+    enumeration and the three-map reduction they replaced."""
 
     @staticmethod
     def oracle(data, budget=DEFAULT_CANDIDATE_BUDGET):
         gens = hilbert_basis(data)
         cap = 2 * max((g.degree for g in gens), default=0)
         relations = relations_by_fibers(gens, cap, budget)
-        return tuple(relations), _reduce_presentation(data, gens, relations)
+        return tuple(relations), reduce_presentation_by_maps(data, gens, relations)
 
     def assert_agrees(self, data, budget=DEFAULT_CANDIDATE_BUDGET):
         pres = presentation(data, candidate_budget=budget)
@@ -387,6 +388,17 @@ class TestRelationsAgainstFibers:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_ones(self, m):
         self.assert_agrees(ones(m))
+
+    def test_no_reduced_relation_has_equal_sides(self):
+        # _reduce_presentation keeps no branch for a relation that reduces
+        # to equal sides; its comment says why none can
+        inputs = list(valid_hypertoric(corpus_matrices()))
+        inputs += [HypertoricData.from_matrix(complete_graph(m)) for m in (3, 4, 5)]
+        inputs += [ones(m) for m in (2, 3, 4, 5, 6)]
+        assert len(inputs) == 1104 + 3 + 5
+        for data in inputs:
+            for left, right, _ in presentation(data).reduced.relations:
+                assert left != right, data.B
 
     def test_budget_boundary(self):
         # K_5 has 29997 generator multisets of degree <= 12

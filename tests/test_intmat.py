@@ -85,6 +85,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IntMatrix([], cols=cols)
 
+    @pytest.mark.parametrize(
+        "rows, cols", [([[1, 2], [3]], None), ([[1, 2]], 3)], ids=["ragged", "cols"]
+    )
+    def test_rejects_rows_of_the_wrong_width(self, rows, cols):
+        with pytest.raises(ValueError):
+            IntMatrix(rows, cols=cols)
+
+    def test_rejects_shapes_that_do_not_fit(self):
+        M = IntMatrix([[1, 2]])
+        with pytest.raises(ValueError, match="^shape mismatch"):
+            M @ M
+        with pytest.raises(ValueError, match="^shape mismatch"):
+            M.mat_vec((1,))
+        with pytest.raises(ValueError, match="non-square"):
+            det(M)
+
     def test_accepts_any_iterable_rows(self):
         M = IntMatrix(iter([(1, 0), [0, 1], range(2)]))
         assert M.row_list() == [[1, 0], [0, 1], [0, 1]]

@@ -71,6 +71,11 @@ class TestLocalModel:
         with pytest.raises(ValueError):
             local_model(m, n)
 
+    @pytest.mark.parametrize("m, n", [(0, 2), (1, 0)], ids=["multiplicity", "rank"])
+    def test_rejects_arguments_below_one(self, m, n):
+        with pytest.raises(ValueError, match="must be >= 1$"):
+            local_model(m, n)
+
 
 class TestDeformation:
     def test_two_shifts(self):

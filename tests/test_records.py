@@ -194,6 +194,28 @@ def test_arrangement_spec_refuses_a_component_that_is_not_canonical(hyperplane, 
         arr._replace(components=(bad,))
 
 
+@pytest.mark.parametrize("n", [2.5, -1, True, None], ids=["float", "negative", "bool", "none"])
+def test_arrangement_spec_refuses_an_n_that_is_not_a_nonnegative_int(n):
+    with pytest.raises(ValueError, match="^n must be a nonnegative int"):
+        ArrangementSpec(n, ())
+    arr = build_discriminant(IntMatrix([[1, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="^n must be a nonnegative int"):
+        arr._replace(n=n)
+    assert ArrangementSpec(0, ()) == (0, ())
+
+
+@pytest.mark.parametrize(
+    "multiplicity, kind",
+    [(1.5, Kind.SECOND_KIND), (2.0, Kind.FIRST_KIND), (True, Kind.SECOND_KIND)],
+    ids=["fraction", "integral-float", "bool"],
+)
+def test_arrangement_spec_refuses_a_multiplicity_that_is_not_an_int(multiplicity, kind):
+    # check_simplicity would read a 1.5 wall as two coincident ones
+    comp = ArrangementComponent(Hyperplane((1, 0)), multiplicity, kind)
+    with pytest.raises(ValueError, match="^multiplicity must be an int"):
+        ArrangementSpec(2, (comp,))
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 5])
 def test_arrangement_length_counts_components(k):
     arr = group_hyperplanes(2, [((1, 0), Fraction(j)) for j in range(k)])
