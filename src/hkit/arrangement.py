@@ -75,7 +75,7 @@ def _checked(normal, offset):
     """(canonical normal, offset flipped with it) of <normal, eta> = offset,
     after checking that normal has int entries and is primitive and that
     offset is exact: a float is refused, as Fraction would take its binary
-    value (0.1 is not 1/10)."""
+    value (0.1 is not 1/10), and so is a bool, as for normal entries."""
     normal = tuple(normal)
     if set(map(type, normal)) - {int}:  # bool is not int
         raise ValueError(f"normal must have int entries, got {normal!r}")
@@ -83,6 +83,8 @@ def _checked(normal, offset):
         raise ValueError(f"normal {list(normal)} is not primitive")
     if isinstance(offset, float):
         raise ValueError(f"offset must be exact, got {offset!r}")
+    if isinstance(offset, bool):
+        raise ValueError(f"offset must not be a bool, got {offset!r}")
     offset = Fraction(offset)
     flipped = canonical_sign(normal)
     if flipped != normal:
@@ -132,10 +134,10 @@ class ArrangementSpec(_ArrangementFields):
     nonzero entry is positive, and an int or Fraction offset), of length n
     and distinct; and each component's multiplicity is an int of at least 1
     and its kind the one `_kind_from_multiplicity` gives (a bool is refused
-    for n and multiplicities, as for normal entries). So no two central
-    walls are parallel, and the flat walks and `check_simplicity` rely on
-    that. `_spec` makes the specs of hkit's own groupings without these
-    checks."""
+    for n, multiplicities and offsets, as for normal entries). So no two
+    central walls are parallel, and the flat walks and `check_simplicity`
+    rely on that. `_spec` makes the specs of hkit's own groupings without
+    these checks."""
 
     __slots__ = ()
 

@@ -9,9 +9,13 @@ all such pairs is pointed and finitely generated. B is unimodular, so the
 sign-minimal vectors of its column lattice are its circuits (Sturmfels,
 Groebner Bases and Convex Polytopes, ch. 4 and 8), and the unique minimal
 generating set is read off them; `intmat.circuits` builds them with the
-same enumerator that decided unimodularity in validation.
+same enumerator that decided unimodularity in validation. The binomial
+relations among the generators are searched in the fibers of the monomial
+map (ch. 4): only the multisets without a quadratic z_i w_i are built, and
+their weight classes say where those fill in.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -158,48 +162,109 @@ def _s_index(gen: MonomialGen):
     return gen.u.index(1)
 
 
+def _multiset_count(degrees, cap):
+    """The number of nonempty multisets of generators of these degrees with
+    total degree <= cap: the coefficients of prod_g 1/(1 - t^deg g) up to
+    t^cap, summed, less the empty multiset's."""
+    counts = [1] + [0] * cap
+    for d in degrees:
+        for k in range(d, cap + 1):
+            counts[k] += counts[k - d]
+    return sum(counts) - 1
+
+
 def _relations(gens, cap, budget):
     """Every unordered pair of disjoint generator multisets with one total
     exponent pair and total degree <= cap, as (left, right) with left < right,
-    both sorted index tuples; the pairs come sorted.
+    both sorted index tuples; the pairs come sorted. BudgetExceeded, before
+    any search, when more than budget nonempty multisets have degree <= cap.
 
-    The multisets are nondecreasing index tuples, visited once each by a
-    depth-first search on an explicit stack; gens must come in nondecreasing
-    degree, as hilbert_basis returns them. A multiset's total exponent pair
-    (u, v) is packed into one int with coordinate j in bits [b*j, b*(j+1)),
-    b = cap.bit_length(): no exponent exceeds cap < 2^b, so sums never carry
-    and the key of a multiset is the sum of its generators' keys. A multiset
-    that lands in an occupied fiber is paired with each earlier member that
-    shares no generator with it. These are exactly the pairs of the fiber
-    with their common part cancelled: if a and b share c, then a - c and
-    b - c form a disjoint pair of degree <= cap in a lower fiber.
+    Only pure multisets are built: those without an s_i = z_i w_i, the
+    generator of exponent pair (e_i, e_i). A side is P + t.s with P pure and
+    t >= 0 its s-part, zero on the rows without an s_i. Its total is
+    (U_P + t, V_P + t), so x = U_P - V_P does not see t. Two sides P + t.s
+    and Q + t'.s share no generator and have one total exactly when
+    - P and Q are disjoint and x_P = x_Q, and
+    - U_P + t = U_Q + t' with t, t' of disjoint supports, that is
+      t = (U_Q - U_P)+ and t' = (U_P - U_Q)+, which needs U_P = U_Q on the
+      rows without an s_i.
+    Both sides then have degree 2 sum_i max(U_P,i, U_Q,i) - sum_i x_i, at
+    least deg P and deg Q. So the relations are the pairs P != Q of pure
+    multisets of degree <= cap in one weight class (x, and U on the rows
+    without an s_i) that are disjoint and pass that degree test, each side
+    padded with its s-part; each relation comes from one pair, its sides'
+    pure parts. One of P, Q may be empty, yet no side is: U_P = 0 and
+    x_P = 0 give V_P = 0, so P + t.s is empty only when P and Q both are.
+
+    The pure multisets are built generator by generator and degree by
+    degree, in the recursion of `_multiset_count`, so each comes once. A
+    weight class is one int, the sum of the generators' keys: x_i in field
+    i and, on a row without an s_i, U_i in field N + i, each field
+    b = cap.bit_length() + 1 bits wide. No entry exceeds cap < 2^(b-1) in
+    size, so the packing is one-to-one. U is also thermometer-coded, row i
+    as U_i ones from bit cap*i. Circuits are {0, +-1} vectors, so a pure
+    generator's u is a 0/1 vector, and adding it lengthens each of its
+    rows' runs by one: T | (T << 1) & F | L, with F its rows' fields and L
+    their lowest bits; U_i <= deg P <= cap keeps every run inside its
+    field. The OR of two codes codes max(U_P, U_Q), so the degree test is
+    one OR and a bit_count; disjointness is one AND of the generators'
+    bitmasks.
     """
-    bits = cap.bit_length()
-    keys = [sum(e << bits * j for j, e in enumerate(g.u + g.v)) for g in gens]
     degrees = [g.degree for g in gens]
-    fibers = {}  # packed key -> the multisets landed there so far
+    if _multiset_count(degrees, cap) > budget:
+        raise BudgetExceeded(f"relation search exceeded {budget} multisets")
+    s_rows = [_s_index(g) for g in gens]
+    pure = [idx for idx, i in enumerate(s_rows) if i is None]
+    s_at = {i: idx for idx, i in enumerate(s_rows) if i is not None}  # row i -> s_i
+    rows = len(gens[0].u) if gens else 0
+    bits, field = cap.bit_length() + 1, (1 << cap) - 1
+    down = [1 << bits * i for i in range(rows)]  # v_i = 1 lowers x_i
+    # u_i = 1 raises x_i, and U_i on a row without an s_i
+    up = [d if i in s_at else d + (d << bits * rows) for i, d in enumerate(down)]
+
+    layers = [[] for _ in range(cap + 1)]  # by degree: (multiset, class, code, bitmask, degree)
+    layers[0].append(((), 0, 0, 0, 0))
+    for k, idx in enumerate(pure):
+        g, d = gens[idx], degrees[idx]
+        ones = [i for i, a in enumerate(g.u) if a]
+        step = sum(up[i] for i in ones) - sum(down[i] for i, b in enumerate(g.v) if b)
+        low = sum(1 << cap * i for i in ones)
+        run, one, bit = low * field, (idx,), 1 << k
+        for degree in range(d, cap + 1):
+            layers[degree].extend(
+                (chosen + one, key + step, code | (code << 1) & run | low, used | bit, degree)
+                for chosen, key, code, used, _ in layers[degree - d])
+
+    classes = defaultdict(list)  # weight class -> its multisets' layer entries
+    for layer in layers:
+        for entry in layer:
+            classes[entry[1]].append(entry)
     relations = []
-    count = 0
-    stack = [(0, 0, 0, ())]  # (first index allowed, packed key, degree, multiset)
-    while stack:
-        start, key, degree, chosen = stack.pop()
-        for i in range(start, len(gens)):
-            total = degree + degrees[i]
-            if total > cap:
-                break  # and so for every later, no lighter, generator
-            count += 1
-            if count > budget:
-                raise BudgetExceeded(f"relation search exceeded {budget} multisets")
-            multiset, total_key = chosen + (i,), key + keys[i]
-            fiber = fibers.setdefault(total_key, [])
-            for other in fiber:
-                if set(other).isdisjoint(multiset):
-                    relations.append((other, multiset) if other < multiset else (multiset, other))
-            fiber.append(multiset)
-            if total + degrees[i] <= cap:
-                stack.append((i, total_key, total, multiset))
+    for members in classes.values():
+        if len(members) < 2:
+            continue
+        _, _, code, _, degree = members[0]
+        top = code.bit_count() + (cap - degree) // 2  # (cap + sum_i x_i) / 2
+        for a, (p, _, code_p, used_p, _) in enumerate(members):
+            for q, _, code_q, used_q, _ in members[a + 1:]:
+                if used_p & used_q or (code_p | code_q).bit_count() > top:
+                    continue
+                left = _padded(p, code_q & ~code_p, cap, s_at)
+                right = _padded(q, code_p & ~code_q, cap, s_at)
+                relations.append((left, right) if left < right else (right, left))
     relations.sort()
     return relations
+
+
+def _padded(side, extra, cap, s_at):
+    """side with one s_i more for each bit of extra in row i's field, as a
+    sorted tuple of generator indices."""
+    side = list(side)
+    while extra:
+        low = extra & -extra
+        side.append(s_at[(low.bit_length() - 1) // cap])
+        extra ^= low
+    return tuple(sorted(side))
 
 
 def presentation(H: HypertoricData, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
@@ -208,9 +273,14 @@ def presentation(H: HypertoricData, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
     The binomial relations are every unordered pair of disjoint generator
     multisets with one total exponent pair and total degree at most twice the
     largest generator degree (`relation_degree_cap`). That set is not proven
-    to generate the relation ideal, nor to be minimal (ROADMAP item 3). The
-    reduced view identifies the s_i along parallel rows of B, which is
-    exactly what the moment relations enforce on quadratic invariants.
+    to generate the relation ideal, nor to be minimal (ROADMAP item 3).
+    candidate_budget bounds the number of nonempty generator multisets of
+    degree <= cap. That number is counted before the search, which raises
+    BudgetExceeded when it is larger; the search itself builds only the
+    multisets without an s_i = z_i w_i and pairs them by weight class
+    (`_relations` has the proof). The reduced view identifies the s_i along
+    parallel rows of B, which is exactly what the moment relations enforce
+    on quadratic invariants.
     """
     gens = hilbert_basis(H)
     cap = 2 * max((g.degree for g in gens), default=0)

@@ -159,6 +159,15 @@ def test_group_hyperplanes_refuses_a_float_offset():
         group_hyperplanes(2, [((1, 0), 0), ((0, 1), 1.0)])
 
 
+@pytest.mark.parametrize("offset", [True, False])
+def test_group_hyperplanes_refuses_a_bool_offset(offset):
+    # Fraction(True) is 1, so the wall would pass as <(1, 0), eta> = 1
+    with pytest.raises(ValueError, match=f"^offset must not be a bool, got {offset}$"):
+        group_hyperplanes(2, [((1, 0), offset)])
+    with pytest.raises(ValueError, match="^offset must not be a bool"):
+        Hyperplane.canonical((1, 0), offset)
+
+
 def test_spec_rejects_an_int_and_a_fraction_zero_as_duplicates():
     components = tuple(
         ArrangementComponent(h, 1, Kind.SECOND_KIND)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import complete_graph, corpus_matrices, valid_hypertoric
+from corpus import cographic, complete_graph, corpus_matrices, graphic_rows, r10, valid_hypertoric
 from hkit.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -21,10 +21,12 @@ from hkit.hypertoric import (
     hilbert_basis,
     leaf_classification,
     moment_map_eval,
+    _multiset_count,
     presentation,
 )
 from hkit.intmat import IntMatrix
 from oracles import (
+    _multisets_by_total,
     brute_force_invariants,
     decompose_over_basis,
     graver_basis,
@@ -40,6 +42,11 @@ def H(rows, cols=None):
 
 def ones(m):
     return H([[1]] * m)
+
+
+def graphic(v, seed):
+    """G_v: a seeded connected multigraph on v vertices with 2(v - 1) edges."""
+    return IntMatrix(graphic_rows(random.Random(seed), v, v - 1), cols=v - 1)
 
 
 def mono(u, v):
@@ -389,14 +396,44 @@ class TestRelationsAgainstFibers:
     def test_ones(self, m):
         self.assert_agrees(ones(m))
 
-    def test_no_reduced_relation_has_equal_sides(self):
-        # _reduce_presentation keeps no branch for a relation that reduces
-        # to equal sides; its comment says why none can
+    @pytest.mark.parametrize(
+        "B", [cographic(4), cographic(5), r10(), graphic(5, seed=0)],
+        ids=["K4*", "K5*", "R10", "G5"],
+    )
+    def test_regular_matroids(self, B):
+        # every s_i present (K_m*, R10) and parallel rows (G5 seed 0)
+        self.assert_agrees(HypertoricData.from_matrix(B))
+
+    @pytest.mark.parametrize("B", [complete_graph(7), graphic(6, seed=0)], ids=["K7", "G6"])
+    def test_over_default_budget(self, B):
+        # the count raises before the search; the oracle raises in its walk
+        data = HypertoricData.from_matrix(B)
+        with pytest.raises(BudgetExceeded) as ours:
+            presentation(data)
+        with pytest.raises(BudgetExceeded) as theirs:
+            self.oracle(data)
+        assert str(ours.value) == str(theirs.value)
+
+    @staticmethod
+    def small_inputs():
         inputs = list(valid_hypertoric(corpus_matrices()))
         inputs += [HypertoricData.from_matrix(complete_graph(m)) for m in (3, 4, 5)]
         inputs += [ones(m) for m in (2, 3, 4, 5, 6)]
         assert len(inputs) == 1104 + 3 + 5
-        for data in inputs:
+        return inputs
+
+    def test_budget_counts_the_oracle_multisets(self):
+        for data in self.small_inputs():
+            gens = hilbert_basis(data)
+            cap = 2 * max(g.degree for g in gens)
+            table = _multisets_by_total(gens, cap, DEFAULT_CANDIDATE_BUDGET)
+            built = sum(map(len, table.values()))
+            assert _multiset_count([g.degree for g in gens], cap) == built, data.B
+
+    def test_no_reduced_relation_has_equal_sides(self):
+        # _reduce_presentation keeps no branch for a relation that reduces
+        # to equal sides; its comment says why none can
+        for data in self.small_inputs():
             for left, right, _ in presentation(data).reduced.relations:
                 assert left != right, data.B
 

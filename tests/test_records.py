@@ -179,9 +179,11 @@ def test_arrangement_spec_checks_direct_construction():
         (Hyperplane((1.0, 0)), Kind.SECOND_KIND),
         (Hyperplane((True, 0)), Kind.SECOND_KIND),
         (Hyperplane((1, 0), 0.5), Kind.SECOND_KIND),
+        (Hyperplane((1, 0), True), Kind.SECOND_KIND),
         (Hyperplane((1, 0)), Kind.FIRST_KIND),
     ],
-    ids=["negative-lead", "not-primitive", "float-entry", "bool-entry", "float-offset", "kind"],
+    ids=["negative-lead", "not-primitive", "float-entry", "bool-entry", "float-offset",
+         "bool-offset", "kind"],
 )
 def test_arrangement_spec_refuses_a_component_that_is_not_canonical(hyperplane, kind):
     bad = ArrangementComponent(hyperplane, 1, kind)
