@@ -187,7 +187,7 @@ def _cmd_build(payload, job, notes):
         "N": H.N,
         "n": H.n,
         "A": H.A,
-        "dimension": coordinate_dimension(H, basis),
+        "dimension": coordinate_dimension(H),
         "moment_map": "sum_i a_i z_i w_i over the columns a_i of A",
         "hilbert_basis": [_monomial(g) for g in basis],
         "presentation": {

@@ -8,11 +8,15 @@ an exponent pair (u, v) with u - v in the column lattice of B. The monoid of
 all such pairs is pointed and finitely generated. B is unimodular, so the
 sign-minimal vectors of its column lattice are its circuits (Sturmfels,
 Groebner Bases and Convex Polytopes, ch. 4 and 8), and the unique minimal
-generating set is read off them; `intmat.circuits` builds them with the
-same enumerator that decided unimodularity in validation. The binomial
-relations among the generators are searched in the fibers of the monomial
-map (ch. 4): only the multisets without a quadratic z_i w_i are built, and
-their weight classes say where those fill in.
+generating set is read off them in one pass: each {0, +-1} circuit gives
+two generators, its +1 and -1 entries swapped between z and w, and each
+nonzero column a_i of A gives z_i w_i. `intmat.circuits` builds the
+circuits with the same enumerator that decided unimodularity in
+validation. The monoid spans a lattice of rank N + n, so the variety has
+dimension 2n, with no rank computed (`coordinate_dimension` has the
+proof). The binomial relations among the generators are searched in the
+fibers of the monomial map (ch. 4): only the multisets without a quadratic
+z_i w_i are built, and their weight classes say where those fill in.
 """
 
 from collections import defaultdict
@@ -21,7 +25,7 @@ from typing import NamedTuple
 
 from .arrangement import _kind_from_multiplicity, _row_classes
 from .errors import BudgetExceeded, DimensionMismatch, NotUnimodular
-from .intmat import IntMatrix, _gale, check_primitive_rows, circuits, rank
+from .intmat import IntMatrix, _gale, check_primitive_rows, circuits
 
 DEFAULT_CANDIDATE_BUDGET = 10**5
 
@@ -83,42 +87,60 @@ def moment_map_eval(A: IntMatrix, z, w):
 
 # -- Hilbert basis from the circuits of the column lattice ----------------------
 
+# Indexed by an entry x in {-1, 0, 1}, -1 reading the last place: 1 iff x == 1,
+# and 1 iff x == -1.
+_POSITIVE = (0, 1, 0)
+_NEGATIVE = (0, 0, 1)
+
+
+def _generators(H: HypertoricData):
+    """The Hilbert basis in its canonical order (degree, then u + v), with
+    each generator's degree and, for z_i w_i, its row i (None otherwise):
+    three parallel lists, built in one pass over the circuits.
+
+    A circuit c is a {0, +-1} vector, so its monomial z^u w^v has u and v
+    the indicators of its +1 and -1 entries and degree its support size, and
+    -c gives (v, u). z_i w_i joins exactly when e_i is not in im(B), which
+    by exactness means column a_i of A is nonzero (otherwise it splits as
+    z_i * w_i).
+    """
+    keyed = []  # (degree, u + v, generator, row of an s_i): distinct in u + v
+    for c in circuits(H.B):
+        u = tuple(map(_POSITIVE.__getitem__, c))
+        v = tuple(map(_NEGATIVE.__getitem__, c))
+        degree = len(c) - c.count(0)
+        keyed.append((degree, u + v, MonomialGen(u, v), None))
+        keyed.append((degree, v + u, MonomialGen(v, u), None))
+    zero = (0,) * H.N
+    for i, column in enumerate(zip(*H.A.data)):
+        if any(column):
+            e_i = zero[:i] + (1,) + zero[i + 1:]
+            keyed.append((2, e_i + e_i, MonomialGen(e_i, e_i), i))
+    keyed.sort()
+    return [k[2] for k in keyed], [k[0] for k in keyed], [k[3] for k in keyed]
+
 
 def hilbert_basis(H: HypertoricData):
-    """Unique minimal generating set of the invariant-monomial monoid.
-
-    The reduced generators are the circuits c of im(B), split as (c_+, c_-)
-    for both signs; the quadratic z_i w_i joins exactly when e_i is not in
-    im(B), which by exactness means column a_i of A is nonzero (otherwise it
-    splits as z_i * w_i).
-    """
-    gens = []
-    for c in circuits(H.B):
-        gens.append(_split_monomial(c))
-        gens.append(_split_monomial(tuple(-x for x in c)))
-    for i in range(H.N):
-        if any(H.A.column(i)):
-            e_i = tuple(1 if k == i else 0 for k in range(H.N))
-            gens.append(MonomialGen(u=e_i, v=e_i))
-    gens.sort(key=MonomialGen.sort_key)
-    return gens
-
-
-def _split_monomial(g):
-    return MonomialGen(
-        u=tuple(x if x > 0 else 0 for x in g),
-        v=tuple(-x if x < 0 else 0 for x in g),
-    )
+    """Unique minimal generating set of the invariant-monomial monoid, sorted
+    by `MonomialGen.sort_key`: the circuits c of im(B), split as (c_+, c_-)
+    for both signs, and z_i w_i whenever column a_i of A is nonzero
+    (`_generators`)."""
+    return _generators(H)[0]
 
 
 def coordinate_dimension(H: HypertoricData, basis=None):
-    """Krull dimension of the constructed variety: the rank of the lattice
-    spanned by the generators' exponent pairs, minus the N - n moment
-    relations. Always 2n for valid data."""
-    if basis is None:
-        basis = hilbert_basis(H)
-    stacked = IntMatrix([list(g.u) + list(g.v) for g in basis], cols=2 * H.N)
-    return rank(stacked) - (H.N - H.n)
+    """Krull dimension of the constructed variety, 2n. basis is unused; it is
+    accepted so that callers holding the Hilbert basis can pass it.
+
+    The invariant ring is the monoid ring of M = {(u, v) in N^2N : u - v in
+    im B}, of dimension the rank of the group M generates. That group is
+    L = {(u, v) in Z^2N : u - v in im B}: for (u, v) in L and t the largest
+    entry of -u and -v (or 0), (u + t, v + t) and (t, t) lie in M, and
+    (u, v) is their difference. (u, v) -> (u - v, v) maps L onto im B x Z^N,
+    of rank n + N since B is injective. The N - n moment relations cut that
+    to N + n - (N - n) = 2n.
+    """
+    return 2 * H.n
 
 
 # -- presentation ---------------------------------------------------------------
@@ -155,13 +177,6 @@ class Presentation(NamedTuple):
     reduced: ReducedPresentation
 
 
-def _s_index(gen: MonomialGen):
-    """Index i when gen is z_i w_i, else None."""
-    if gen.u != gen.v or sum(gen.u) != 1:
-        return None
-    return gen.u.index(1)
-
-
 def _multiset_count(degrees, cap):
     """The number of nonempty multisets of generators of these degrees with
     total degree <= cap: the coefficients of prod_g 1/(1 - t^deg g) up to
@@ -173,11 +188,12 @@ def _multiset_count(degrees, cap):
     return sum(counts) - 1
 
 
-def _relations(gens, cap, budget):
+def _relations(gens, degrees, s_rows, cap, budget):
     """Every unordered pair of disjoint generator multisets with one total
     exponent pair and total degree <= cap, as (left, right) with left < right,
-    both sorted index tuples; the pairs come sorted. BudgetExceeded, before
-    any search, when more than budget nonempty multisets have degree <= cap.
+    both sorted index tuples; the pairs come sorted. degrees and s_rows are
+    `_generators`' lists for gens. BudgetExceeded, before any search, when
+    more than budget nonempty multisets have degree <= cap.
 
     Only pure multisets are built: those without an s_i = z_i w_i, the
     generator of exponent pair (e_i, e_i). A side is P + t.s with P pure and
@@ -210,10 +226,8 @@ def _relations(gens, cap, budget):
     one OR and a bit_count; disjointness is one AND of the generators'
     bitmasks.
     """
-    degrees = [g.degree for g in gens]
     if _multiset_count(degrees, cap) > budget:
         raise BudgetExceeded(f"relation search exceeded {budget} multisets")
-    s_rows = [_s_index(g) for g in gens]
     pure = [idx for idx, i in enumerate(s_rows) if i is None]
     s_at = {i: idx for idx, i in enumerate(s_rows) if i is not None}  # row i -> s_i
     rows = len(gens[0].u) if gens else 0
@@ -282,28 +296,28 @@ def presentation(H: HypertoricData, candidate_budget=DEFAULT_CANDIDATE_BUDGET):
     parallel rows of B, which is exactly what the moment relations enforce
     on quadratic invariants.
     """
-    gens = hilbert_basis(H)
-    cap = 2 * max((g.degree for g in gens), default=0)
-    relations = _relations(gens, cap, candidate_budget)
+    gens, degrees, s_rows = _generators(H)
+    cap = 2 * degrees[-1] if degrees else 0  # degrees ascend
+    relations = _relations(gens, degrees, s_rows, cap, candidate_budget)
     return Presentation(
         generators=tuple(gens),
         moment_rows=H.A,
         binomial_relations=tuple(relations),
         relation_degree_cap=cap,
-        reduced=_reduce_presentation(H, gens, relations),
+        reduced=_reduce_presentation(H, gens, s_rows, relations),
     )
 
 
-def _reduce_presentation(H, gens, relations):
-    """The reduced view of relations among gens: each generator read through
-    one table from its index to its reduced (symbol, sign). A pure generator
-    is ("g", k) with sign 1; z_i w_i is ("s", c) for the s-class c of row i,
-    with the sign of row i against the class normal."""
+def _reduce_presentation(H, gens, s_rows, relations):
+    """The reduced view of relations among gens, with s_rows as in
+    `_generators`: each generator read through one table from its index to
+    its reduced (symbol, sign). A pure generator is ("g", k) with sign 1;
+    z_i w_i is ("s", c) for the s-class c of row i, with the sign of row i
+    against the class normal."""
     pure = []
     s_gen = {}  # row i -> index of the generator z_i w_i, to fill the table
     table = {}  # generator index -> (reduced symbol, sign)
-    for idx, g in enumerate(gens):
-        i = _s_index(g)
+    for idx, (g, i) in enumerate(zip(gens, s_rows)):
         if i is None:
             table[idx] = (("g", len(pure)), 1)
             pure.append(g)

@@ -10,7 +10,10 @@ levels is that engine before it went depth first: a whole codimension held
 at once, every non-member wall reduced against all rows of each flat's
 basis. The Graver completion is how `hilbert_basis` was computed before it
 read the circuits off the flat engine, and the closure by levels still gives
-those circuits as the lines of B's discriminant. The minor enumeration (one
+those circuits as the lines of B's discriminant. The split of each circuit
+once per sign is how `hilbert_basis` read them before one pass, and the
+rank of the generators' exponent pairs is how `coordinate_dimension` found
+2n before its closed form. The minor enumeration (one
 Bareiss determinant per maximal minor) is how `unimodularity_report` decided
 unimodularity before it scanned the square minors of the non-pivot block R
 of one echelon form, and that scan is how it decided before it enumerated
@@ -75,7 +78,6 @@ from hkit.hypertoric import (
     MonomialGen,
     ReducedPresentation,
     SClass,
-    _s_index,
 )
 from hkit.intmat import (
     IntMatrix,
@@ -84,6 +86,7 @@ from hkit.intmat import (
     canonical_primitive,
     canonical_sign,
     check_primitive_rows,
+    circuits,
     det,
     is_primitive,
     kernel_basis,
@@ -320,6 +323,48 @@ def hilbert_basis_completion(H):
             gens.append(MonomialGen(u=e_i, v=e_i))
     gens.sort(key=MonomialGen.sort_key)
     return gens
+
+
+# -- the Hilbert basis by splits and the dimension by rank ------------------------
+
+
+def hilbert_basis_by_splits(H):
+    """The Hilbert basis as `hilbert_basis` built it before one pass read
+    each circuit's two generators off its +1 and -1 entries: every circuit
+    split twice, once per sign, z_i w_i for each nonzero column of A taken
+    one at a time, and the whole list sorted by `MonomialGen.sort_key`."""
+    gens = []
+    for c in circuits(H.B):
+        gens.append(_split_monomial(c))
+        gens.append(_split_monomial(tuple(-x for x in c)))
+    for i in range(H.N):
+        if any(H.A.column(i)):
+            e_i = tuple(1 if k == i else 0 for k in range(H.N))
+            gens.append(MonomialGen(u=e_i, v=e_i))
+    gens.sort(key=MonomialGen.sort_key)
+    return gens
+
+
+def _split_monomial(g):
+    return MonomialGen(
+        u=tuple(x if x > 0 else 0 for x in g),
+        v=tuple(-x if x < 0 else 0 for x in g),
+    )
+
+
+def coordinate_dimension_by_rank(H, basis):
+    """The Krull dimension as `coordinate_dimension` computed it before it
+    returned 2n in closed form: the rank of the lattice spanned by the
+    generators' exponent pairs, minus the N - n moment relations."""
+    stacked = IntMatrix([list(g.u) + list(g.v) for g in basis], cols=2 * H.N)
+    return rank(stacked) - (H.N - H.n)
+
+
+def _s_index(gen):
+    """Index i when gen is z_i w_i, else None."""
+    if gen.u != gen.v or sum(gen.u) != 1:
+        return None
+    return gen.u.index(1)
 
 
 # -- maximal minors --------------------------------------------------------------
@@ -776,7 +821,10 @@ def decompose_over_basis(target: MonomialGen, basis):
 
 def _multisets_by_total(gens, cap, budget):
     """Group all generator multisets of total degree <= cap by their
-    total exponent pair."""
+    total exponent pair. gens must be ordered by degree, as `hilbert_basis`
+    orders them: the walk stops at the first generator too heavy to add."""
+    if any(a.degree > b.degree for a, b in zip(gens, gens[1:])):
+        raise ValueError("generators must be ordered by degree")
     table = {}
     count = 0
 
@@ -791,7 +839,7 @@ def _multisets_by_total(gens, cap, budget):
         for i in range(start, len(gens)):
             g = gens[i]
             if degree + g.degree > cap:
-                continue
+                break
             extend(
                 i,
                 tuple(a + b for a, b in zip(u, g.u)),

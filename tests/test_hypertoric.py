@@ -21,15 +21,19 @@ from hkit.hypertoric import (
     hilbert_basis,
     leaf_classification,
     moment_map_eval,
+    _generators,
     _multiset_count,
     presentation,
 )
 from hkit.intmat import IntMatrix
 from oracles import (
     _multisets_by_total,
+    _s_index,
     brute_force_invariants,
+    coordinate_dimension_by_rank,
     decompose_over_basis,
     graver_basis,
+    hilbert_basis_by_splits,
     hilbert_basis_completion,
     reduce_presentation_by_maps,
     relations_by_fibers,
@@ -286,6 +290,43 @@ class TestHilbertBasisAgainstCompletion:
         assert len(hilbert_basis(data)) == 2 * (2 ** (m - 1) - 1) + m * (m - 1) // 2
 
 
+class TestHilbertBasisAgainstSplits:
+    """The one-pass generators and the closed-form dimension against the
+    per-sign splits and the rank they replaced."""
+
+    @staticmethod
+    def assert_agrees(data):
+        gens, degrees, s_rows = _generators(data)
+        want = hilbert_basis_by_splits(data)
+        assert gens == want, data.B
+        assert all(type(x) is int for g in gens for x in g.u + g.v), data.B
+        assert degrees == [g.degree for g in want], data.B
+        assert s_rows == [_s_index(g) for g in want], data.B
+        assert all(a <= b for a, b in zip(degrees, degrees[1:])), data.B
+        assert hilbert_basis(data) == want, data.B
+        assert coordinate_dimension_by_rank(data, want) == 2 * data.n == coordinate_dimension(data)
+
+    def test_corpus(self):
+        matrices = 0
+        for data in valid_hypertoric(corpus_matrices()):
+            matrices += 1
+            self.assert_agrees(data)
+        assert matrices == 1104
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+    def test_complete_graphs(self, m):
+        self.assert_agrees(HypertoricData.from_matrix(complete_graph(m)))
+
+    @pytest.mark.parametrize("B", [cographic(4), cographic(5), r10()], ids=["K4*", "K5*", "R10"])
+    def test_regular_matroids(self, B):
+        self.assert_agrees(HypertoricData.from_matrix(B))
+
+    @pytest.mark.parametrize("v", [5, 6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_graphic(self, v, seed):
+        self.assert_agrees(HypertoricData.from_matrix(graphic(v, seed)))
+
+
 class TestPresentation:
     def test_a1_relation(self):
         pres = presentation(ones(2))
@@ -429,6 +470,13 @@ class TestRelationsAgainstFibers:
             table = _multisets_by_total(gens, cap, DEFAULT_CANDIDATE_BUDGET)
             built = sum(map(len, table.values()))
             assert _multiset_count([g.degree for g in gens], cap) == built, data.B
+
+    def test_oracle_walk_refuses_generators_out_of_degree_order(self):
+        # the walk stops at the first generator too heavy for the cap, which
+        # skips only heavier ones when the degrees ascend
+        gens = hilbert_basis(ones(3))
+        with pytest.raises(ValueError, match="ordered by degree"):
+            _multisets_by_total(gens[::-1], 6, DEFAULT_CANDIDATE_BUDGET)
 
     def test_no_reduced_relation_has_equal_sides(self):
         # _reduce_presentation keeps no branch for a relation that reduces
