@@ -32,16 +32,16 @@ unimodularity; the lattice is coatomistic, so a flat is known by the
 bitmask sigma of the lines inside it, and a wall w's key is C_w & sigma,
 C_w being the lines inside w, one integer AND per class. The empty key is
 the top flat, the center, and the row of the cut is the normal of any wall
-of the class; `f_locus` has the proof. Every other arrangement, and the
-walk of `check_simplicity`, take `_flats`, whose key is a wall's residual,
-made from its parent's in one fraction-free step; `_flats` has that proof
-and the cut's. A central arrangement's rows leave out the offset column,
-which would stay 0. Only `f_locus` asks for directions.
+of the class; `f_locus` has the proof. Every other arrangement takes
+`_flats`, whose key is a wall's residual, made from its parent's in one
+fraction-free step; `_flats` has that proof and the cut's. A central
+arrangement's rows leave out the offset column, which would stay 0. Every
+walk carries directions, and `f_locus` is the one door to the flats.
 Slice simplicity is decided from circuits, not flats: `check_simplicity`
 enumerates the circuits of the normals' dependencies with
 `_Forms.dependency_circuits` and tests <c, lambda> != 0 on each (its
-docstring has the proof, at any rank of the normals). The flat walk runs
-only to list the violations of a slice that is not simple.
+docstring has the proof, at any rank of the normals). Only to list the
+violations of a slice that is not simple does it read `f_locus`.
 Points come from integer back-substitution over one common denominator.
 """
 
@@ -71,21 +71,28 @@ class Kind(Enum):
     SECOND_KIND = "second"
 
 
+def _exact(value, what):
+    """Fraction(value) for a value that is exact: a float is refused, as
+    Fraction would take its binary value (0.1 is not 1/10), and so is a
+    bool, as for normal entries (ValueError naming `what`). An int, a
+    Fraction or a string such as "1/3" is taken."""
+    if isinstance(value, float):
+        raise ValueError(f"{what} must be exact, got {value!r}")
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must not be a bool, got {value!r}")
+    return Fraction(value)
+
+
 def _checked(normal, offset):
     """(canonical normal, offset flipped with it) of <normal, eta> = offset,
     after checking that normal has int entries and is primitive and that
-    offset is exact: a float is refused, as Fraction would take its binary
-    value (0.1 is not 1/10), and so is a bool, as for normal entries."""
+    offset is `_exact`."""
     normal = tuple(normal)
     if set(map(type, normal)) - {int}:  # bool is not int
         raise ValueError(f"normal must have int entries, got {normal!r}")
     if not is_primitive(normal):
         raise ValueError(f"normal {list(normal)} is not primitive")
-    if isinstance(offset, float):
-        raise ValueError(f"offset must be exact, got {offset!r}")
-    if isinstance(offset, bool):
-        raise ValueError(f"offset must not be a bool, got {offset!r}")
-    offset = Fraction(offset)
+    offset = _exact(offset, "offset")
     flipped = canonical_sign(normal)
     if flipped != normal:
         offset = -offset
@@ -108,7 +115,7 @@ class Hyperplane(NamedTuple):
             raise DimensionMismatch(
                 f"point has dimension {len(point)}, hyperplane {len(self.normal)}"
             )
-        return sum(Fraction(x) * b for x, b in zip(point, self.normal)) == self.offset
+        return sum(_exact(x, "point") * b for x, b in zip(point, self.normal)) == self.offset
 
 
 class ArrangementComponent(NamedTuple):
@@ -259,7 +266,7 @@ def stabilizer_rank(arr: ArrangementSpec, eta):
     Each wall counts once regardless of multiplicity; the incident normals are
     returned in component order.
     """
-    eta = tuple(Fraction(x) for x in eta)
+    eta = tuple(_exact(x, "eta") for x in eta)
     if len(eta) != arr.n:
         raise DimensionMismatch(f"point dimension {len(eta)} != ambient {arr.n}")
     incident = [c.hyperplane.normal for c in arr.components if c.hyperplane.contains(eta)]
@@ -324,7 +331,7 @@ def _direction(basis, n):
     return D, all(d[_pivot(d)] == 1 for d in D)
 
 
-def _closure(n, walls, expand, directions):
+def _closure(n, walls, expand):
     """Every flat as (member bitmask, basis, direction), depth first: the
     walk that `_flats` and `_lines` share. Each member set comes exactly
     once, in no particular order.
@@ -338,9 +345,9 @@ def _closure(n, walls, expand, directions):
     flat expanded once, from its first parent; children wait on the stack
     with their parent's classes, and a flat's classes are made only when it
     is taken off the stack, so only the flats along one path hold them.
-    The direction is None unless asked for; then `_cut` takes it from the
-    parent's with the row, and `_direction` from the basis where the cut
-    does not apply (`_flats` has the proof)."""
+    `_cut` takes the direction from the parent's with the row, and
+    `_direction` from the basis where the cut does not apply (`_flats` has
+    the proof)."""
     identity = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
     stack = [(bit, key, bit, [], walls, identity, True) for key, bit in reversed(walls)]
     seen = set()
@@ -348,12 +355,9 @@ def _closure(n, walls, expand, directions):
         # the parent's direction and whether its pivots are 1, then G's
         members, key, ks, parent_basis, parent_classes, direction, unit = stack.pop()
         basis, row, classes = expand(key, ks, parent_basis, parent_classes)
-        if directions:
-            direction = _cut(direction, row) if unit else None
-            if direction is None:
-                direction, unit = _direction(basis, n)
-        else:
-            direction = None
+        direction = _cut(direction, row) if unit else None
+        if direction is None:
+            direction, unit = _direction(basis, n)
         yield members, basis, direction
         for key, ks in reversed(classes):
             child = members | ks
@@ -362,13 +366,13 @@ def _closure(n, walls, expand, directions):
                 stack.append((child, key, ks, basis, classes, direction, unit))
 
 
-def _flats(arr, directions=False):
+def _flats(arr):
     """Every flat as (member bitmask, echelon basis of (pivot, row) pairs
     sorted by pivot, direction), from `_closure`, with the walls' residuals
     as the class keys. The rows are augmented (normal, offset) when the
     arrangement is affine and the normals alone when it is central. The
-    direction is None unless asked for; then it is the HNF rows of the
-    flat's saturated direction lattice, `kernel_basis` of its normals.
+    direction is the HNF rows of the flat's saturated direction lattice,
+    `kernel_basis` of its normals.
 
     A flat F carries the residual classes of the walls that are neither its
     members nor parallel to it: the residual of a wall is the primitive,
@@ -430,17 +434,17 @@ def _flats(arr, directions=False):
             classes[res] = classes.get(res, 0) | ks
         return basis, row, classes.items()
 
-    return _closure(n, [(r, 1 << k) for k, r in enumerate(_rows(arr))], expand, directions)
+    return _closure(n, [(r, 1 << k) for k, r in enumerate(_rows(arr))], expand)
 
 
 def _lines(arr):
-    """The flats of a central arrangement, as `_flats(arr, directions=True)`
-    gives them, from `_closure` with the lines inside each wall as its
-    class key. None unless the HNF of the normals' transpose has unit
-    pivots and every circuit is a {0, +-1} vector. No two walls are
-    parallel, since `ArrangementSpec` holds distinct canonical normals. A
-    flat's basis holds one (wall, normal) pair per cover on its way from
-    the bottom. `f_locus` has the proof."""
+    """The flats of a central arrangement, as `_flats(arr)` gives them,
+    from `_closure` with the lines inside each wall as its class key. None
+    unless the HNF of the normals' transpose has unit pivots and every
+    circuit is a {0, +-1} vector. No two walls are parallel, since
+    `ArrangementSpec` holds distinct canonical normals. A flat's basis
+    holds one (wall, normal) pair per cover on its way from the bottom.
+    `f_locus` has the proof."""
     normals = tuple(c.hyperplane.normal for c in arr.components)
     found = _Forms(IntMatrix._of(normals, arr.n)).circuits()
     if found is None:
@@ -463,7 +467,7 @@ def _lines(arr):
                 classes[key] = classes.get(key, 0) | ks
         return parent_basis + [(k, row)], row, classes.items()
 
-    return _closure(arr.n, [(c, 1 << w) for w, c in enumerate(on)], expand, True)
+    return _closure(arr.n, [(c, 1 << w) for w, c in enumerate(on)], expand)
 
 
 def _point_of(basis, n):
@@ -556,7 +560,7 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
     found = []
     walk = _lines(arr) if central else None
     if walk is None:
-        walk = _flats(arr, directions=True)
+        walk = _flats(arr)
     for members, basis, direction in walk:
         if len(basis) < 2:
             continue
@@ -625,16 +629,21 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     the kernel rows, and `dependency_circuits` enumerates the circuits from
     them, or gives None at the first entry outside {-1, 0, 1}.
 
-    To list the violations, the walk reads the flats. Walls meet iff they
-    are members of a common flat, and every flat lies in one of
+    To list the violations, it reads the flats of `f_locus`. Walls meet iff
+    they are members of a common flat, and every flat lies in one of
     codimension r: a wall whose normal is outside a flat's normal span
     meets it in a flat with more members. So only the flats of codimension
-    r are read. A subset of normals that extend to a Z-basis extends too,
-    so (b) only tests the subsets of flats whose whole member set fails; a
-    subset larger than the flat's codimension is linearly dependent and
-    fails without a test. A wall k of multiplicity >= 2 fails on its own as
-    (k,); a wall of multiplicity 1 passes, as its normal is primitive, which
-    `ArrangementSpec`'s constructor checks for a spec built by hand.
+    r are read. `f_locus` leaves out the single walls, which loses nothing:
+    they have codimension 1, so they would be read only when r = 1, and
+    then a one-wall flat has no (n+1)-subset and its primitive normal
+    extends to a Z-basis. A subset of normals that extend to a Z-basis
+    extends too, so (b) only tests the subsets of member sets that fail as
+    a whole. Those subsets are gathered from every such flat into one set
+    and each is tested once, however many flats hold it; one larger than r
+    is linearly dependent and fails without a test. A wall k of
+    multiplicity >= 2 fails on its own as (k,); a wall of multiplicity 1
+    passes, as its normal is primitive, which `ArrangementSpec`'s
+    constructor checks for a spec built by hand.
     """
     n = arr.n
     comps = arr.components
@@ -651,21 +660,22 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
             lam = [scale // f.denominator * f.numerator for f in offsets]
             if all(sum(map(mul, c, lam)) for c in circuits):
                 return SimplicityReport(True, True)
+    r = forms.rank
     violations_a = set()
     violations_b = {(k,) for k, c in enumerate(comps) if c.multiplicity > 1}
-    for members, basis, _ in _flats(arr):
-        if len(basis) < forms.rank:
+    # the subsets of every codimension-r member set that fails as a whole
+    candidates = set()
+    for flat in f_locus(arr):
+        if flat.codimension < r:
             continue
-        members = _bits(members)
+        members = flat.sorted_members()
         violations_a.update(combinations(members, n + 1))
-        if _extends_to_basis([normals[i] for i in members]):
-            continue
-        for k in range(2, len(members) + 1):
-            violations_b.update(
-                s
-                for s in combinations(members, k)
-                if k > len(basis) or not _extends_to_basis([normals[i] for i in s])
-            )
+        if not _extends_to_basis([normals[i] for i in members]):
+            for k in range(2, len(members) + 1):
+                candidates.update(combinations(members, k))
+    violations_b.update(
+        s for s in candidates if len(s) > r or not _extends_to_basis([normals[i] for i in s])
+    )
     return SimplicityReport(
         no_excess_intersections=not violations_a,
         normals_extend_to_basis=not violations_b,

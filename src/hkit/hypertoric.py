@@ -23,7 +23,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arrangement import _kind_from_multiplicity, _row_classes
+from .arrangement import _exact, _kind_from_multiplicity, _row_classes
 from .errors import BudgetExceeded, DimensionMismatch, NotUnimodular
 from .intmat import IntMatrix, _gale, check_primitive_rows, circuits
 
@@ -78,7 +78,7 @@ def moment_map_eval(A: IntMatrix, z, w):
         raise DimensionMismatch(f"expected {N} coordinates, got {len(z)}, {len(w)}")
     out = [Fraction(0)] * A.rows
     for i in range(N):
-        zw = Fraction(z[i]) * Fraction(w[i])
+        zw = _exact(z[i], "z") * _exact(w[i], "w")
         if zw:
             for j in range(A.rows):
                 out[j] += A[j, i] * zw

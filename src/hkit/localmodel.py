@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
-from .arrangement import ArrangementSpec, SimplicityReport, _affine, _central, check_simplicity
+from .arrangement import ArrangementSpec, SimplicityReport, _affine, _central, _exact, check_simplicity
 from .errors import ArityMismatch, DuplicateShift, NotABasis
 from .hypertoric import HypertoricData
 from .intmat import IntMatrix, det
@@ -91,21 +91,21 @@ class DeformedLocalModel(NamedTuple):
     def rhs_at(self, t):
         """Coefficients of the x3-polynomial at parameter value t (degree m,
         leading coefficient 1, index k holds the x3^(m-k) coefficient)."""
-        t = Fraction(t)
+        t = _exact(t, "t")
         return tuple(c * t**k for k, c in enumerate(self.coefficients))
 
     def rhs_value(self, x3, t):
-        x3, t = Fraction(x3), Fraction(t)
+        x3, t = _exact(x3, "x3"), _exact(t, "t")
         return sum(c * x3 ** (self.m - k) * t**k for k, c in enumerate(self.coefficients))
 
     def discriminant_points(self, t):
         """Roots of the right-hand side in x3 at parameter t."""
-        t = Fraction(t)
+        t = _exact(t, "t")
         return tuple(sorted({-a * t for a in self.shifts}))
 
 
 def deform_local_model(model: LocalModel, shifts) -> DeformedLocalModel:
-    shifts = tuple(Fraction(a) for a in shifts)
+    shifts = tuple(_exact(a, "shift") for a in shifts)
     if len(shifts) != model.m:
         raise ArityMismatch(f"expected {model.m} shifts, got {len(shifts)}")
     if len(set(shifts)) != len(shifts):
@@ -199,7 +199,7 @@ def family_slice(H: HypertoricData, line: DeformationLine, t) -> ArrangementSpec
     Validation checked B's rows and grouped them in `H.groups`, so t = 0 is
     those classes with offset 0, and otherwise each row's offset flips with
     its normal when the row is not its class's canonical normal."""
-    t = Fraction(t)
+    t = _exact(t, "t")
     if not t:
         return _central(H.n, H.groups)
     rows, offsets, flipped = H.B.data, line.offsets, -t

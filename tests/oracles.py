@@ -37,6 +37,9 @@ one table gave each generator its reduced (symbol, sign). The
 Fraction-keyed grouping is how `group_hyperplanes`, `build_discriminant` and
 `family_slice` grouped walls before they keyed them on ints: one checked
 Hyperplane per wall, hashed in a dict and sorted by its field order.
+The listing by walk is how `check_simplicity` listed the violations of a
+slice that is not simple before it read `f_locus`: flat by flat from
+`_flats`, each subset tested again in every flat that holds it.
 The enumerations are exponential; all of these serve only as test
 references.
 """
@@ -51,6 +54,9 @@ from hkit.arrangement import (
     FlatDescriptor,
     Hyperplane,
     SimplicityReport,
+    _bits,
+    _extends_to_basis,
+    _flats,
     _kind_from_multiplicity,
     _pivot,
     _wall_row,
@@ -256,6 +262,40 @@ def check_simplicity_scan(arr):
         normals_extend_to_basis=not violations_b,
         violations_a=tuple(violations_a),
         violations_b=tuple(violations_b),
+    )
+
+
+def check_simplicity_by_walk(arr):
+    """Conditions (a) and (b) listed from `_flats` walked flat by flat, as
+    `check_simplicity` listed them before it read `f_locus`: every flat of
+    codimension r (the normals' rank), single walls included, and the
+    subsets of each flat whose whole member set fails, tested again in
+    every flat that holds them. It lists without deciding first, so a
+    simple slice gives an empty report."""
+    n = arr.n
+    comps = arr.components
+    normals = tuple(c.hyperplane.normal for c in comps)
+    forms = _Forms(IntMatrix(normals, cols=n))
+    violations_a = set()
+    violations_b = {(k,) for k, c in enumerate(comps) if c.multiplicity > 1}
+    for members, basis, _ in _flats(arr):
+        if len(basis) < forms.rank:
+            continue
+        members = _bits(members)
+        violations_a.update(itertools.combinations(members, n + 1))
+        if _extends_to_basis([normals[i] for i in members]):
+            continue
+        for k in range(2, len(members) + 1):
+            violations_b.update(
+                s
+                for s in itertools.combinations(members, k)
+                if k > len(basis) or not _extends_to_basis([normals[i] for i in s])
+            )
+    return SimplicityReport(
+        no_excess_intersections=not violations_a,
+        normals_extend_to_basis=not violations_b,
+        violations_a=tuple(sorted(violations_a)),
+        violations_b=tuple(sorted(violations_b, key=lambda s: (len(s), s))),
     )
 
 

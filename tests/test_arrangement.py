@@ -82,6 +82,15 @@ class TestHyperplane:
         with pytest.raises(DimensionMismatch):
             Hyperplane((1, 0)).contains((0,))
 
+    @pytest.mark.parametrize("point", [(0.1, 0.2), (1, 1.0), (True, 0)], ids=["floats", "float", "bool"])
+    def test_contains_refuses_inexact_points(self, point):
+        # Fraction(0.1) + Fraction(0.2) != Fraction(3, 10)
+        with pytest.raises(ValueError, match="^point must"):
+            Hyperplane.canonical((1, 1), Fraction(3, 10)).contains(point)
+
+    def test_contains_takes_strings(self):
+        assert Hyperplane.canonical((1, 1), Fraction(3, 10)).contains(("1/10", "1/5"))
+
 
 class TestBuildDiscriminant:
     def test_triple_wall(self):
@@ -189,6 +198,12 @@ class TestStabilizerRank:
             r, normals = stabilizer_rank(arr, (Fraction(0),) * n)
             assert r == rank(IntMatrix(rows, cols=n))
             assert len(normals) == len(arr.components)
+
+    @pytest.mark.parametrize("eta", [(0.0, 7), (0, 0.5), (False, 7)], ids=["zero", "half", "bool"])
+    def test_refuses_inexact_points(self, eta):
+        arr = build_discriminant(IntMatrix.identity(2))
+        with pytest.raises(ValueError, match="^eta must"):
+            stabilizer_rank(arr, eta)
 
     def test_dimension_mismatch(self):
         arr = build_discriminant(IntMatrix.identity(2))

@@ -13,15 +13,19 @@ direction `kernel_basis` gives its member normals, whether the engine took
 it from the parent's in one step or fell back; the circuits that
 `intmat.circuits` enumerates must be the vectors B x for x spanning the
 lines of that closure, up to sign. `check_simplicity` must decide every
-slice from its circuits, at any rank of the normals, and enter `_flats`,
-equal to the scan, only for a slice that is not simple. A central
-arrangement closed from its lines (`_lines`) must give the F-locus that
-`_flats` walks, field for field, and take that walk wherever `_lines`
-declines.
+slice from its circuits, at any rank of the normals, and read `f_locus`,
+equal to the scan, only for a slice that is not simple; its listing must
+equal the walk it replaced, flat by flat over `_flats`, with each subset of
+walls tested once. A central arrangement closed from its lines (`_lines`)
+must give the F-locus that `_flats` walks, field for field, and take that
+walk wherever `_lines` declines. The h-vector read off the flats of a
+simple t = 1 slice must have h_0 = 1, h_1 = N - n, no negative entry and
+sum det(B^T B).
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -48,6 +52,7 @@ from hkit.intmat import (
     det,
     is_primitive,
     kernel_basis,
+    rank,
 )
 from hkit.localmodel import (
     DeformationLine,
@@ -56,7 +61,13 @@ from hkit.localmodel import (
     family_f_locus_codimension,
     family_slice,
 )
-from oracles import _solve_affine, check_simplicity_scan, f_locus_scan, flat_lattice_by_levels
+from oracles import (
+    _solve_affine,
+    check_simplicity_by_walk,
+    check_simplicity_scan,
+    f_locus_scan,
+    flat_lattice_by_levels,
+)
 
 
 def bell(m):
@@ -207,6 +218,77 @@ def test_simple_slice_has_a_vertex_per_basis(B, bases):
     assert sum(f.codimension == H.n for f in f_locus(slice1)) == bases
 
 
+def h_vector(arr):
+    """The h-vector of a simple slice's flats, whose codimension-k flats are
+    its independent k-sets of walls: f_0 = 1, f_1 the walls, f_k the flats
+    of codimension k, and h_k = sum_i (-1)^(k - i) C(n - i, k - i) f_i."""
+    n = arr.n
+    f = [1, len(arr.components)] + [0] * (n - 1)
+    for flat in f_locus(arr):
+        f[flat.codimension] += 1
+    h = [sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1)) for k in range(n + 1)]
+    return tuple(f), tuple(h)
+
+
+def default_t1_slice(H):
+    return family_slice(H, choose_deformation_line(H), 1)
+
+
+class TestHVector:
+    """The h-vector of the independence complex of B's rows, read off the
+    flats of the simple default t = 1 slice, gives the even Betti numbers of
+    Y(A, alpha) (Hausel and Sturmfels, Doc. Math. 2002): h_0 = 1,
+    h_1 = N - n, every h_k >= 0, and sum h = det(B^T B), the number of
+    bases (Cauchy-Binet)."""
+
+    @staticmethod
+    def assert_identities(H):
+        arr = default_t1_slice(H)
+        assert check_simplicity(arr).simple
+        f, h = h_vector(arr)
+        assert f[1] == H.N
+        assert h[0] == 1 and h[1] == H.N - H.n, (H.B, h)
+        assert min(h) >= 0, (H.B, h)
+        assert sum(h) == det(H.B.transpose() @ H.B), (H.B, h)
+        return f, h
+
+    def test_corpus(self):
+        families = list(valid_hypertoric(corpus_matrices()))
+        assert len(families) == 1104
+        for H in families:
+            self.assert_identities(H)
+
+    @pytest.mark.parametrize(
+        "B, h",
+        [
+            (complete_graph(3), (1, 1, 1)),
+            (complete_graph(4), (1, 3, 6, 6)),
+            (complete_graph(5), (1, 6, 21, 46, 51)),
+            (complete_graph(6), (1, 10, 55, 200, 470, 560)),
+            (cographic(4), (1, 3, 6, 6)),
+            (cographic(5), (1, 4, 10, 20, 30, 36, 24)),
+            (r10(), (1, 5, 15, 35, 55, 51)),
+        ],
+        ids=["K3", "K4", "K5", "K6", "K4*", "K5*", "R10"],
+    )
+    def test_regular_matroids(self, B, h):
+        assert self.assert_identities(HypertoricData.from_matrix(B))[1] == h
+
+    @pytest.mark.parametrize(
+        "B",
+        [complete_graph(4), complete_graph(5), cographic(4), cographic(5), r10()],
+        ids=["K4", "K5", "K4*", "K5*", "R10"],
+    )
+    def test_f_counts_independent_rows(self, B):
+        # brute force: the k-subsets of B's rows of rank k
+        f, _ = h_vector(default_t1_slice(HypertoricData.from_matrix(B)))
+        independent = [0] * (B.cols + 1)
+        for k in range(B.cols + 1):
+            for s in combinations(B.data, k):
+                independent[k] += rank(IntMatrix(s, cols=B.cols)) == k
+        assert f == tuple(independent)
+
+
 # pivots 2, 3, 4, ... and nonzero offsets
 NON_UNIT_PIVOT_WALLS = [((2, 3, 0), 1), ((3, -5, 0), 2), ((4, 1, 2), 3), ((0, 3, 4), 5), ((5, 0, 2), 7)]
 
@@ -346,7 +428,7 @@ class TestDirections:
         fallbacks = []
         real = arrangement.kernel_basis
         monkeypatch.setattr(arrangement, "kernel_basis", lambda M: fallbacks.append(M) or real(M))
-        flats = list(_flats(arr, directions=True))
+        flats = list(_flats(arr))
         monkeypatch.undo()
         normals = [c.hyperplane.normal for c in arr.components]
         for mask, basis, direction in flats:
@@ -392,15 +474,6 @@ class TestDirections:
             total.append(self.counts(group_hyperplanes(4, pairs), monkeypatch))
         assert 0 < sum(f for _, f in total) < sum(k for k, _ in total)
 
-    def test_simplicity_walk_takes_no_direction(self, monkeypatch):
-        # check_simplicity reads members and bases only
-        arr = non_unit_pivot_arrangement()
-        want = check_simplicity_scan(arr)
-        monkeypatch.setattr(arrangement, "_cut", None)
-        monkeypatch.setattr(arrangement, "kernel_basis", None)
-        assert check_simplicity(arr) == want
-        assert not want.simple
-
 
 class TestFlatsAgainstLevels:
     """The depth-first search against the closure by levels in oracles.py."""
@@ -408,7 +481,9 @@ class TestFlatsAgainstLevels:
     @staticmethod
     def assert_same_flats(arr):
         """The engine's member bitmasks become sets, and its central rows,
-        which leave out the offset column, get that column's 0 back."""
+        which leave out the offset column, get that column's 0 back. Each
+        direction is `kernel_basis` of the basis normals."""
+        n = arr.n
         want = {}
         for level in flat_lattice_by_levels(arr):
             want.update(level)
@@ -416,7 +491,7 @@ class TestFlatsAgainstLevels:
         for mask, basis, direction in _flats(arr):
             members = member_set(mask)
             assert members not in got, (arr, members)
-            assert direction is None
+            assert direction == kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).data
             got[members] = [(p, r + (0,) * (arr.n + 1 - len(r))) for p, r in basis]
         assert got == want, arr
 
@@ -476,10 +551,10 @@ class TestSimplicityCertificate:
 
     @staticmethod
     def walks(arr, monkeypatch):
-        """(check_simplicity(arr), whether it entered `_flats`)."""
+        """(check_simplicity(arr), whether it read `f_locus`)."""
         entered = []
-        real = arrangement._flats
-        monkeypatch.setattr(arrangement, "_flats", lambda *a: entered.append(1) or real(*a))
+        real = arrangement.f_locus
+        monkeypatch.setattr(arrangement, "f_locus", lambda *a: entered.append(1) or real(*a))
         report = check_simplicity(arr)
         monkeypatch.undo()
         return report, bool(entered)
@@ -501,6 +576,7 @@ class TestSimplicityCertificate:
         report, walked = self.walks(arr, monkeypatch)
         scan = check_simplicity_scan(arr)
         assert report == scan, arr
+        assert report == check_simplicity_by_walk(arr), arr
         assert walked is not report.simple, arr
         refused = self.refused(arr)
         assert scan.violations_b or not refused, arr
@@ -509,9 +585,9 @@ class TestSimplicityCertificate:
     @staticmethod
     def no_walk(monkeypatch):
         def walk(*args):
-            raise AssertionError("_flats ran")
+            raise AssertionError("f_locus ran")
 
-        monkeypatch.setattr(arrangement, "_flats", walk)
+        monkeypatch.setattr(arrangement, "f_locus", walk)
 
     def test_simple_corpus_slices_are_certified(self, corpus_slices, monkeypatch):
         slices = [arr for arr in corpus_slices if affine(arr)]
@@ -521,7 +597,7 @@ class TestSimplicityCertificate:
             if simple:
                 assert check_simplicity(arr) == (True, True, (), ()), arr
             else:
-                with pytest.raises(AssertionError, match="_flats ran"):
+                with pytest.raises(AssertionError, match="f_locus ran"):
                     check_simplicity(arr)
                 assert check_simplicity_scan(arr).violations_b or not self.refused(arr), arr
         assert verdicts.count(False) == 24 and len(slices) == 1161
@@ -591,3 +667,52 @@ class TestSimplicityCertificate:
         )
         with pytest.raises(ValueError):
             ArrangementSpec(2, comps)
+
+
+def unit_offset_slice(m):
+    """K_m's t = 1 slice with offset 0 on the basis rows and 1 on every
+    other row: not simple, as many circuits have <c, lambda> = 0."""
+    H = HypertoricData.from_matrix(complete_graph(m))
+    offsets = tuple(Fraction(0 if i in H.basis_rows else 1) for i in range(H.N))
+    return family_slice(H, DeformationLine(H.basis_rows, offsets, ()), 1)
+
+
+class TestListingAgainstWalk:
+    """`check_simplicity` lists its violations from `f_locus` and tests each
+    subset once; the report equals the one listed flat by flat over
+    `_flats` (`oracles.check_simplicity_by_walk`). Seeded-offset and
+    rank-deficient corpus slices are compared in `TestSimplicityCertificate`."""
+
+    def test_corpus_slices(self, corpus_slices):
+        for arr in corpus_slices:
+            assert check_simplicity(arr) == check_simplicity_by_walk(arr), arr
+
+    def test_pencil_of_thirteen_lines(self):
+        arr = group_hyperplanes(2, [((1, k), 0) for k in range(13)])
+        report = check_simplicity(arr)
+        assert report == check_simplicity_by_walk(arr)
+        assert (len(report.violations_a), len(report.violations_b)) == (286, 8166)
+
+    @pytest.mark.parametrize("m, violations", [(5, (40, 55)), (6, (783, 1356))], ids=["K5", "K6"])
+    def test_complete_graph_slices(self, m, violations):
+        arr = unit_offset_slice(m)
+        report = check_simplicity(arr)
+        assert report == check_simplicity_by_walk(arr)
+        assert (len(report.violations_a), len(report.violations_b)) == violations
+
+    def test_each_subset_is_tested_once(self, monkeypatch):
+        # one test per codimension-r flat, then one per distinct subset of a
+        # member set that fails as a whole, unless it has more than r walls:
+        # 192 + 3114 calls, where the walk flat by flat made 9876
+        arr = unit_offset_slice(6)
+        normals = [c.hyperplane.normal for c in arr.components]
+        r = _Forms(IntMatrix(normals, cols=arr.n)).rank
+        points = [f.sorted_members() for f in f_locus(arr) if f.codimension == r]
+        failing = [m for m in points if not arrangement._extends_to_basis([normals[i] for i in m])]
+        candidates = {s for m in failing for k in range(2, len(m) + 1) for s in combinations(m, k)}
+        calls = []
+        real = arrangement._extends_to_basis
+        monkeypatch.setattr(arrangement, "_extends_to_basis", lambda ns: calls.append(1) or real(ns))
+        check_simplicity(arr)
+        assert len(calls) == len(points) + sum(len(s) <= r for s in candidates) == 3306
+        assert len(calls) <= len(candidates) + len(failing)

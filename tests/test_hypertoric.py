@@ -126,6 +126,14 @@ class TestMomentMap:
         with pytest.raises(DimensionMismatch):
             moment_map_eval(IntMatrix([[1, -1]]), (1,), (1, 1))
 
+    @pytest.mark.parametrize(
+        "z, w", [((0.1, 1), (1, 1)), ((1, 1), (1, 0.5)), ((True, 1), (1, 1))], ids=["z", "w", "bool"]
+    )
+    def test_refuses_inexact_coordinates(self, z, w):
+        # 0.1 would enter as its binary fraction, True as 1
+        with pytest.raises(ValueError, match="^[zw] must"):
+            moment_map_eval(IntMatrix([[1, -1]]), z, w)
+
 
 class TestBruteForceInvariants:
     def test_free_case_degree_one(self):

@@ -106,6 +106,24 @@ class TestConstruction:
         assert M.row_list() == [[1, 0], [0, 1], [0, 1]]
         assert IntMatrix([], cols=3).shape == (0, 3)
 
+    def test_equal_matrices_hash_equal(self):
+        M, same = IntMatrix([[1, 2], [3, 4]]), IntMatrix(iter([(1, 2), range(3, 5)]))
+        assert M == same and hash(M) == hash(same)
+        assert {M: "m"}[same] == "m" and len({M, same, M.transpose()}) == 2
+        # the shape is part of the value: empty matrices of different widths differ
+        assert IntMatrix([], cols=2) != IntMatrix([], cols=3)
+        assert len({IntMatrix([], cols=2), IntMatrix([], cols=3), IntMatrix([], cols=2)}) == 2
+
+    def test_forms_descriptor_read_from_the_class(self):
+        # `_on_first_use` gives itself when read from the class, with the
+        # method's docstring, and the value when read from an instance
+        descriptor = intmat._Forms.kernel
+        assert isinstance(descriptor, intmat._on_first_use)
+        assert descriptor.__doc__ == descriptor.method.__doc__
+        assert descriptor.__doc__.startswith("kernel_basis(B^T) at any rank")
+        forms = intmat._Forms(IntMatrix([[1], [1]]))
+        assert forms.kernel == forms.__dict__["kernel"]
+
 
 class TestVectors:
     def test_is_primitive(self):

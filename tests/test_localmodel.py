@@ -116,6 +116,58 @@ class TestDeformation:
                     assert model.rhs_value(x3, t) == 0
 
 
+class TestExactInputs:
+    """A float would become its binary fraction (0.1 is not 1/10) and a bool
+    a shift or parameter of 0 or 1, so both are refused wherever a shift, t
+    or x3 enters; an int, a Fraction or a string such as "1/3" is taken."""
+
+    MODEL = deform_local_model(local_model(2, 1), (1, 2))
+
+    @pytest.mark.parametrize(
+        "shifts", [(0.1, 0.2), (1, 0.5), (True, False), (0, True)], ids=["floats", "float", "bools", "bool"]
+    )
+    def test_deform_refuses_shifts(self, shifts):
+        with pytest.raises(ValueError, match="^shift must"):
+            deform_local_model(local_model(2, 1), shifts)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: m.rhs_at(0.1),
+            lambda m: m.rhs_at(True),
+            lambda m: m.rhs_value(1, 0.5),
+            lambda m: m.rhs_value(0.5, 1),
+            lambda m: m.rhs_value(False, 1),
+            lambda m: m.discriminant_points(0.1),
+            lambda m: m.discriminant_points(True),
+        ],
+        ids=["rhs_at-float", "rhs_at-bool", "rhs_value-t", "rhs_value-x3", "rhs_value-bool",
+             "points-float", "points-bool"],
+    )
+    def test_deformed_model_refuses_parameters(self, call):
+        with pytest.raises(ValueError, match="^(t|x3) must"):
+            call(self.MODEL)
+
+    def test_strings_and_fractions_are_exact(self):
+        model = deform_local_model(local_model(2, 1), ("1/10", Fraction(1, 5)))
+        assert model.shifts == (Fraction(1, 10), Fraction(1, 5))
+        assert model.discriminant_points("1/2") == (Fraction(-1, 10), Fraction(-1, 20))
+        assert model.rhs_value("-1/10", "1") == 0 == model.rhs_value(-1, 10)
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 0.0, True, False])
+    def test_family_slice_refuses_t(self, t):
+        data = HypertoricData.from_matrix(complete_graph(3))
+        with pytest.raises(ValueError, match="^t must"):
+            family_slice(data, choose_deformation_line(data), t)
+
+    def test_family_slice_takes_a_tenth_exactly(self):
+        # K_3's default line has offsets (0, 0, 1), and row 2 is (-1, 1),
+        # whose canonical normal (1, -1) flips its offset
+        data = HypertoricData.from_matrix(complete_graph(3))
+        arr = family_slice(data, choose_deformation_line(data), "1/10")
+        assert {c.hyperplane.offset for c in arr.components} == {0, Fraction(-1, 10)}
+
+
 class TestDeformationLine:
     def test_identity_empty_family(self):
         data = H([[1, 0], [0, 1]])
