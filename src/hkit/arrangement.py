@@ -446,7 +446,7 @@ def _lines(arr):
     holds one (wall, normal) pair per cover on its way from the bottom.
     `f_locus` has the proof."""
     normals = tuple(c.hyperplane.normal for c in arr.components)
-    found = _Forms(IntMatrix._of(normals, arr.n)).circuits()
+    found = _Forms(IntMatrix._of(normals, arr.n)).circuits
     if found is None:
         return None
     # C_w: the lines inside wall w, bit l when circuit l is 0 at w
@@ -523,7 +523,7 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
       0 exactly on the line's members and has minimal support among the
       nonzero vectors of E's column space, and the zero set of each such
       vector is the member set of a line. So the lines are the circuits of
-      E's column lattice up to sign, which `_Forms(E).circuits()` lists
+      E's column lattice up to sign, which `_Forms(E).circuits` lists
       when E^T's HNF has unit pivots and every circuit is a {0, +-1}
       vector; otherwise it gives None and `_flats` walks.
     - The lattice is coatomistic: a closed set of a matroid is the

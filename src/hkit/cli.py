@@ -295,7 +295,7 @@ _HANDLERS = {
 
 def _load_input(source):
     text = source
-    if not source.lstrip().startswith("{"):
+    if not source.lstrip().startswith(("{", "[")):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     return json.loads(text)

@@ -10,9 +10,11 @@ sign-minimal vectors of its column lattice are its circuits (Sturmfels,
 Groebner Bases and Convex Polytopes, ch. 4 and 8), and the unique minimal
 generating set is read off them in one pass: each {0, +-1} circuit gives
 two generators, its +1 and -1 entries swapped between z and w, and each
-nonzero column a_i of A gives z_i w_i. `intmat.circuits` builds the
-circuits with the same enumerator that decided unimodularity in
-validation. The monoid spans a lattice of rank N + n, so the variety has
+nonzero column a_i of A gives z_i w_i. The circuits are
+`HypertoricData.forms.circuits`: validation's `intmat._Forms` stored them
+when it decided unimodularity on B's side (n <= N - n), and otherwise
+enumerates them once on first use, so the invariant ring never reduces
+B^T again. The monoid spans a lattice of rank N + n, so the variety has
 dimension 2n, with no rank computed (`coordinate_dimension` has the
 proof). The binomial relations among the generators are searched in the
 fibers of the monomial map (ch. 4): only the multisets without a quadratic
@@ -25,15 +27,17 @@ from typing import NamedTuple
 
 from .arrangement import _exact, _kind_from_multiplicity, _row_classes
 from .errors import BudgetExceeded, DimensionMismatch, NotUnimodular
-from .intmat import IntMatrix, _gale, check_primitive_rows, circuits
+from .intmat import IntMatrix, _Forms, _gale, check_primitive_rows
 
 DEFAULT_CANDIDATE_BUDGET = 10**5
 
 
 class HypertoricData(NamedTuple):
-    """Validated bundle (B, A) with the parallel-class grouping of B's rows
-    and, as basis_rows, the pivots of validation's `intmat._Forms`: for a
-    valid B the first rows that form a Z-basis of Z^n (`_Forms` says why)."""
+    """Validated bundle (B, A) with the parallel-class grouping of B's rows,
+    as basis_rows the pivots of validation's `intmat._Forms`: for a valid B
+    the first rows that form a Z-basis of Z^n (`_Forms` says why), and as
+    forms that `_Forms` itself, whose circuits give the Hilbert basis. forms
+    compares, hashes and prints as B."""
 
     B: IntMatrix
     A: IntMatrix
@@ -41,6 +45,7 @@ class HypertoricData(NamedTuple):
     n: int
     groups: tuple  # tuple of (canonical normal, ascending row index tuple)
     basis_rows: tuple
+    forms: _Forms
 
     @classmethod
     def from_matrix(cls, B: IntMatrix):
@@ -49,7 +54,7 @@ class HypertoricData(NamedTuple):
         if not forms.unimodular:
             raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
         return cls(B=B, A=forms.kernel, N=B.rows, n=B.cols, groups=_row_classes(B),
-                   basis_rows=tuple(forms.pivots))
+                   basis_rows=tuple(forms.pivots), forms=forms)
 
 
 class MonomialGen(NamedTuple):
@@ -105,7 +110,7 @@ def _generators(H: HypertoricData):
     z_i * w_i).
     """
     keyed = []  # (degree, u + v, generator, row of an s_i): distinct in u + v
-    for c in circuits(H.B):
+    for c in H.forms.circuits:
         u = tuple(map(_POSITIVE.__getitem__, c))
         v = tuple(map(_NEGATIVE.__getitem__, c))
         degree = len(c) - c.count(0)

@@ -10,8 +10,9 @@ Number Theory, 1993, 2.4). So one HNF of B^T gives the rank of B, and when
 its pivots are 1 also a torsion-free cokernel (the pivot minor is 1), the
 Gale dual A (x_free = e_j, x_pivot = -R e_j) and B's unimodularity: every
 circuit of B's column lattice is a {0, +-1} vector. One enumerator,
-_elementary, builds those circuits with work that grows with their number,
-for that verdict and for `circuits`. A pivot that is not 1 makes B not
+_elementary, builds those circuits with work that grows with their number;
+_Forms.circuits keeps them, so the verdict and the Hilbert basis of
+`hypertoric` share one enumeration. A pivot that is not 1 makes B not
 unimodular; the torsion test and the kernel then take one HNF of B with
 its transform, built on first use. One class, _Forms, holds these forms
 and is the only code that decides rank, torsion, the invariant factors,
@@ -34,7 +35,7 @@ import itertools
 from math import gcd
 from typing import NamedTuple
 
-from .errors import NonPrimitiveRow, NotInjective, NotUnimodular, TorsionCokernel
+from .errors import NonPrimitiveRow, NotInjective, TorsionCokernel
 
 
 class IntMatrix:
@@ -419,16 +420,6 @@ def _elementary(rows, unit_cols):
     return vectors
 
 
-def circuits(B: IntMatrix):
-    """The circuits of the column lattice of a unimodular B, one per sign
-    pair: the elementary vectors of the row space of B^T's echelon form.
-    Raises NotUnimodular when B is not unimodular."""
-    found = _Forms(B).circuits()
-    if found is None:
-        raise NotUnimodular(f"matrix {B!r} is not unimodular")
-    return found
-
-
 # -- kernels and Gale duality --------------------------------------------------
 
 
@@ -485,7 +476,8 @@ class _on_first_use:
 class _Forms:
     """The one decider of rank, torsion, the invariant factors, the kernel,
     unimodularity and the Gale dual's unimodularity, for B (N x n): the HNF
-    of B^T, and one HNF of B with its transform, built on first use.
+    of B^T, and one HNF of B with its transform, built on first use. It is a
+    function of B, so it compares, hashes and prints as B.
 
     The pivots of B^T's HNF are the rows of B that are independent of the
     rows before them. Pivots that are all 1 make it [I | R] up to column
@@ -504,6 +496,15 @@ class _Forms:
         self.pivots = _hermite(self.echelon, B.rows)
         self.rank = len(self.pivots)
         self.unit = _unit(self.echelon, self.pivots)
+
+    def __eq__(self, other):
+        return isinstance(other, _Forms) and self.B == other.B
+
+    def __hash__(self):
+        return hash(self.B)
+
+    def __repr__(self):
+        return f"_Forms({self.B!r})"
 
     @_on_first_use
     def transform(self):
@@ -537,10 +538,12 @@ class _Forms:
         _hermite(rows, N)
         return IntMatrix._of(tuple(map(tuple, rows)), N)
 
+    @_on_first_use
     def circuits(self):
         """The elementary vectors of the row space of B^T's echelon rows,
         one per sign pair, or None when a pivot is not 1 or at the first
-        entry outside {-1, 0, 1}: the circuits of B's column lattice."""
+        entry outside {-1, 0, 1}: the circuits of B's column lattice.
+        `unimodular` stores them when it enumerates on B's side."""
         return _elementary(self.echelon[: self.rank], self.pivots) if self.unit else None
 
     @_on_first_use
@@ -573,7 +576,7 @@ class _Forms:
         if min(N, n) == 0 or self.rank < n or not self.unit:
             return False
         if n <= N - n:
-            return self.circuits() is not None
+            return self.circuits is not None
         return self.dependency_circuits() is not None
 
     def dependency_circuits(self):

@@ -105,6 +105,25 @@ def r10():
     return IntMatrix([[int(i == j) for j in range(5)] for i in range(5)] + circulant, cols=5)
 
 
+def two_sum(A, B):
+    """The 2-sum of the regular matroids of A = [I; M_A^T] and B = [I; M_B^T]
+    (r10 and complete_graph(m) have this form), in the same form: Schrijver's
+    M_A (+)2 M_B = [[A', a b], [0, B']] for M_A = [A' a] and M_B = [b; B']
+    (Theory of Linear and Integer Programming, 1986, 19.4). The base point
+    is A's last row and B's first; N = N_A + N_B - 2, n = n_A + n_B - 1."""
+
+    def tu(X):
+        n = X.cols
+        assert X.data[:n] == IntMatrix.identity(n).data, X
+        return [list(col) for col in zip(*X.data[n:])]
+
+    ma, mb = tu(A), tu(B)
+    a, b = [row[-1] for row in ma], mb[0]
+    M = [row[:-1] + [x * y for y in b] for x, row in zip(a, ma)]
+    M += [[0] * (len(ma[0]) - 1) + row for row in mb[1:]]
+    return IntMatrix(IntMatrix.identity(len(M)).data + tuple(zip(*M)), cols=len(M))
+
+
 def graphic_rows(rng, vertices, extra):
     """A random connected multigraph's rows e_a - e_b, vertex 0's coordinate
     dropped: a random spanning tree plus extra random edges."""

@@ -92,7 +92,6 @@ from hkit.intmat import (
     canonical_primitive,
     canonical_sign,
     check_primitive_rows,
-    circuits,
     det,
     is_primitive,
     kernel_basis,
@@ -372,9 +371,11 @@ def hilbert_basis_by_splits(H):
     """The Hilbert basis as `hilbert_basis` built it before one pass read
     each circuit's two generators off its +1 and -1 entries: every circuit
     split twice, once per sign, z_i w_i for each nonzero column of A taken
-    one at a time, and the whole list sorted by `MonomialGen.sort_key`."""
+    one at a time, and the whole list sorted by `MonomialGen.sort_key`. The
+    circuits come from a fresh `_Forms(H.B)`, not from the ones validation
+    stored in H."""
     gens = []
-    for c in circuits(H.B):
+    for c in _Forms(H.B).circuits:
         gens.append(_split_monomial(c))
         gens.append(_split_monomial(tuple(-x for x in c)))
     for i in range(H.N):
@@ -699,7 +700,8 @@ def gale_dual_by_normal_forms(B):
 def from_matrix_by_normal_forms(B):
     """HypertoricData.from_matrix with the Gale dual above, B's
     unimodularity from the scan of R's square minors and the basis rows from
-    the determinant scan."""
+    the determinant scan. forms is a fresh `_Forms(B)`, which compares as
+    its B."""
     for i in range(B.rows):
         if not is_primitive(B.row(i)):
             raise NonPrimitiveRow(i, B.row(i))
@@ -717,6 +719,7 @@ def from_matrix_by_normal_forms(B):
         n=B.cols,
         groups=groups,
         basis_rows=default_basis_rows_by_det(B),
+        forms=_Forms(B),
     )
 
 

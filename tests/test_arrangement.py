@@ -15,8 +15,8 @@ from hkit.arrangement import (
     group_hyperplanes,
     stabilizer_rank,
 )
-from hkit.errors import DimensionMismatch, NonPrimitiveRow, NotUnimodular
-from hkit.intmat import IntMatrix, canonical_primitive, canonical_sign, circuits, det, is_primitive, rank
+from hkit.errors import DimensionMismatch, NonPrimitiveRow
+from hkit.intmat import IntMatrix, _Forms, canonical_primitive, canonical_sign, det, is_primitive, rank
 from oracles import generic_point_off, generic_point_on, smith_normal_form_by_closures
 
 
@@ -394,26 +394,25 @@ class TestSimplicity:
 
 
 class TestCircuits:
-    """intmat.circuits, one per sign pair, against the lines of the
+    """`_Forms(B).circuits`, one per sign pair, against the lines of the
     discriminant."""
 
     def test_single_column(self):
-        assert [canonical_sign(c) for c in circuits(IntMatrix([[1], [1], [-1]]))] == [(1, 1, -1)]
+        assert [canonical_sign(c) for c in _Forms(IntMatrix([[1], [1], [-1]])).circuits] == [(1, 1, -1)]
 
     def test_plane_lines_are_walls(self):
         # n = 2: each wall is a line; parallel rows share one circuit
-        got = [canonical_sign(c) for c in circuits(IntMatrix([[1, 0], [0, 1], [1, 1], [1, 0]]))]
+        got = [canonical_sign(c) for c in _Forms(IntMatrix([[1, 0], [0, 1], [1, 1], [1, 0]])).circuits]
         assert sorted(got) == [(0, 1, 1, 0), (1, -1, 0, 1), (1, 0, 1, 1)]
 
     def test_not_unimodular(self):
         # a pivot of 2, and unit pivots with an entry 2 in R
         for rows in ([[1, 1], [1, -1]], [[1, 0], [0, 1], [1, 2]]):
-            with pytest.raises(NotUnimodular):
-                circuits(IntMatrix(rows))
+            assert _Forms(IntMatrix(rows)).circuits is None
 
     def test_minimal_supports(self):
         B = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]])
-        got = circuits(B)
+        got = _Forms(B).circuits
         supports = [frozenset(i for i, x in enumerate(c) if x) for c in got]
         assert len(set(supports)) == len(got)
         assert not any(s < t for s in supports for t in supports)

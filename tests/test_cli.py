@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import complete_graph
+from corpus import cographic, complete_graph
 from hkit import arrangement, cli, intmat, localmodel
 from hkit.arrangement import Kind, build_discriminant, group_hyperplanes
 from hkit.cli import main
@@ -81,6 +81,24 @@ class TestCommands:
     def test_missing_file_exit_2(self, capsys):
         code = main(["gale", "--in", "/nonexistent/B.json"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, shape",
+        [
+            ("check", "matrix JSON must be"),
+            ("reconstruct", "divisor JSON must be"),
+            ("local-model", "local-model input must be"),
+        ],
+    )
+    def test_inline_json_list_is_read_inline(self, capsys, command, shape):
+        # a list is inline JSON, not a file name: the shape error, exit 2
+        code = main([command, "--in", " [1]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert shape in captured.err
+        assert "No such file" not in captured.err
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -272,6 +290,29 @@ class TestCommands:
         assert result["line"]["basis_rows"] == [0]
         assert result["genericity"]["all_pass"] is True
         assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "B, elementary",
+        [(complete_graph(4), 1), (complete_graph(5), 1), (cographic(4), 1), (cographic(5), 2)],
+        ids=["K4", "K5", "K4*", "K5*"],
+    )
+    def test_build_reads_validated_circuits(self, capsys, monkeypatch, B, elementary):
+        # validation reduces B^T and A's rows once each, and the invariant
+        # ring reads the circuits it stored; K_5* (n > N - n) was validated
+        # on the dependency side, so its circuits are enumerated once more
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(intmat, "_hermite", counted("hermite", intmat._hermite))
+        monkeypatch.setattr(intmat, "_elementary", counted("elementary", intmat._elementary))
+        code, _ = run_cli(["build", "--in", json.dumps({"rows": B.row_list()})], capsys)
+        assert code == 0
+        assert calls == {"hermite": 2, "elementary": elementary}
 
     def test_deform_reports_t1_simplicity(self, capsys):
         code, out = run_cli(

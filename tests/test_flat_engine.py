@@ -11,7 +11,7 @@ violations. The depth-first search must yield each flat exactly once, with
 the member set and echelon basis of the closure by levels, and with the
 direction `kernel_basis` gives its member normals, whether the engine took
 it from the parent's in one step or fell back; the circuits that
-`intmat.circuits` enumerates must be the vectors B x for x spanning the
+`_Forms(B).circuits` enumerates must be the vectors B x for x spanning the
 lines of that closure, up to sign. `check_simplicity` must decide every
 slice from its circuits, at any rank of the normals, and read `f_locus`,
 equal to the scan, only for a slice that is not simple; its listing must
@@ -48,7 +48,6 @@ from hkit.intmat import (
     IntMatrix,
     _Forms,
     canonical_sign,
-    circuits,
     det,
     is_primitive,
     kernel_basis,
@@ -185,7 +184,7 @@ def test_complete_graph_flats_are_set_partitions(m):
     flats = f_locus(build_discriminant(B))
     assert len(flats) == bell(m) - 1 - comb(m, 2)
     assert not flats.truncated
-    assert len(circuits(B)) == 2 ** (m - 1) - 1
+    assert len(_Forms(B).circuits) == 2 ** (m - 1) - 1
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
@@ -193,7 +192,7 @@ def test_cographic_circuits_are_cycles(m):
     # the circuits of K_m* <-> the cycles of K_m, C(m, k) (k - 1)! / 2 of
     # length k: 7, 37, 197 and 1172
     cycles = sum(comb(m, k) * factorial(k - 1) // 2 for k in range(3, m + 1))
-    assert len(circuits(cographic(m))) == cycles
+    assert len(_Forms(cographic(m)).circuits) == cycles
 
 
 @pytest.mark.parametrize(
@@ -504,7 +503,7 @@ class TestFlatsAgainstLevels:
             B.mat_vec(kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).row(0))
             for basis in lines.values()
         }
-        got = [canonical_sign(c) for c in circuits(B)]
+        got = [canonical_sign(c) for c in _Forms(B).circuits]
         assert len(set(got)) == len(got), B
         assert set(got) == {canonical_sign(c) for c in want}, B
 

@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import cographic, complete_graph, corpus_matrices, graphic_rows, r10, valid_hypertoric
+from corpus import (
+    cographic,
+    complete_graph,
+    corpus_matrices,
+    graphic_rows,
+    r10,
+    two_sum,
+    valid_hypertoric,
+)
+from hkit import intmat
 from hkit.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -25,7 +34,7 @@ from hkit.hypertoric import (
     _multiset_count,
     presentation,
 )
-from hkit.intmat import IntMatrix
+from hkit.intmat import IntMatrix, _Forms, det
 from oracles import (
     _multisets_by_total,
     _s_index,
@@ -102,6 +111,38 @@ class TestHypertoricData:
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodular):
             H([[1, 0], [0, 1], [1, 2]])
+
+    def test_forms_compare_hash_and_print_as_b(self):
+        B = complete_graph(4)
+        first, second = HypertoricData.from_matrix(B), HypertoricData.from_matrix(B)
+        assert first.forms is not second.forms
+        assert first == second and hash(first) == hash(second)
+        assert first.forms == _Forms(B) and hash(first.forms) == hash(B)
+        assert first.forms != B
+        assert repr(first.forms) == f"_Forms({B!r})"
+        assert " at 0x" not in repr(first)
+
+    @pytest.mark.parametrize(
+        "B, elementary",
+        [(complete_graph(4), 0), (cographic(4), 0), (IntMatrix([[1, 0], [0, 1], [1, 1]]), 1),
+         (cographic(5), 1)],
+        ids=["K4", "K4*", "A2", "K5*"],
+    )
+    def test_invariant_ring_reads_validated_circuits(self, monkeypatch, B, elementary):
+        # validation enumerated B's side when n <= N - n and the dependency
+        # side otherwise; then the first reader enumerates B's side, once
+        data = HypertoricData.from_matrix(B)
+        calls = []
+        enumerate_ = intmat._elementary
+
+        def counted(rows, unit_cols):
+            calls.append(len(rows))
+            return enumerate_(rows, unit_cols)
+
+        monkeypatch.setattr(intmat, "_elementary", counted)
+        hilbert_basis(data)
+        presentation(data)
+        assert calls == [data.n] * elementary
 
 
 class TestMomentMap:
@@ -333,6 +374,27 @@ class TestHilbertBasisAgainstSplits:
     @pytest.mark.parametrize("seed", range(4))
     def test_graphic(self, v, seed):
         self.assert_agrees(HypertoricData.from_matrix(graphic(v, seed)))
+
+
+def test_two_sum_of_k4_and_r10():
+    # K_4 has 7 cocircuits, 4 through each element; R10 has 30, 15 through
+    # each. The 2-sum's circuits (B's cocircuits) are those of each part
+    # that avoid the base point, plus a product of one through it from each
+    B = two_sum(complete_graph(4), r10())
+    assert B.shape == (14, 7)
+    data = HypertoricData.from_matrix(B)
+    assert len(data.forms.circuits) == 78 == 3 + 15 + 4 * 15
+    assert det(B.transpose() @ B) == 1296
+    assert hilbert_basis(data) == hilbert_basis_by_splits(data)
+    # a planted -1 in M's zero block: rows 7 and 9 of B are columns 0 and
+    # 2 of M, and the minor on them and the unit rows but 1 and 3 is 2
+    rows = B.row_list()
+    rows[7][3] = -1
+    planted = IntMatrix(rows)
+    assert abs(det(IntMatrix([rows[i] for i in (0, 2, 4, 5, 6, 7, 9)]))) == 2
+    with pytest.raises(NotUnimodular) as err:
+        HypertoricData.from_matrix(planted)
+    assert err.value.code == "not_unimodular"
 
 
 class TestPresentation:
