@@ -13,18 +13,20 @@ circuit of B's column lattice is a {0, +-1} vector. One enumerator,
 _elementary, builds those circuits with work that grows with their number;
 _Forms.circuits keeps them, so the verdict and the Hilbert basis of
 `hypertoric` share one enumeration. A pivot that is not 1 makes B not
-unimodular; the torsion test and the kernel then take one HNF of B with
-its transform, built on first use. One class, _Forms, holds these forms
-and is the only code that decides rank, torsion, the invariant factors,
-the Gale dual, the kernel and unimodularity, on B's side and on A's. One
-rule, _oriented, turns a matrix tall for a verdict: it takes the _Forms of
-M or of M^T, whichever is tall, and unimodularity_report, the case split
-and `hkit check` read it; kernel_basis is _Forms on M^T. The Smith normal
-form runs the same loop on rows and columns in turn.
+unimodular; then one plain HNF of B's rows, U B = [T; 0] with no U, built
+on first use, decides torsion by its pivots (the cokernel's torsion is
+Z^n / T Z^n), and only the kernel of such a B takes the HNF with its
+transform U. One class, _Forms, holds these forms and is the only code
+that decides rank, torsion, the invariant factors, the Gale dual, the
+kernel and unimodularity, on B's side and on A's. One rule, _oriented,
+turns a matrix tall for a verdict: it takes the _Forms of M or of M^T,
+whichever is tall, and unimodularity_report, the case split and `hkit
+check` read it; kernel_basis is _Forms on M^T. The Smith normal form,
+_smith, runs the same loop on rows and columns in turn.
 _Forms.invariant_factors, which `hkit check` and the TorsionCokernel
-message read, calls it only for a B^T whose HNF has a pivot other than 1
-(with unit pivots an identity minor of size rank makes every invariant
-factor 1).
+message read, runs it with no U and no V on T, whose invariant factors
+are B's, and only for a B^T whose HNF has a pivot other than 1 (with unit
+pivots an identity minor of size rank makes every invariant factor 1).
 
 Everything is arbitrary-precision (plain Python ints) and every value is
 immutable after construction, so all functions here are safe to call
@@ -179,7 +181,7 @@ def canonical_primitive(v):
 
 def non_primitive_rows(B):
     """The indices of B's rows that are not primitive, in order."""
-    return [i for i in range(B.rows) if not is_primitive(B.row(i))]
+    return [i for i, row in enumerate(B.data) if gcd(*row) != 1]
 
 
 def check_primitive_rows(B):
@@ -274,20 +276,37 @@ class SmithResult(NamedTuple):
 
 
 def smith_normal_form(M: IntMatrix) -> SmithResult:
-    """Row and column HNFs in turn until S is diagonal, with U carried as
-    extra columns of the rows and V as extra columns of the columns. When a
-    diagonal entry does not divide the next one, the next column is added
-    into its column and the loop goes on: the next row HNF puts their gcd on
-    the diagonal."""
+    """U @ M @ V = S by _smith, with U carried as extra columns of the rows
+    and V as extra columns of the columns."""
     m, n = M.rows, M.cols
     SU = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(M.data)]
     VT = [[int(i == j) for j in range(n)] for i in range(n)]
+    factors = _smith(SU, n, VT)
+    return SmithResult(
+        S=IntMatrix([row[:n] for row in SU], cols=n),
+        U=IntMatrix([row[n:] for row in SU], cols=m),
+        V=IntMatrix(zip(*VT), cols=n),
+        invariant_factors=factors,
+    )
+
+
+def _smith(SU, n, VT):
+    """Bring the rows SU (lists, changed in place) to Smith normal form on
+    their first n columns by row and column HNFs in turn until it is
+    diagonal, and return the invariant factors, its nonzero diagonal
+    entries. The row operations act on whole rows
+    of SU, and the column operations on whole rows of VT, the n columns'
+    extra entries (lists, replaced in place): identities give U and V^T,
+    empty lists give neither. When a diagonal entry does not divide the
+    next one, the next column is added into its column and the loop goes
+    on: the next row HNF puts their gcd on the diagonal."""
+    m = len(SU)
     while True:
         _hermite(SU, n)
-        # The columns of S with those of V: [S^T | V^T].
+        # The columns of S with their extra entries: [S^T | V^T].
         SV = [[row[j] for row in SU] + v for j, v in enumerate(VT)]
         _hermite(SV, m)
-        VT = [col[m:] for col in SV]
+        VT[:] = [col[m:] for col in SV]
         for i, row in enumerate(SU):
             row[:n] = [col[i] for col in SV]
         if any(col[i] for j, col in enumerate(SV) for i in range(m) if i != j):
@@ -295,16 +314,10 @@ def smith_normal_form(M: IntMatrix) -> SmithResult:
         d = [SV[k][k] for k in range(min(m, n))]
         k = next((k for k in range(len(d) - 1) if d[k] and d[k + 1] % d[k]), None)
         if k is None:
-            break
+            return tuple(x for x in d if x)
         for row in SU:
             row[k] += row[k + 1]
         VT[k] = [x + y for x, y in zip(VT[k], VT[k + 1])]
-    return SmithResult(
-        S=IntMatrix([row[:n] for row in SU], cols=n),
-        U=IntMatrix([row[n:] for row in SU], cols=m),
-        V=IntMatrix(zip(*VT), cols=n),
-        invariant_factors=tuple(x for x in d if x),
-    )
 
 
 def rank(M: IntMatrix) -> int:
@@ -476,18 +489,20 @@ class _on_first_use:
 class _Forms:
     """The one decider of rank, torsion, the invariant factors, the kernel,
     unimodularity and the Gale dual's unimodularity, for B (N x n): the HNF
-    of B^T, and one HNF of B with its transform, built on first use. It is a
-    function of B, so it compares, hashes and prints as B.
+    of B^T, and, built on first use, one plain HNF of B's rows and one HNF
+    of B with its transform. It is a function of B, so it compares, hashes
+    and prints as B.
 
     The pivots of B^T's HNF are the rows of B that are independent of the
     rows before them. Pivots that are all 1 make it [I | R] up to column
     order with pivot minor 1, so at rank n the pivot rows are a Z-basis of
     Z^n, the cokernel is torsion-free, and the kernel of B^T and the
     circuits that decide unimodularity are read off [I | R]. A pivot
-    d > 1 puts d in the pivot minor, so B is not unimodular; then the HNF of
-    B has pivots that multiply to the gcd of B's maximal minors, so the
-    cokernel is torsion-free iff they are all 1, and its transform gives the
-    kernel.
+    d > 1 puts d in the pivot minor, so B is not unimodular; then the HNF
+    U @ B = [T; 0] of B's rows has pivots that multiply to the gcd of B's
+    maximal minors, so the cokernel, whose torsion is Z^n / T Z^n, is
+    torsion-free iff they are all 1, and B's invariant factors are T's.
+    Neither needs U; only the kernel reads the transform.
     """
 
     def __init__(self, B):
@@ -507,21 +522,33 @@ class _Forms:
         return f"_Forms({self.B!r})"
 
     @_on_first_use
+    def hermite(self):
+        """(rows H, pivots) of the HNF of B's rows, U @ B = H with no U."""
+        H = self.B.row_list()
+        return H, _hermite(H, self.B.cols)
+
+    @_on_first_use
     def transform(self):
-        """(rows [H | U], pivots) of the HNF U @ B = H."""
+        """(rows [H | U], pivots) of the HNF U @ B = H, for the kernel of a
+        B whose pivots are not all 1."""
         return _with_transform(self.B)
 
     @property
     def torsion_free(self):
         """For B of rank n: whether the cokernel is torsion-free."""
-        return self.unit or _unit(*self.transform)
+        return self.unit or _unit(*self.hermite)
 
     @property
     def invariant_factors(self):
         """B's invariant factors: (1,) * rank when the pivots are 1, whose
-        rows hold an identity minor of size rank, otherwise the Smith normal
-        form's."""
-        return (1,) * self.rank if self.unit else smith_normal_form(self.B).invariant_factors
+        rows hold an identity minor of size rank, otherwise those of the
+        nonzero rows T of the HNF U @ B = [T; 0], by _smith with no U and
+        no V."""
+        if self.unit:
+            return (1,) * self.rank
+        H, pivots = self.hermite
+        n = self.B.cols
+        return _smith([list(row) for row in H[: len(pivots)]], n, [[] for _ in range(n)])
 
     @_on_first_use
     def kernel(self):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -269,6 +270,88 @@ class TestUnitPivotFactors:
                 unit += 1
                 assert smith_normal_form(B).invariant_factors == (1,) * forms.rank, B
         assert unit == 3912
+
+
+class TestFactorsFromPlainHermite:
+    """_Forms reads the torsion test off the pivots of one HNF of B's rows
+    with no transform, and the invariant factors off its nonzero rows with
+    no U and no V. The closure-based Smith normal form is the oracle, on
+    M and M^T, at every rank."""
+
+    @staticmethod
+    def outcome(M):
+        """(full column rank, unit pivots of B^T, torsion-free) of
+        _oriented(M), after checking it against the oracle."""
+        forms = _oriented(M)
+        factors = smith_normal_form_by_closures(M).invariant_factors
+        assert forms.invariant_factors == factors, M
+        free = set(factors) <= {1}
+        full = forms.rank == forms.B.cols
+        if full:
+            assert forms.torsion_free == free, M
+        return full, forms.unit, free
+
+    def test_corpus_and_transposes(self):
+        seen = Counter(self.outcome(M) for B in corpus_matrices() for M in (B, B.transpose()))
+        assert seen == {
+            (True, True, True): 6626, (True, False, True): 1734, (True, False, False): 1736,
+            (False, True, True): 1176, (False, False, True): 12, (False, False, False): 90,
+        }
+
+    def test_random_matrices(self):
+        # every third matrix repeats a column, so rank-deficient ones come often
+        rng = random.Random(47)
+        seen = Counter()
+        for i in range(3000):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 5)
+            data = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            if i % 3 == 0 and cols > 1:
+                j = rng.randrange(cols - 1)
+                for row in data:
+                    row[j + 1] = row[j]
+            M = IntMatrix(data)
+            seen.update((self.outcome(M), self.outcome(M.transpose())))
+        assert seen == {
+            (True, True, True): 530, (True, False, True): 2394, (True, False, False): 2094,
+            (False, True, True): 187, (False, False, True): 495, (False, False, False): 300,
+        }
+
+    @pytest.mark.parametrize(
+        "B, error",
+        [
+            (IntMatrix([[1, 1], [1, -1], [0, 1]]), NotUnimodular),
+            (IntMatrix([[1, -1], [1, 1], [1, 1]]), TorsionCokernel),
+        ],
+    )
+    def test_refusals_build_no_transform(self, B, error, monkeypatch):
+        calls, widths = [], []
+        for name in ("_with_transform", "smith_normal_form"):
+            original = getattr(intmat, name)
+            monkeypatch.setattr(intmat, name, lambda M, f=original: calls.append(M) or f(M))
+        hermite = intmat._hermite
+
+        def counted(H, n):
+            widths.append((n, {len(row) for row in H}))
+            return hermite(H, n)
+
+        monkeypatch.setattr(intmat, "_hermite", counted)
+        with pytest.raises(error):
+            HypertoricData.from_matrix(B)
+        assert not calls
+        assert all(found <= {n} for n, found in widths), widths
+
+    def test_gale_dual_of_a_non_unit_b_builds_one_transform(self, monkeypatch):
+        calls = []
+        with_transform = intmat._with_transform
+
+        def counted(M):
+            calls.append(M)
+            return with_transform(M)
+
+        monkeypatch.setattr(intmat, "_with_transform", counted)
+        B = IntMatrix([[1, 1], [1, -1], [0, 1]])
+        assert gale_dual(B) == IntMatrix([[1, -1, -2]])
+        assert calls == [B]
 
 
 class TestSmithAgainstClosures:
@@ -581,10 +664,15 @@ class TestUnimodularityExits:
         [
             # B^T and the kernel rows: the circuits take no reduction
             (complete_graph(8), "valid", 2),
-            # B^T, then B for the torsion test; not unimodular, so no kernel
+            # B^T, then B for the torsion test without a transform; not
+            # unimodular, so no kernel
             (IntMatrix([[1, 1], [1, -1], [0, 1]]), None, 2),
             # B^T only: R = [[1], [2]] has an entry 2, so no kernel
             (IntMatrix([[1, 0], [0, 1], [1, 2]]), None, 1),
+            # B^T, then B for the torsion test without a transform, then one
+            # row and one column HNF of its nonzero rows [[1, 1], [0, 2]] for
+            # the invariant factors (1, 2)
+            (IntMatrix([[1, -1], [1, 1], [1, 1]]), TorsionCokernel, 4),
         ],
     )
     def test_validation_reduces_transpose_once(self, B, bundle, reductions, monkeypatch):
@@ -596,8 +684,8 @@ class TestUnimodularityExits:
             return hermite(H, n)
 
         monkeypatch.setattr(intmat, "_hermite", counted)
-        if bundle is None:
-            with pytest.raises(NotUnimodular):
+        if bundle != "valid":
+            with pytest.raises(bundle or NotUnimodular):
                 HypertoricData.from_matrix(B)
         else:
             HypertoricData.from_matrix(B)
