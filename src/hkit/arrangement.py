@@ -34,8 +34,7 @@ C_w being the lines inside w, one integer AND per class. The empty key is
 the top flat, the center, and the row of the cut is the normal of any wall
 of the class; `f_locus` has the proof. Every other arrangement takes
 `_flats`, whose key is a wall's residual, made from its parent's in one
-fraction-free step; `_flats` has that proof and the cut's. A central
-arrangement's rows leave out the offset column, which would stay 0. Every
+fraction-free step; `_flats` has that proof and the cut's. Every
 walk carries directions, and `f_locus` is the one door to the flats.
 Slice simplicity is decided from circuits, not flats: `check_simplicity`
 enumerates the circuits of the normals' dependencies with
@@ -276,22 +275,14 @@ def stabilizer_rank(arr: ArrangementSpec, eta):
 
 
 def _wall_row(h):
-    """Integer augmented row (normal, offset) of <normal, eta> = offset."""
+    """Integer augmented row (normal, offset) of <normal, eta> = offset; a
+    central wall's offset column is 0."""
     d = h.offset.denominator
     return tuple(d * b for b in h.normal) + (h.offset.numerator,)
 
 
 def _pivot(row):
     return next(j for j, x in enumerate(row) if x)
-
-
-def _rows(arr):
-    """The walls' rows for the flat search: the augmented rows (normal,
-    offset) of an affine arrangement, and the normals alone of a central
-    one, whose offset column would stay 0 through every reduction."""
-    if any(c.hyperplane.offset for c in arr.components):
-        return [_wall_row(c.hyperplane) for c in arr.components]
-    return [c.hyperplane.normal for c in arr.components]
 
 
 def _bits(mask):
@@ -369,10 +360,10 @@ def _closure(n, walls, expand):
 def _flats(arr):
     """Every flat as (member bitmask, echelon basis of (pivot, row) pairs
     sorted by pivot, direction), from `_closure`, with the walls' residuals
-    as the class keys. The rows are augmented (normal, offset) when the
-    arrangement is affine and the normals alone when it is central. The
-    direction is the HNF rows of the flat's saturated direction lattice,
-    `kernel_basis` of its normals.
+    as the class keys. The rows are the walls' augmented rows (normal,
+    offset), `_wall_row`, whose offset column stays 0 when the arrangement
+    is central. The direction is the HNF rows of the flat's saturated
+    direction lattice, `kernel_basis` of its normals.
 
     A flat F carries the residual classes of the walls that are neither its
     members nor parallel to it: the residual of a wall is the primitive,
@@ -434,7 +425,8 @@ def _flats(arr):
             classes[res] = classes.get(res, 0) | ks
         return basis, row, classes.items()
 
-    return _closure(n, [(r, 1 << k) for k, r in enumerate(_rows(arr))], expand)
+    walls = [(_wall_row(c.hyperplane), 1 << k) for k, c in enumerate(arr.components)]
+    return _closure(n, walls, expand)
 
 
 def _lines(arr):

@@ -22,7 +22,8 @@ kernel and unimodularity, on B's side and on A's. One rule, _oriented,
 turns a matrix tall for a verdict: it takes the _Forms of M or of M^T,
 whichever is tall, and unimodularity_report, the case split and `hkit
 check` read it; kernel_basis is _Forms on M^T. The Smith normal form,
-_smith, runs the same loop on rows and columns in turn.
+_smith, runs the same loop on columns and rows in turn, from rows already
+in row HNF.
 _Forms.invariant_factors, which `hkit check` and the TorsionCokernel
 message read, runs it with no U and no V on T, whose invariant factors
 are B's, and only for a B^T whose HNF has a pivot other than 1 (with unit
@@ -276,10 +277,11 @@ class SmithResult(NamedTuple):
 
 
 def smith_normal_form(M: IntMatrix) -> SmithResult:
-    """U @ M @ V = S by _smith, with U carried as extra columns of the rows
-    and V as extra columns of the columns."""
+    """U @ M @ V = S by _smith from the row HNF [H | U] of _with_transform,
+    with U carried as extra columns of the rows and V as extra columns of
+    the columns."""
     m, n = M.rows, M.cols
-    SU = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(M.data)]
+    SU, _ = _with_transform(M)
     VT = [[int(i == j) for j in range(n)] for i in range(n)]
     factors = _smith(SU, n, VT)
     return SmithResult(
@@ -291,33 +293,33 @@ def smith_normal_form(M: IntMatrix) -> SmithResult:
 
 
 def _smith(SU, n, VT):
-    """Bring the rows SU (lists, changed in place) to Smith normal form on
-    their first n columns by row and column HNFs in turn until it is
-    diagonal, and return the invariant factors, its nonzero diagonal
-    entries. The row operations act on whole rows
-    of SU, and the column operations on whole rows of VT, the n columns'
-    extra entries (lists, replaced in place): identities give U and V^T,
-    empty lists give neither. When a diagonal entry does not divide the
-    next one, the next column is added into its column and the loop goes
-    on: the next row HNF puts their gcd on the diagonal."""
+    """Bring the rows SU (lists, changed in place), which must be in row
+    HNF on their first n columns, to Smith normal form there by column and
+    row HNFs in turn until it is diagonal, and return the invariant
+    factors, its nonzero diagonal entries. The row operations act on whole
+    rows of SU, and the column operations on whole rows of VT, the n
+    columns' extra entries (lists, replaced in place): identities give U
+    and V^T, empty lists give neither. When a diagonal entry does not
+    divide the next one, the next column is added into its column and the
+    loop goes on: the row HNF that ends the round puts their gcd on the
+    diagonal."""
     m = len(SU)
     while True:
-        _hermite(SU, n)
         # The columns of S with their extra entries: [S^T | V^T].
         SV = [[row[j] for row in SU] + v for j, v in enumerate(VT)]
         _hermite(SV, m)
         VT[:] = [col[m:] for col in SV]
         for i, row in enumerate(SU):
             row[:n] = [col[i] for col in SV]
-        if any(col[i] for j, col in enumerate(SV) for i in range(m) if i != j):
-            continue
-        d = [SV[k][k] for k in range(min(m, n))]
-        k = next((k for k in range(len(d) - 1) if d[k] and d[k + 1] % d[k]), None)
-        if k is None:
-            return tuple(x for x in d if x)
-        for row in SU:
-            row[k] += row[k + 1]
-        VT[k] = [x + y for x, y in zip(VT[k], VT[k + 1])]
+        if not any(col[i] for j, col in enumerate(SV) for i in range(m) if i != j):
+            d = [SV[k][k] for k in range(min(m, n))]
+            k = next((k for k in range(len(d) - 1) if d[k] and d[k + 1] % d[k]), None)
+            if k is None:
+                return tuple(x for x in d if x)
+            for row in SU:
+                row[k] += row[k + 1]
+            VT[k] = [x + y for x, y in zip(VT[k], VT[k + 1])]
+        _hermite(SU, n)
 
 
 def rank(M: IntMatrix) -> int:
@@ -542,8 +544,8 @@ class _Forms:
     def invariant_factors(self):
         """B's invariant factors: (1,) * rank when the pivots are 1, whose
         rows hold an identity minor of size rank, otherwise those of the
-        nonzero rows T of the HNF U @ B = [T; 0], by _smith with no U and
-        no V."""
+        nonzero rows T of the HNF U @ B = [T; 0], already in row HNF, by
+        _smith with no U and no V."""
         if self.unit:
             return (1,) * self.rank
         H, pivots = self.hermite

@@ -124,6 +124,15 @@ def two_sum(A, B):
     return IntMatrix(IntMatrix.identity(len(M)).data + tuple(zip(*M)), cols=len(M))
 
 
+def one_sum(A, B):
+    """The 1-sum (direct sum) of the regular matroids of A and B: the
+    block-diagonal [[A, 0], [0, B]]; N = N_A + N_B, n = n_A + n_B."""
+    return IntMatrix(
+        [row + (0,) * B.cols for row in A.data] + [(0,) * A.cols + row for row in B.data],
+        cols=A.cols + B.cols,
+    )
+
+
 def graphic_rows(rng, vertices, extra):
     """A random connected multigraph's rows e_a - e_b, vertex 0's coordinate
     dropped: a random spanning tree plus extra random edges."""

@@ -27,7 +27,9 @@ rank from a full HNF, torsion from an SNF, kernels from the HNF transform,
 and A's unimodularity scanned on its own. The Smith normal form by closures
 is how `smith_normal_form` worked before it ran the Hermite loop on rows and
 columns in turn. The brute-force invariants enumerate the invariant monoid
-degree by degree, and the generic points come from windows of primes. The
+degree by degree, and the monoid counts and Theta_B(t) = sum over y of
+t^||By||_1, read over an l1 ball of B_beta's image, count it without any
+generator; the generic points come from windows of primes. The
 relation search by fibers is how `presentation` found its relations before
 it paired disjoint multisets as they arrived in a fiber: a recursive
 enumeration of every multiset with its exponent pair as two tuples, then
@@ -47,6 +49,7 @@ references.
 import itertools
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 from hkit.arrangement import (
     ArrangementComponent,
@@ -822,6 +825,63 @@ def _compositions(total, parts):
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
+
+
+def monoid_counts(H: HypertoricData, D: int):
+    """The number of exponent pairs (u, v) in N^2N with A u = A v, that is
+    of elements of the invariant monoid, in each degree d <= D, by brute
+    force: every u of degree <= D bucketed by its weight A u, and the
+    pairs within a bucket counted by total degree."""
+    weight_rows = [H.A.row(j) for j in range(H.A.rows)]
+    buckets = {}
+    for total in range(D + 1):
+        for exps in _compositions(total, H.N):
+            weight = tuple(sum(a * x for a, x in zip(row, exps)) for row in weight_rows)
+            buckets.setdefault(weight, [0] * (D + 1))[total] += 1
+    counts = [0] * (D + 1)
+    for by_degree in buckets.values():
+        for a, ca in enumerate(by_degree):
+            for b in range(D + 1 - a):
+                counts[a + b] += ca * by_degree[b]
+    return tuple(counts)
+
+
+def _l1_ball(n, radius):
+    """All x in Z^n with ||x||_1 <= radius."""
+    if n == 0:
+        yield ()
+        return
+    for head in range(-radius, radius + 1):
+        for rest in _l1_ball(n - 1, radius - abs(head)):
+            yield (head,) + rest
+
+
+def theta_series(B, D):
+    """The coefficients of Theta_B(t) = sum over y in Z^n of t^||By||_1 up
+    to t^D. y runs over B_beta^-1 x for x with ||x||_1 <= D, beta the
+    first row subset with |det| = 1: that meets every y with
+    ||By||_1 <= D, as ||By||_1 >= ||B_beta y||_1, and each once."""
+    n = B.cols
+    rows = [B.row(i) for i in default_basis_rows_by_det(B)]
+    # the columns of B_beta^-1, integral since |det B_beta| = 1
+    inverse = [_solve_affine(rows, [int(i == j) for i in range(n)], n)[1] for j in range(n)]
+    assert all(v.denominator == 1 for col in inverse for v in col)
+    inverse = [[int(v) for v in col] for col in inverse]
+    coeffs = [0] * (D + 1)
+    for x in _l1_ball(n, D):
+        y = [sum(x[j] * inverse[j][k] for j in range(n)) for k in range(n)]
+        degree = sum(abs(sum(map(mul, row, y))) for row in B.data)
+        if degree <= D:
+            coeffs[degree] += 1
+    return tuple(coeffs)
+
+
+def over_one_minus_t2(series, power):
+    """The coefficients of series / (1 - t^2)^power, as far as series goes."""
+    return tuple(
+        sum(comb(power + k - 1, k) * series[d - 2 * k] for k in range(d // 2 + 1))
+        for d in range(len(series))
+    )
 
 
 def decompose_over_basis(target: MonomialGen, basis):

@@ -30,7 +30,16 @@ from math import comb, factorial
 
 import pytest
 
-from corpus import cographic, complete_graph, corpus_matrices, graphic_rows, r10, valid_hypertoric
+from corpus import (
+    cographic,
+    complete_graph,
+    corpus_matrices,
+    graphic_rows,
+    one_sum,
+    r10,
+    two_sum,
+    valid_hypertoric,
+)
 from hkit import arrangement
 from hkit.arrangement import (
     ArrangementComponent,
@@ -264,19 +273,43 @@ class TestHVector:
             (complete_graph(4), (1, 3, 6, 6)),
             (complete_graph(5), (1, 6, 21, 46, 51)),
             (complete_graph(6), (1, 10, 55, 200, 470, 560)),
+            (complete_graph(7), (1, 15, 120, 645, 2430, 6021, 7575)),
             (cographic(4), (1, 3, 6, 6)),
             (cographic(5), (1, 4, 10, 20, 30, 36, 24)),
+            (cographic(6), (1, 5, 15, 35, 70, 120, 180, 240, 270, 240, 120)),
             (r10(), (1, 5, 15, 35, 55, 51)),
+            (two_sum(complete_graph(4), r10()), (1, 7, 28, 82, 186, 326, 400, 266)),
         ],
-        ids=["K3", "K4", "K5", "K6", "K4*", "K5*", "R10"],
+        ids=["K3", "K4", "K5", "K6", "K7", "K4*", "K5*", "K6*", "R10", "K4+2R10"],
     )
     def test_regular_matroids(self, B, h):
         assert self.assert_identities(HypertoricData.from_matrix(B))[1] == h
 
+    def test_one_sum_convolves(self):
+        # the independence complex of a 1-sum is the join of its parts', so
+        # its h-vector is the convolution of theirs
+        K4, R10 = complete_graph(4), r10()
+        a, b = (self.assert_identities(HypertoricData.from_matrix(B))[1] for B in (K4, R10))
+        _, h = self.assert_identities(HypertoricData.from_matrix(one_sum(K4, R10)))
+        convolution = tuple(
+            sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)
+        )
+        assert h == convolution == (1, 8, 36, 116, 280, 516, 693, 636, 306)
+
     @pytest.mark.parametrize(
         "B",
-        [complete_graph(4), complete_graph(5), cographic(4), cographic(5), r10()],
-        ids=["K4", "K5", "K4*", "K5*", "R10"],
+        [
+            complete_graph(4),
+            complete_graph(5),
+            complete_graph(7),
+            cographic(4),
+            cographic(5),
+            cographic(6),
+            r10(),
+            two_sum(complete_graph(4), r10()),
+        ],
+        ids=["K4", "K5", "K7", "K4*", "K5*", "K6*", "R10", "K4+2R10"],
     )
     def test_f_counts_independent_rows(self, B):
         # brute force: the k-subsets of B's rows of rank k

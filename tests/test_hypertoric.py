@@ -10,6 +10,7 @@ from corpus import (
     complete_graph,
     corpus_matrices,
     graphic_rows,
+    one_sum,
     r10,
     two_sum,
     valid_hypertoric,
@@ -44,8 +45,11 @@ from oracles import (
     graver_basis,
     hilbert_basis_by_splits,
     hilbert_basis_completion,
+    monoid_counts,
+    over_one_minus_t2,
     reduce_presentation_by_maps,
     relations_by_fibers,
+    theta_series,
 )
 
 
@@ -395,6 +399,81 @@ def test_two_sum_of_k4_and_r10():
     with pytest.raises(NotUnimodular) as err:
         HypertoricData.from_matrix(planted)
     assert err.value.code == "not_unimodular"
+
+
+def test_one_sum_of_k4_and_r10():
+    # a 1-sum's circuits are each part's, its bases are pairs of bases, and
+    # its Hilbert basis is each part's: 2 * 7 + 6 for K_4, 2 * 30 + 10 for
+    # R10
+    B = one_sum(complete_graph(4), r10())
+    assert B.shape == (16, 8)
+    data = HypertoricData.from_matrix(B)
+    assert len(data.forms.circuits) == 37 == 7 + 30
+    assert det(B.transpose() @ B) == 2592 == 16 * 162
+    assert len(hilbert_basis(data)) == 90 == 20 + 70
+    assert hilbert_basis(data) == hilbert_basis_by_splits(data)
+    # a planted -1 in R10's block: row 6 is R10's first unit row, and the
+    # minor on it, K_4's first three rows and R10's rows 9, 13, 14, 15 is 2
+    rows = B.row_list()
+    rows[6][4] = -1
+    planted = IntMatrix(rows)
+    assert abs(det(IntMatrix([rows[i] for i in (0, 1, 2, 6, 9, 13, 14, 15)]))) == 2
+    with pytest.raises(NotUnimodular) as err:
+        HypertoricData.from_matrix(planted)
+    assert err.value.code == "not_unimodular"
+
+
+class TestThetaSeries:
+    """The invariant monoid M = {(u, v) in N^2N : u - v in im B} has, for
+    each x = By, exactly one family (x_+ + k, x_- + k) with k in N^N, so its
+    degree-d count is [t^d] Theta_B(t) / (1 - t^2)^N, with
+    Theta_B(t) = sum over y of t^||By||_1. Two counts that share no code
+    with `_generators` must match it up to degree D: the brute-force monoid,
+    and the distinct totals of Hilbert-basis multisets, which means the
+    Hilbert basis generates M in those degrees. D is 6 on the corpus and
+    6 or 8 on the larger inputs, which keeps the class near 6 s."""
+
+    @staticmethod
+    def assert_counts(data, D):
+        theta = theta_series(data.B, D)
+        counts = monoid_counts(data, D)
+        assert counts == over_one_minus_t2(theta, data.N), (data.B, theta, counts)
+        totals = [1] + [0] * D
+        for u, v in _multisets_by_total(hilbert_basis(data), D, float("inf")):
+            totals[sum(u) + sum(v)] += 1
+        assert tuple(totals) == counts, (data.B, totals, counts)
+        return theta, counts
+
+    def test_corpus(self):
+        families = list(valid_hypertoric(corpus_matrices()))
+        assert len(families) == 1104
+        for data in families:
+            self.assert_counts(data, 6)
+
+    @pytest.mark.parametrize(
+        "B, D",
+        [(complete_graph(5), 8), (cographic(4), 6), (r10(), 8)],
+        ids=["K5", "K4*", "R10"],
+    )
+    def test_regular_matroids(self, B, D):
+        self.assert_counts(HypertoricData.from_matrix(B), D)
+
+    def test_k3_is_the_minimal_orbit_of_sl3(self):
+        # Y(A, 0) for A = (1, 1, 1): Theta / (1 - t^2)^n is (k + 1)^3 in
+        # degree 2k
+        data = HypertoricData.from_matrix(complete_graph(3))
+        theta, counts = self.assert_counts(data, 8)
+        assert theta == (1, 0, 6, 0, 12, 0, 18, 0, 24)
+        assert counts == (1, 0, 9, 0, 36, 0, 100, 0, 225)
+        assert over_one_minus_t2(theta, data.n)[::2] == (1, 8, 27, 64, 125)
+
+    def test_k4(self):
+        # the 4 circuits of support 3, with both signs, in degree 3, and the
+        # 6 s_i in degree 2
+        data = HypertoricData.from_matrix(complete_graph(4))
+        theta, counts = self.assert_counts(data, 6)
+        assert theta == (1, 0, 0, 8, 6, 0, 20)
+        assert counts == (1, 0, 6, 8, 27, 48, 112)
 
 
 class TestPresentation:
