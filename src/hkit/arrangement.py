@@ -39,15 +39,15 @@ walk carries directions, and `f_locus` is the one door to the flats.
 Slice simplicity is decided from circuits, not flats: `check_simplicity`
 enumerates the circuits of the normals' dependencies with
 `_Forms.dependency_circuits` and tests <c, lambda> != 0 on each (its
-docstring has the proof, at any rank of the normals). Only to list the
-violations of a slice that is not simple does it read `f_locus`.
+docstring has the proof, at any rank of the normals). A slice that is not
+simple fails (b), and only to decide (a) does it read `f_locus`. It lists
+no violating subsets; the oracles in the tests do.
 Points come from integer back-substitution over one common denominator.
 """
 
 from bisect import insort
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -570,25 +570,15 @@ class SimplicityReport(NamedTuple):
 
     no_excess_intersections: bool
     normals_extend_to_basis: bool
-    violations_a: tuple = ()
-    violations_b: tuple = ()
 
     @property
     def simple(self):
         return self.no_excess_intersections and self.normals_extend_to_basis
 
 
-def _extends_to_basis(normals):
-    """k normals extend to a Z-basis iff the n x k matrix with them as
-    columns maps Z^n onto Z^k, that is iff its HNF has k pivots, all 1: the
-    rank and unit pivots of the _Forms of the k x n matrix of the normals."""
-    forms = _Forms(IntMatrix._of(tuple(normals), len(normals[0])))
-    return forms.rank == len(normals) and forms.unit
-
-
 def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
-    """Conditions (a) and (b): decided from the circuits, and read off the
-    flats, which list every violation, only for a slice that is not simple.
+    """Conditions (a) and (b), decided from the circuits; the flats are read
+    only to decide (a) for a slice that is not simple.
 
     Lemma (Bielawski and Dancer 2000; Hausel and Sturmfels, Doc. Math.
     2002). Let the walls be <b_i, eta> = lambda_i, with normals of any rank
@@ -610,10 +600,10 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
       equations have a rational solution, so each failure below is a
       violation of (b). A wall of multiplicity >= 2 is coincident
       hyperplanes. A pivot d > 1 is a pivot of the pivot normals' own HNF,
-      so they do not extend (`_extends_to_basis`). A circuit entry outside
-      {0, +-1} means a maximal minor of E outside {0, +-1}, whose r normals
-      do not extend. Finally let <c, lambda> = 0 and k in supp c. The walls
-      of supp c without k are independent, so they meet; at any point eta
+      so they do not extend to a Z-basis. A circuit entry outside {0, +-1}
+      means a maximal minor of E outside {0, +-1}, whose r normals do not
+      extend. Finally let <c, lambda> = 0 and k in supp c. The walls of
+      supp c without k are independent, so they meet; at any point eta
       they share, c_k <b_k, eta> = -sum_{i != k} c_i lambda_i =
       c_k lambda_k, so wall k passes through it too, and the walls of
       supp c, whose normals are dependent, meet.
@@ -621,21 +611,9 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     the kernel rows, and `dependency_circuits` enumerates the circuits from
     them, or gives None at the first entry outside {-1, 0, 1}.
 
-    To list the violations, it reads the flats of `f_locus`. Walls meet iff
-    they are members of a common flat, and every flat lies in one of
-    codimension r: a wall whose normal is outside a flat's normal span
-    meets it in a flat with more members. So only the flats of codimension
-    r are read. `f_locus` leaves out the single walls, which loses nothing:
-    they have codimension 1, so they would be read only when r = 1, and
-    then a one-wall flat has no (n+1)-subset and its primitive normal
-    extends to a Z-basis. A subset of normals that extend to a Z-basis
-    extends too, so (b) only tests the subsets of member sets that fail as
-    a whole. Those subsets are gathered from every such flat into one set
-    and each is tested once, however many flats hold it; one larger than r
-    is linearly dependent and fails without a test. A wall k of
-    multiplicity >= 2 fails on its own as (k,); a wall of multiplicity 1
-    passes, as its normal is primitive, which `ArrangementSpec`'s
-    constructor checks for a spec built by hand.
+    On a refusal (b) fails, by the "only if" half. (a) fails iff some flat
+    of `f_locus` holds n + 1 walls, since walls that meet lie in a common
+    flat, their intersection.
     """
     n = arr.n
     comps = arr.components
@@ -652,25 +630,4 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
             lam = [scale // f.denominator * f.numerator for f in offsets]
             if all(sum(map(mul, c, lam)) for c in circuits):
                 return SimplicityReport(True, True)
-    r = forms.rank
-    violations_a = set()
-    violations_b = {(k,) for k, c in enumerate(comps) if c.multiplicity > 1}
-    # the subsets of every codimension-r member set that fails as a whole
-    candidates = set()
-    for flat in f_locus(arr):
-        if flat.codimension < r:
-            continue
-        members = flat.sorted_members()
-        violations_a.update(combinations(members, n + 1))
-        if not _extends_to_basis([normals[i] for i in members]):
-            for k in range(2, len(members) + 1):
-                candidates.update(combinations(members, k))
-    violations_b.update(
-        s for s in candidates if len(s) > r or not _extends_to_basis([normals[i] for i in s])
-    )
-    return SimplicityReport(
-        no_excess_intersections=not violations_a,
-        normals_extend_to_basis=not violations_b,
-        violations_a=tuple(sorted(violations_a)),
-        violations_b=tuple(sorted(violations_b, key=lambda s: (len(s), s))),
-    )
+    return SimplicityReport(all(len(f.members) <= n for f in f_locus(arr)), False)

@@ -231,7 +231,9 @@ def _cmd_deform(payload, job, notes):
         "line": line._asdict(),
         "genericity": {**report._asdict(), "all_pass": report.all_pass},
         "slices": {"t0": _arrangement(slice0), "t1": _arrangement(slice1)},
-        "t1_simplicity": simplicity._asdict(),
+        # every line built here passes simple_by_construction, so schema 2's
+        # violation lists were always empty
+        "t1_simplicity": {**simplicity._asdict(), "violations_a": [], "violations_b": []},
         "family_f_locus_codimension": localmodel.family_f_locus_codimension(H),
     }
 

@@ -109,7 +109,7 @@ def deform_local_model(model: LocalModel, shifts) -> DeformedLocalModel:
     if len(shifts) != model.m:
         raise ArityMismatch(f"expected {model.m} shifts, got {len(shifts)}")
     if len(set(shifts)) != len(shifts):
-        raise DuplicateShift(f"shift constants must be pairwise distinct: {shifts}")
+        raise DuplicateShift(f"shift constants must be pairwise distinct: [{', '.join(map(str, shifts))}]")
     return DeformedLocalModel(
         m=model.m,
         n=model.n,
@@ -234,7 +234,7 @@ def t1_simplicity(H: HypertoricData, line: DeformationLine, slice1) -> Simplicit
     `choose_deformation_line` builds (0 on the Z-basis it accepts, 2^k off
     it), so `hkit deform` always takes it. A line that a library caller
     builds otherwise is decided by `check_simplicity`, from the slice's
-    circuits."""
+    circuits. Only the two flags come back; no violating subset is listed."""
     if simple_by_construction(H, line):
         return SimplicityReport(True, True)
     return check_simplicity(slice1)

@@ -29,7 +29,10 @@ is how `smith_normal_form` worked before it ran the Hermite loop on rows and
 columns in turn. The brute-force invariants enumerate the invariant monoid
 degree by degree, and the monoid counts and Theta_B(t) = sum over y of
 t^||By||_1, read over an l1 ball of B_beta's image, count it without any
-generator; the generic points come from windows of primes. The
+generator; the quotient dimensions take the moment map's components out of
+that monoid degree by degree, by a rank over GF(2^61 - 1), so that they
+check Theta_B(t) / (1 - t^2)^n; the generic points come from windows of
+primes. The
 relation search by fibers is how `presentation` found its relations before
 it paired disjoint multisets as they arrived in a fiber: a recursive
 enumeration of every multiset with its exponent pair as two tuples, then
@@ -41,7 +44,9 @@ Fraction-keyed grouping is how `group_hyperplanes`, `build_discriminant` and
 Hyperplane per wall, hashed in a dict and sorted by its field order.
 The listing by walk is how `check_simplicity` listed the violations of a
 slice that is not simple before it read `f_locus`: flat by flat from
-`_flats`, each subset tested again in every flat that holds it.
+`_flats`, each subset tested again in every flat that holds it. The library
+no longer lists violations at all; the scan and the walk list them into a
+`SimplicityListing`, whose flags are the reference for `check_simplicity`.
 The enumerations are exponential; all of these serve only as test
 references.
 """
@@ -50,6 +55,7 @@ import itertools
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
+from typing import NamedTuple
 
 from hkit.arrangement import (
     ArrangementComponent,
@@ -58,7 +64,6 @@ from hkit.arrangement import (
     Hyperplane,
     SimplicityReport,
     _bits,
-    _extends_to_basis,
     _flats,
     _kind_from_multiplicity,
     _pivot,
@@ -231,9 +236,33 @@ def f_locus_scan(arr):
     return sorted(seen.values(), key=lambda f: f.sorted_members())
 
 
+class SimplicityListing(NamedTuple):
+    """Conditions (a) and (b) with the subsets of walls that violate them:
+    for (a) each n+1 walls that meet, for (b) each meeting subset whose
+    normals do not extend to a Z-basis."""
+
+    no_excess_intersections: bool
+    normals_extend_to_basis: bool
+    violations_a: tuple
+    violations_b: tuple
+
+    @property
+    def flags(self):
+        """The flags alone, as `check_simplicity` reports them."""
+        return SimplicityReport(self.no_excess_intersections, self.normals_extend_to_basis)
+
+
+def _extends_to_basis(normals):
+    """k normals extend to a Z-basis iff the n x k matrix with them as
+    columns maps Z^n onto Z^k, that is iff its HNF has k pivots, all 1: the
+    rank and unit pivots of the _Forms of the k x n matrix of the normals."""
+    forms = _Forms(IntMatrix._of(tuple(normals), len(normals[0])))
+    return forms.rank == len(normals) and forms.unit
+
+
 def check_simplicity_scan(arr):
-    """Conditions (a) and (b) over every subset of walls; for (b) a wall of
-    multiplicity >= 2 fails on its own."""
+    """Conditions (a) and (b) listed over every subset of walls; for (b) a
+    wall of multiplicity >= 2 fails on its own."""
     comps = arr.components
     n = arr.n
     violations_a = []
@@ -259,7 +288,7 @@ def check_simplicity_scan(arr):
             if not part_of_basis or (k == 1 and comps[subset[0]].multiplicity > 1):
                 violations_b.append(subset)
 
-    return SimplicityReport(
+    return SimplicityListing(
         no_excess_intersections=not violations_a,
         normals_extend_to_basis=not violations_b,
         violations_a=tuple(violations_a),
@@ -293,7 +322,7 @@ def check_simplicity_by_walk(arr):
                 for s in itertools.combinations(members, k)
                 if k > len(basis) or not _extends_to_basis([normals[i] for i in s])
             )
-    return SimplicityReport(
+    return SimplicityListing(
         no_excess_intersections=not violations_a,
         normals_extend_to_basis=not violations_b,
         violations_a=tuple(sorted(violations_a)),
@@ -800,18 +829,12 @@ def brute_force_invariants(H: HypertoricData, d: int):
         raise BudgetExceeded(
             f"enumeration guard: N <= {BRUTE_FORCE_MAX_N}, d <= {BRUTE_FORCE_MAX_DEGREE}"
         )
-    weight_rows = [H.A.row(j) for j in range(H.A.rows)]
-    buckets = {}
-    for total in range(d + 1):
-        for exps in _compositions(total, H.N):
-            weight = tuple(sum(a * x for a, x in zip(row, exps)) for row in weight_rows)
-            buckets.setdefault(weight, []).append((total, exps))
     out = [
         MonomialGen(u=u, v=v)
-        for half in buckets.values()
-        for du, u in half
-        for dv, v in half
-        if 1 <= du + dv <= d
+        for half in _by_weight(H, d).values()
+        for u in half
+        for v in half
+        if 1 <= sum(u) + sum(v) <= d
     ]
     out.sort(key=MonomialGen.sort_key)
     return out
@@ -827,23 +850,87 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
-def monoid_counts(H: HypertoricData, D: int):
-    """The number of exponent pairs (u, v) in N^2N with A u = A v, that is
-    of elements of the invariant monoid, in each degree d <= D, by brute
-    force: every u of degree <= D bucketed by its weight A u, and the
-    pairs within a bucket counted by total degree."""
+def _by_weight(H: HypertoricData, D: int):
+    """Every u in N^N of degree <= D, bucketed by its weight A u: the pairs
+    (u, v) within a bucket are the invariant monoid's elements."""
     weight_rows = [H.A.row(j) for j in range(H.A.rows)]
     buckets = {}
     for total in range(D + 1):
         for exps in _compositions(total, H.N):
             weight = tuple(sum(a * x for a, x in zip(row, exps)) for row in weight_rows)
-            buckets.setdefault(weight, [0] * (D + 1))[total] += 1
+            buckets.setdefault(weight, []).append(exps)
+    return buckets
+
+
+def monoid_counts(H: HypertoricData, D: int):
+    """The number of exponent pairs (u, v) in N^2N with A u = A v, that is
+    of elements of the invariant monoid, in each degree d <= D, by brute
+    force: the pairs within each bucket of `_by_weight` counted by total
+    degree."""
     counts = [0] * (D + 1)
-    for by_degree in buckets.values():
+    for half in _by_weight(H, D).values():
+        by_degree = [0] * (D + 1)
+        for u in half:
+            by_degree[sum(u)] += 1
         for a, ca in enumerate(by_degree):
             for b in range(D + 1 - a):
                 counts[a + b] += ca * by_degree[b]
     return tuple(counts)
+
+
+PRIME = 2**61 - 1
+
+
+def _rank_mod_p(rows):
+    """The rank over GF(PRIME) of sparse rows ({column: entry}), by
+    elimination on each row's least column."""
+    pivots = {}
+    for row in rows:
+        row = {c: x % PRIME for c, x in row.items() if x % PRIME}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inv = pow(row[c], -1, PRIME)
+                pivots[c] = {k: x * inv % PRIME for k, x in row.items()}
+                break
+            factor = row[c]
+            for k, x in pivots[c].items():
+                y = (row.get(k, 0) - factor * x) % PRIME
+                if y:
+                    row[k] = y
+                else:
+                    row.pop(k, None)
+    return len(pivots)
+
+
+def quotient_dims(H: HypertoricData, D: int):
+    """dim (C[M]/(mu))_d for d <= D, M the invariant monoid and
+    mu_k = sum_i a_ki z_i w_i the moment map's components: |M_d| minus the
+    rank over GF(PRIME) of the products mu_k z^u w^v for (u, v) in M_(d-2).
+    M_d is enumerated by brute force from `_by_weight`, as in
+    `monoid_counts`."""
+    by_degree = [{} for _ in range(D + 1)]
+    for half in _by_weight(H, D).values():
+        for u in half:
+            for v in half:
+                d = sum(u) + sum(v)
+                if d <= D:
+                    by_degree[d][u, v] = len(by_degree[d])
+    dims = []
+    for d, monomials in enumerate(by_degree):
+        products = []
+        if d >= 2:
+            for u, v in by_degree[d - 2]:
+                for row in H.A.data:
+                    product = {}
+                    for i, a in enumerate(row):
+                        if a:
+                            bump = tuple(x + (j == i) for j, x in enumerate(u))
+                            lift = tuple(x + (j == i) for j, x in enumerate(v))
+                            product[monomials[bump, lift]] = a
+                    products.append(product)
+        dims.append(len(monomials) - _rank_mod_p(products))
+    return tuple(dims)
 
 
 def _l1_ball(n, radius):

@@ -8,7 +8,6 @@ from hkit.arrangement import (
     ArrangementSpec,
     Hyperplane,
     Kind,
-    _extends_to_basis,
     build_discriminant,
     check_simplicity,
     f_locus,
@@ -17,7 +16,14 @@ from hkit.arrangement import (
 )
 from hkit.errors import DimensionMismatch, NonPrimitiveRow
 from hkit.intmat import IntMatrix, _Forms, canonical_primitive, canonical_sign, det, is_primitive, rank
-from oracles import generic_point_off, generic_point_on, smith_normal_form_by_closures
+from oracles import (
+    _extends_to_basis,
+    check_simplicity_by_walk,
+    check_simplicity_scan,
+    generic_point_off,
+    generic_point_on,
+    smith_normal_form_by_closures,
+)
 
 
 def walls(arr):
@@ -324,10 +330,13 @@ class TestSimplicity:
     def test_pencil_of_thirteen_lines_lists_every_violation(self):
         # every 3 of the 13 lines meet; every subset of >= 3 normals is
         # dependent, and 66 of the 78 pairs span an index > 1 sublattice
+        # (check_simplicity decides; the oracles list)
         pairs = [((1, k), Fraction(0)) for k in range(13)]
-        rep = check_simplicity(group_hyperplanes(2, pairs))
-        assert len(rep.violations_a) == 286
-        assert len(rep.violations_b) == 8166
+        arr = group_hyperplanes(2, pairs)
+        listing = check_simplicity_by_walk(arr)
+        assert len(listing.violations_a) == 286
+        assert len(listing.violations_b) == 8166
+        assert check_simplicity(arr) == listing.flags == (False, False)
 
     def test_parallel_distinct_points(self):
         arr = group_hyperplanes(1, [((1,), Fraction(0)), ((1,), Fraction(1))])
@@ -357,7 +366,9 @@ class TestSimplicity:
         )
         rep = check_simplicity(arr)
         assert not rep.no_excess_intersections
-        assert rep.violations_a == ((0, 1, 2),)
+        listing = check_simplicity_scan(arr)
+        assert rep == listing.flags
+        assert listing.violations_a == ((0, 1, 2),)
 
     def test_non_saturated_pair_fails_basis_condition(self):
         # normals (1,1,0) and (1,-1,0) meet, but only span an index-2 sublattice
@@ -371,7 +382,9 @@ class TestSimplicity:
         rep = check_simplicity(arr)
         assert rep.no_excess_intersections
         assert not rep.normals_extend_to_basis
-        assert rep.violations_b == ((0, 1),)
+        listing = check_simplicity_scan(arr)
+        assert rep == listing.flags
+        assert listing.violations_b == ((0, 1),)
 
     def test_extends_to_basis_against_invariant_factors(self):
         # k primitive normals extend to a Z-basis iff the k x n matrix they

@@ -324,6 +324,8 @@ class TestCommands:
         simp = rep["result"]["t1_simplicity"]
         assert simp["no_excess_intersections"] is True
         assert simp["normals_extend_to_basis"] is True
+        # schema 2 keeps the two lists, always empty
+        assert simp["violations_a"] == [] and simp["violations_b"] == []
 
     @pytest.mark.parametrize("m", [5, 7, 8])
     def test_deform_certifies_t1_slice(self, m, capsys, monkeypatch):
@@ -434,12 +436,15 @@ class TestCommands:
         assert rep["result"]["deformed"]["coefficients"] == [1, 1, 0]
 
     def test_local_model_duplicate_shift(self, capsys):
-        code, out = run_cli(
-            ["local-model", "--in", '{"m": 2, "n": 2}', "--shifts", "1,1"], capsys
-        )
-        assert code == 1
-        rep = report_of(out)
-        assert rep["error"]["code"] == "duplicate_shift"
+        # the repeated shifts are named as exact values, not as Fraction reprs
+        for shifts, listed in (("1,1", "[1, 1]"), ("1/2,2/4", "[1/2, 1/2]")):
+            code, out = run_cli(
+                ["local-model", "--in", '{"m": 2, "n": 2}', "--shifts", shifts], capsys
+            )
+            assert code == 1
+            rep = report_of(out)
+            assert rep["error"]["code"] == "duplicate_shift"
+            assert rep["error"]["message"] == f"shift constants must be pairwise distinct: {listed}"
 
     @pytest.mark.parametrize(
         "args",

@@ -13,10 +13,10 @@ direction `kernel_basis` gives its member normals, whether the engine took
 it from the parent's in one step or fell back; the circuits that
 `_Forms(B).circuits` enumerates must be the vectors B x for x spanning the
 lines of that closure, up to sign. `check_simplicity` must decide every
-slice from its circuits, at any rank of the normals, and read `f_locus`,
-equal to the scan, only for a slice that is not simple; its listing must
-equal the walk it replaced, flat by flat over `_flats`, with each subset of
-walls tested once. A central arrangement closed from its lines (`_lines`)
+slice from its circuits, at any rank of the normals, read `f_locus` only
+for a slice that is not simple, and give the flags of the scan. It lists no
+violations; the walk it used to list them with, flat by flat over
+`_flats`, must list what the scan lists. A central arrangement closed from its lines (`_lines`)
 must give the F-locus that `_flats` walks, field for field, and take that
 walk wherever `_lines` declines. The h-vector read off the flats of a
 simple t = 1 slice must have h_0 = 1, h_1 = N - n, no negative entry and
@@ -158,7 +158,7 @@ def test_engine_matches_scans_on_corpus_slices(corpus_slices):
     for arr in corpus_slices:
         assert list(f_locus(arr)) == f_locus_scan(arr), arr
         report = check_simplicity(arr)
-        assert report == check_simplicity_scan(arr), arr
+        assert report == check_simplicity_scan(arr).flags, arr
         not_simple += affine(arr) and not report.simple
     assert not_simple == 24
 
@@ -167,9 +167,10 @@ def test_engine_matches_scans_on_complete_graph_slices(km_slices):
     violations = []
     for arr in km_slices:
         assert list(f_locus(arr)) == f_locus_scan(arr), arr
-        report = check_simplicity(arr)
-        assert report == check_simplicity_scan(arr), arr
-        violations.append(len(report.violations_b))
+        scan = check_simplicity_scan(arr)
+        assert check_simplicity(arr) == scan.flags, arr
+        assert check_simplicity_by_walk(arr) == scan, arr
+        violations.append(len(scan.violations_b))
     assert violations == [0, 0, 0, 0, 6]
 
 
@@ -577,7 +578,7 @@ class TestFlatsAgainstLevels:
 class TestSimplicityCertificate:
     """`check_simplicity` decides every slice from the circuits of its
     normals' dependencies, at any rank of the normals, and walks the flats
-    only to list the violations of a slice that is not simple. Where the
+    only to decide (a) for a slice that is not simple. Where the
     certificate refuses (a wall of multiplicity >= 2, a pivot other than 1,
     a circuit entry outside {0, +-1}), the scan finds a violation of (b)."""
 
@@ -602,13 +603,14 @@ class TestSimplicityCertificate:
         )
 
     def assert_decided(self, arr, monkeypatch):
-        """check_simplicity(arr), checked against the scan: it walks exactly
-        when arr is not simple, and a refused certificate leaves a violation
-        of (b). Returns (report, whether the certificate refused)."""
+        """check_simplicity(arr), checked against the scan's flags: it walks
+        exactly when arr is not simple, and a refused certificate leaves a
+        violation of (b). The walk lists what the scan lists. Returns
+        (report, whether the certificate refused)."""
         report, walked = self.walks(arr, monkeypatch)
         scan = check_simplicity_scan(arr)
-        assert report == scan, arr
-        assert report == check_simplicity_by_walk(arr), arr
+        assert report == scan.flags, arr
+        assert check_simplicity_by_walk(arr) == scan, arr
         assert walked is not report.simple, arr
         refused = self.refused(arr)
         assert scan.violations_b or not refused, arr
@@ -627,7 +629,7 @@ class TestSimplicityCertificate:
         self.no_walk(monkeypatch)
         for arr, simple in zip(slices, verdicts):
             if simple:
-                assert check_simplicity(arr) == (True, True, (), ()), arr
+                assert check_simplicity(arr) == (True, True), arr
             else:
                 with pytest.raises(AssertionError, match="f_locus ran"):
                     check_simplicity(arr)
@@ -639,7 +641,7 @@ class TestSimplicityCertificate:
         H = HypertoricData.from_matrix(complete_graph(m))
         arr = family_slice(H, choose_deformation_line(H), 1)
         self.no_walk(monkeypatch)
-        assert check_simplicity(arr) == (True, True, (), ())
+        assert check_simplicity(arr) == (True, True)
 
     @pytest.mark.parametrize(
         "arr",
@@ -679,7 +681,7 @@ class TestSimplicityCertificate:
         # column appended, under seeded offsets, and x = 0, y = 0, x + y = 1
         # in n = 3, which is simple
         arr = group_hyperplanes(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 1, 0), 1)])
-        assert self.assert_decided(arr, monkeypatch) == ((True, True, (), ()), False)
+        assert self.assert_decided(arr, monkeypatch) == ((True, True), False)
         rng = random.Random(97)
         seen = set()
         for H in valid_hypertoric(corpus_matrices()):
@@ -689,6 +691,16 @@ class TestSimplicityCertificate:
             seen.add((report.simple, refused))
         assert seen == {(True, False), (False, False), (False, True)}
 
+    def test_k7_unit_offsets_refused(self):
+        # the certificate refuses, so (b) fails; (a) fails too, witnessed by
+        # n + 1 walls of one flat that the Fraction elimination solves
+        arr = unit_offset_slice(7)
+        assert check_simplicity(arr) == (False, False)
+        n = arr.n
+        flat = next(f for f in f_locus(arr) if len(f.members) > n)
+        walls = [arr.components[i].hyperplane for i in flat.sorted_members()[: n + 1]]
+        consistent, _, _ = _solve_affine([h.normal for h in walls], [h.offset for h in walls], n)
+        assert consistent
 
     @pytest.mark.parametrize("normals", [[(1, 0), (-1, 0), (0, 1)], [(1, 0), (2, 0), (0, 1)]])
     def test_normals_that_are_not_canonical(self, normals):
@@ -710,41 +722,32 @@ def unit_offset_slice(m):
 
 
 class TestListingAgainstWalk:
-    """`check_simplicity` lists its violations from `f_locus` and tests each
-    subset once; the report equals the one listed flat by flat over
-    `_flats` (`oracles.check_simplicity_by_walk`). Seeded-offset and
-    rank-deficient corpus slices are compared in `TestSimplicityCertificate`."""
+    """The oracles' listings against each other: the walk flat by flat over
+    `_flats` (`oracles.check_simplicity_by_walk`) lists what the subset scan
+    lists, where the scan fits, and its flags are `check_simplicity`'s.
+    Seeded-offset and rank-deficient corpus slices are compared in
+    `TestSimplicityCertificate`."""
 
     def test_corpus_slices(self, corpus_slices):
         for arr in corpus_slices:
-            assert check_simplicity(arr) == check_simplicity_by_walk(arr), arr
+            walk = check_simplicity_by_walk(arr)
+            assert check_simplicity(arr) == walk.flags, arr
+            assert walk == check_simplicity_scan(arr), arr
 
     def test_pencil_of_thirteen_lines(self):
         arr = group_hyperplanes(2, [((1, k), 0) for k in range(13)])
-        report = check_simplicity(arr)
-        assert report == check_simplicity_by_walk(arr)
-        assert (len(report.violations_a), len(report.violations_b)) == (286, 8166)
+        walk = check_simplicity_by_walk(arr)
+        assert walk == check_simplicity_scan(arr)
+        assert check_simplicity(arr) == walk.flags == (False, False)
+        assert (len(walk.violations_a), len(walk.violations_b)) == (286, 8166)
 
     @pytest.mark.parametrize("m, violations", [(5, (40, 55)), (6, (783, 1356))], ids=["K5", "K6"])
     def test_complete_graph_slices(self, m, violations):
+        # the scan over K_6's 2^15 subsets of walls takes seconds, so only
+        # K_5's walk is compared with it
         arr = unit_offset_slice(m)
-        report = check_simplicity(arr)
-        assert report == check_simplicity_by_walk(arr)
-        assert (len(report.violations_a), len(report.violations_b)) == violations
-
-    def test_each_subset_is_tested_once(self, monkeypatch):
-        # one test per codimension-r flat, then one per distinct subset of a
-        # member set that fails as a whole, unless it has more than r walls:
-        # 192 + 3114 calls, where the walk flat by flat made 9876
-        arr = unit_offset_slice(6)
-        normals = [c.hyperplane.normal for c in arr.components]
-        r = _Forms(IntMatrix(normals, cols=arr.n)).rank
-        points = [f.sorted_members() for f in f_locus(arr) if f.codimension == r]
-        failing = [m for m in points if not arrangement._extends_to_basis([normals[i] for i in m])]
-        candidates = {s for m in failing for k in range(2, len(m) + 1) for s in combinations(m, k)}
-        calls = []
-        real = arrangement._extends_to_basis
-        monkeypatch.setattr(arrangement, "_extends_to_basis", lambda ns: calls.append(1) or real(ns))
-        check_simplicity(arr)
-        assert len(calls) == len(points) + sum(len(s) <= r for s in candidates) == 3306
-        assert len(calls) <= len(candidates) + len(failing)
+        walk = check_simplicity_by_walk(arr)
+        if m == 5:
+            assert walk == check_simplicity_scan(arr)
+        assert check_simplicity(arr) == walk.flags == (False, False)
+        assert (len(walk.violations_a), len(walk.violations_b)) == violations

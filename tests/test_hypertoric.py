@@ -47,6 +47,7 @@ from oracles import (
     hilbert_basis_completion,
     monoid_counts,
     over_one_minus_t2,
+    quotient_dims,
     reduce_presentation_by_maps,
     relations_by_fibers,
     theta_series,
@@ -430,8 +431,11 @@ class TestThetaSeries:
     Theta_B(t) = sum over y of t^||By||_1. Two counts that share no code
     with `_generators` must match it up to degree D: the brute-force monoid,
     and the distinct totals of Hilbert-basis multisets, which means the
-    Hilbert basis generates M in those degrees. D is 6 on the corpus and
-    6 or 8 on the larger inputs, which keeps the class near 6 s."""
+    Hilbert basis generates M in those degrees. Taking the moment map's
+    components mu_k = sum_i a_ki z_i w_i out of C[M] leaves
+    Theta_B(t) / (1 - t^2)^n, which the quotient's dimensions by rank
+    (`oracles.quotient_dims`) must match. D is 6 on the corpus and 4 to 8
+    on the larger inputs, which keeps the class near 10 s."""
 
     @staticmethod
     def assert_counts(data, D):
@@ -448,7 +452,8 @@ class TestThetaSeries:
         families = list(valid_hypertoric(corpus_matrices()))
         assert len(families) == 1104
         for data in families:
-            self.assert_counts(data, 6)
+            theta, _ = self.assert_counts(data, 6)
+            assert quotient_dims(data, 6) == over_one_minus_t2(theta, data.n), data.B
 
     @pytest.mark.parametrize(
         "B, D",
@@ -474,6 +479,26 @@ class TestThetaSeries:
         theta, counts = self.assert_counts(data, 6)
         assert theta == (1, 0, 0, 8, 6, 0, 20)
         assert counts == (1, 0, 6, 8, 27, 48, 112)
+
+    @pytest.mark.parametrize(
+        "B, D, dims",
+        [
+            (complete_graph(3), 8, (1, 0, 8, 0, 27, 0, 64, 0, 125)),
+            (complete_graph(4), 6, (1, 0, 3, 8, 12, 24, 48)),
+            (cographic(4), 6, (1, 0, 3, 8, 12, 24, 48)),
+            (complete_graph(5), 6, (1, 0, 4, 0, 20, 0, 80)),
+            (complete_graph(6), 6, (1, 0, 5, 0, 15, 12, 35)),
+            (cographic(5), 6, (1, 0, 6, 20, 51, 144, 376)),
+            (r10(), 6, (1, 0, 5, 0, 45, 0, 215)),
+            (two_sum(complete_graph(4), r10()), 4, (1, 0, 7, 4, 48)),
+        ],
+        ids=["K3", "K4", "K4*", "K5", "K6", "K5*", "R10", "K4+R10"],
+    )
+    def test_quotient_by_moment_map(self, B, D, dims):
+        # dim (C[M]/(mu))_d, by rank, is [t^d] Theta_B(t) / (1 - t^2)^n
+        data = HypertoricData.from_matrix(B)
+        assert quotient_dims(data, D) == dims
+        assert over_one_minus_t2(theta_series(B, D), data.n) == dims
 
 
 class TestPresentation:

@@ -113,8 +113,8 @@ def test_defaults():
     assert (tag.reason, tag.condition_star, tag.unimodular, tag.coker_torsion_free) == (
         None, False, False, False,
     )
-    assert SimplicityReport(True, True).violations_a == ()
-    assert SimplicityReport(True, True).violations_b == ()
+    assert SimplicityReport._fields == ("no_excess_intersections", "normals_extend_to_basis")
+    assert SimplicityReport._field_defaults == {}
     assert RoundTripReport(*(None,) * 8).warnings == ()
     assert DeformationLine((0,), (Fraction(0),), ()).adjusted is False
 
