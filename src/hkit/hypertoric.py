@@ -52,7 +52,7 @@ class HypertoricData(NamedTuple):
         check_primitive_rows(B)
         forms = _gale(B)  # raises NotInjective / TorsionCokernel
         if not forms.unimodular:
-            raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
+            raise NotUnimodular(B)
         return cls(B=B, A=forms.kernel, N=B.rows, n=B.cols, groups=_row_classes(B),
                    basis_rows=tuple(forms.pivots), forms=forms)
 

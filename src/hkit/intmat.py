@@ -24,10 +24,12 @@ whichever is tall, and unimodularity_report, the case split and `hkit
 check` read it; kernel_basis is _Forms on M^T. The Smith normal form,
 _smith, runs the same loop on columns and rows in turn, from rows already
 in row HNF.
-_Forms.invariant_factors, which `hkit check` and the TorsionCokernel
-message read, runs it with no U and no V on T, whose invariant factors
-are B's, and only for a B^T whose HNF has a pivot other than 1 (with unit
-pivots an identity minor of size rank makes every invariant factor 1).
+_Forms.invariant_factors, which `hkit check` reads, runs it with no U
+and no V on T, whose invariant factors are B's, and only for a B^T whose
+HNF has a pivot other than 1 (with unit pivots an identity minor of size
+rank makes every invariant factor 1). A TorsionCokernel keeps the _Forms
+and asks for their invariant factors only when its message is read, so
+refusing a B runs no _smith.
 
 Everything is arbitrary-precision (plain Python ints) and every value is
 immutable after construction, so all functions here are safe to call
@@ -382,7 +384,10 @@ def _elementary(rows, unit_cols):
     whose line in j's hyperplane is new. Cheaper tests go first: u_j u and
     v_j v must not agree on a done column (it would cut a third line out of
     the flat), and the union must leave len(rows) - 2 done columns zero.
-    _Forms.unimodular has the proof.
+    _Forms.unimodular has the proof. A column where fewer than two vectors
+    are nonzero makes no vector, so it is done at once, and the scan's
+    supports are sorted only for the first pair at a column that passes the
+    cheaper tests.
     """
     vectors, pos, neg = [], [], []  # the vectors and their +1 and -1 columns
 
@@ -410,19 +415,24 @@ def _elementary(rows, unit_cols):
         bit = 1 << j
         if done & bit:
             continue
-        room = done.bit_count() - len(rows) + 2
-        order = sorted(((p | n) & done for p, n in zip(pos, neg)), key=int.bit_count)
         hits = [
             (k, p & done, n & done) if p & bit else (k, n & done, p & done)
             for k, (p, n) in enumerate(zip(pos, neg))
             if (p | n) & bit
         ]
+        if len(hits) < 2:
+            done |= bit
+            continue
+        room = done.bit_count() - len(rows) + 2
+        order = None
         new = []
         for i, (a, pa, na) in enumerate(hits):
             for b, pb, nb in hits[i + 1:]:
                 union = pa | na | pb | nb
                 if pa & pb or na & nb or union.bit_count() > room:
                     continue
+                if order is None:
+                    order = sorted(((p | n) & done for p, n in zip(pos, neg)), key=int.bit_count)
                 # distinct vectors have distinct supports on the done columns
                 sa, sb = pa | na, pb | nb
                 if any(m | union == union and m != sa and m != sb for m in order):
@@ -637,12 +647,11 @@ class _Forms:
 def _gale(B):
     """The _Forms of B, whose kernel is gale_dual(B), once B has rank n
     and a torsion-free cokernel. Errors come in the order rank, torsion; the
-    invariant factors only word the torsion message."""
+    torsion error keeps these _Forms, whose invariant factors word its
+    message when it is read."""
     forms = _Forms(B)
     if forms.rank < B.cols:
         raise NotInjective(f"matrix of shape {B.shape} has rank below {B.cols}")
     if not forms.torsion_free:
-        raise TorsionCokernel(
-            f"invariant factors {list(forms.invariant_factors)} contain an entry > 1"
-        )
+        raise TorsionCokernel(forms)
     return forms

@@ -723,9 +723,7 @@ def gale_dual_by_normal_forms(B):
         raise NotInjective(f"matrix of shape {B.shape} has rank below {n}")
     snf = smith_normal_form_by_closures(B)
     if not snf.torsion_free:
-        raise TorsionCokernel(
-            f"invariant factors {list(snf.invariant_factors)} contain an entry > 1"
-        )
+        raise TorsionCokernel(snf)
     return kernel_basis_by_transform(B.transpose())
 
 
@@ -739,7 +737,7 @@ def from_matrix_by_normal_forms(B):
             raise NonPrimitiveRow(i, B.row(i))
     A = gale_dual_by_normal_forms(B)
     if not unimodular_by_scan(B):
-        raise NotUnimodular(f"matrix {B!r} has a maximal minor outside -1, 0, 1")
+        raise NotUnimodular(B)
     classes = {}
     for i in range(B.rows):
         classes.setdefault(canonical_sign(B.row(i)), []).append(i)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -669,10 +670,8 @@ class TestUnimodularityExits:
             (IntMatrix([[1, 1], [1, -1], [0, 1]]), None, 2),
             # B^T only: R = [[1], [2]] has an entry 2, so no kernel
             (IntMatrix([[1, 0], [0, 1], [1, 2]]), None, 1),
-            # B^T, then B for the torsion test without a transform, then one
-            # column HNF of its nonzero rows [[1, 1], [0, 2]] for the
-            # invariant factors (1, 2)
-            (IntMatrix([[1, -1], [1, 1], [1, 1]]), TorsionCokernel, 3),
+            # B^T, then B for the torsion test without a transform
+            (IntMatrix([[1, -1], [1, 1], [1, 1]]), TorsionCokernel, 2),
         ],
     )
     def test_validation_reduces_transpose_once(self, B, bundle, reductions, monkeypatch):
@@ -684,12 +683,18 @@ class TestUnimodularityExits:
             return hermite(H, n)
 
         monkeypatch.setattr(intmat, "_hermite", counted)
-        if bundle != "valid":
-            with pytest.raises(bundle or NotUnimodular):
-                HypertoricData.from_matrix(B)
-        else:
+        if bundle == "valid":
+            HypertoricData.from_matrix(B)
+            assert len(calls) == reductions
+            return
+        with pytest.raises(bundle or NotUnimodular) as err:
             HypertoricData.from_matrix(B)
         assert len(calls) == reductions
+        str(err.value)
+        # Reading the torsion message takes one column HNF of B's nonzero
+        # HNF rows [[1, 1], [0, 2]] for the invariant factors (1, 2); the
+        # other message is B's repr.
+        assert len(calls) == reductions + (bundle is TorsionCokernel)
 
     # The budget in the names below is the 10^6 maximal minors up to which
     # the scan of R's square minors used to decide; the circuits decide
@@ -726,6 +731,39 @@ class TestUnimodularityExits:
             HypertoricData.from_matrix(B)
         assert err.value.code == "not_unimodular"
         assert not classify_case(B).unimodular
+
+
+class TestRefusals:
+    """Validation's refusals as objects: the class, the code and the message
+    read the same on every read and after a pickle round trip. The messages
+    of TorsionCokernel and NotUnimodular are worded when read, from the
+    values they keep."""
+
+    @pytest.mark.parametrize(
+        "B, code, message",
+        [
+            (IntMatrix([[1, 0], [1, 0]]), "not_injective", "matrix of shape (2, 2) has rank below 2"),
+            (
+                IntMatrix([[1, -1], [1, 1], [1, 1]]),
+                "torsion_cokernel",
+                "invariant factors [1, 2] contain an entry > 1",
+            ),
+            (
+                IntMatrix([[1, 0], [0, 1], [1, 2]]),
+                "not_unimodular",
+                "matrix IntMatrix([[1, 0], [0, 1], [1, 2]]) has a maximal minor outside -1, 0, 1",
+            ),
+        ],
+        ids=["not_injective", "torsion_cokernel", "not_unimodular"],
+    )
+    def test_reads_alike_and_pickles(self, B, code, message):
+        with pytest.raises(HkitError) as caught:
+            HypertoricData.from_matrix(B)
+        err = caught.value
+        # IntMatrix has __slots__, which pickle from protocol 2 on
+        copies = [pickle.loads(pickle.dumps(err, p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for read in [err, err] + copies + copies:
+            assert (type(read), read.code, str(read)) == (type(err), code, message)
 
 
 class TestGaleDual:

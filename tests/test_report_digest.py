@@ -1,7 +1,8 @@
 """Digests of tools/report_digest.py, pinned: every `hkit deform`, `hkit
 build` and `hkit discriminant` report on the valid corpus matrices, `deform`
 on K_3..K_7, `build` on K_3..K_5 and `discriminant` on K_3..K_8, K_4*..K_6*
-and R10, every `hkit check` and `hkit gale` report on the whole corpus and
+and R10, every `hkit check` and `hkit gale` report on the whole corpus,
+every `hkit build` report on the corpus matrices that validation refuses,
 every `hkit reconstruct` and `hkit round-trip` report on its divisors and
 every `hkit local-model` report of `report_digest.local_model_jobs` stays
 byte-identical apart from timing, and so does the repr of every valid
@@ -10,6 +11,7 @@ schema bump, a new field) updates these values in the same change."""
 
 import importlib.util
 import os
+from collections import Counter
 
 from corpus import complete_graph, corpus_matrices, divisor_of, valid_hypertoric
 
@@ -41,6 +43,19 @@ def test_validation_digests():
     )
     assert report_digest.digest("gale", matrices) == (
         "f6324de5b47ce31a95ba27331c71c679a082de0c4384447b83c60fb201b42517"
+    )
+
+
+def test_refusal_digest():
+    # the only reports that hold a not_unimodular message; refusals word
+    # their messages when read, so this pins those words
+    refused = report_digest.refusals(corpus_matrices())
+    assert Counter(code for _, code in refused) == {
+        "not_injective": 738, "torsion_cokernel": 859, "not_unimodular": 2986,
+    }
+    payloads = [report_digest.matrix_json(B) for B, _ in refused]
+    assert report_digest.digest("build", payloads) == (
+        "281648a838bcaa4e67382117266f87ac7c91076ceeacc5e080a2684b9ac6d1d3"
     )
 
 

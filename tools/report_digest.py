@@ -3,9 +3,11 @@ subcommand.
 
 Calls `hkit.cli.main` in process: `check` and `gale` on every corpus matrix
 (tests/corpus.py), `build`, `discriminant` and `deform` on the ones that pass
-validation, and `reconstruct` and `round-trip` on the divisor of every corpus
-matrix whose rows are primitive (parallel rows merged into one wall with
-their count as multiplicity). The corpus has n <= 3, so three digests run on
+validation, `build` again (`build-refused`) on the ones that validation
+refuses, whose reports carry the refusal's code and message, and
+`reconstruct` and `round-trip` on the divisor of every corpus matrix whose
+rows are primitive (parallel rows merged into one wall with their count as
+multiplicity). The corpus has n <= 3, so three digests run on
 the complete-graph matrices K_m: `build-km` is `build` on K_3..K_5 (the
 corpus has no presentation with more than a few dozen relations, K_5's has
 425 on 40 generators), `discriminant-km` is `discriminant` on K_3..K_8
@@ -53,6 +55,8 @@ from corpus import (  # noqa: E402
     valid_hypertoric,
 )
 from hkit import cli, localmodel  # noqa: E402
+from hkit.errors import HkitError  # noqa: E402
+from hkit.hypertoric import HypertoricData  # noqa: E402
 
 ALL_MATRICES = ("check", "gale")
 VALID_MATRICES = ("build", "discriminant", "deform")
@@ -63,6 +67,17 @@ KM = {"build": (3, 4, 5), "discriminant": (3, 4, 5, 6, 7, 8), "deform": (3, 4, 5
 def regular_matrices():
     """K_4*, K_5*, K_6* and R10."""
     return [cographic(m) for m in (4, 5, 6)] + [r10()]
+
+
+def refusals(matrices):
+    """(B, error code) of each matrix that validation refuses, in order."""
+    refused = []
+    for B in matrices:
+        try:
+            HypertoricData.from_matrix(B)
+        except HkitError as err:
+            refused.append((B, err.code))
+    return refused
 
 
 def local_model_jobs():
@@ -133,6 +148,8 @@ def main():
     for commands, payloads in groups:
         for command in commands:
             print(f"{command} {len(payloads)} {digest(command, payloads)}")
+    refused = [matrix_json(B) for B, _ in refusals(matrices)]
+    print(f"build-refused {len(refused)} {digest('build', refused)}")
     for command, ms in KM.items():
         km = [matrix_json(complete_graph(m)) for m in ms]
         print(f"{command}-km {len(km)} {digest(command, km)}")
