@@ -22,8 +22,10 @@ t = 0 slice is `groups` with one shared zero offset.
 Flats come from one depth-first closure of the intersection lattice, cover
 by cover (Orlik and Terao, Arrangements of Hyperplanes, ch. 2), so the
 F-locus is complete for any number of walls. `_closure` expands each flat
-once and takes its direction from its parent's in one elimination step,
-`_cut`, with `kernel_basis` as the fallback. Two walks feed it the keys
+once and makes no direction: each flat's `_Direction` holds its parent's
+and the row that cut the flat out, and makes its rows on first read in one
+elimination step, `_cut`, with `kernel_basis` as the fallback, so a caller
+that reads only members pays for no direction. Two walks feed it the keys
 that group a flat's other walls into its covers. A central arrangement
 whose normals have {0, +-1} circuits is closed from its lines (`_lines`):
 the lines are the zero sets of the circuits of the normals' column
@@ -35,7 +37,8 @@ the top flat, the center, and the row of the cut is the normal of any wall
 of the class; `f_locus` has the proof. Every other arrangement takes
 `_flats`, whose key is a wall's residual, made from its parent's in one
 fraction-free step; `_flats` has that proof and the cut's. Every
-walk carries directions, and `f_locus` is the one door to the flats.
+walk carries each flat's cut row, and its direction is made from its
+parent's on first read; `f_locus` is the one door to the flats.
 Slice simplicity is decided from circuits, not flats: `check_simplicity`
 enumerates the circuits of the normals' dependencies with
 `_Forms.dependency_circuits` and tests <c, lambda> != 0 on each (its
@@ -315,11 +318,46 @@ def _cut(D, r):
     return tuple(head) + D[i + 1:]
 
 
-def _direction(basis, n):
-    """kernel_basis of the normals of a flat's basis, a list of (index, row)
-    pairs, as rows, and whether its pivots are 1."""
-    D = kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).data
+def _direction(rows, n):
+    """kernel_basis of the normal parts of rows, as rows, and whether its
+    pivots are 1."""
+    D = kernel_basis(IntMatrix([r[:n] for r in rows], cols=n)).data
     return D, all(d[_pivot(d)] == 1 for d in D)
+
+
+class _Direction(IntMatrix):
+    """A flat's direction, an IntMatrix whose shape is known and whose rows
+    are made on first read. It holds only its parent's direction and the row
+    that cut the flat out of the parent, so it refers to no flat and is in
+    no reference cycle. The first read of its rows, or of whether their
+    pivots are 1, fills both unset slots: `_cut` of the parent's rows by
+    the row when the parent's pivots are 1, otherwise, or where the cut
+    does not apply, `_direction` of the rows on the flat's path to the
+    bottom, which has no parent (`_flats` has the proof). The HNF is
+    unique, so the rows are those of `kernel_basis` of the flat's normals
+    whichever way they are made, and concurrent first reads store equal
+    rows. It pickles and copies as a plain IntMatrix of its rows."""
+
+    __slots__ = ("_parent", "_row", "_unit")
+
+    def __init__(self, parent, row, rows, cols):
+        self.rows, self.cols, self._parent, self._row = rows, cols, parent, row
+
+    def __getattr__(self, name):
+        # only an unset slot comes here, and _data and _unit are set together
+        if name != "_data" and name != "_unit":
+            raise AttributeError(name)
+        parent = self._parent
+        D = _cut(parent._data, self._row) if parent._unit else None
+        unit = True
+        if D is None:
+            rows, node = [], self
+            while node._parent is not None:
+                rows.append(node._row)
+                node = node._parent
+            D, unit = _direction(rows, self.cols)
+        self._data, self._unit = D, unit
+        return D if name == "_data" else unit
 
 
 def _closure(n, walls, expand):
@@ -336,25 +374,23 @@ def _closure(n, walls, expand):
     flat expanded once, from its first parent; children wait on the stack
     with their parent's classes, and a flat's classes are made only when it
     is taken off the stack, so only the flats along one path hold them.
-    `_cut` takes the direction from the parent's with the row, and
-    `_direction` from the basis where the cut does not apply (`_flats` has
-    the proof)."""
-    identity = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
-    stack = [(bit, key, bit, [], walls, identity, True) for key, bit in reversed(walls)]
+    The walk makes no direction's rows: each flat gets a `_Direction` of
+    its parent's and the row, which makes them on first read."""
+    bottom = _Direction(None, None, n, n)
+    bottom._data = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+    bottom._unit = True
+    stack = [(bit, key, bit, [], walls, bottom) for key, bit in reversed(walls)]
     seen = set()
     while stack:
-        # the parent's direction and whether its pivots are 1, then G's
-        members, key, ks, parent_basis, parent_classes, direction, unit = stack.pop()
+        members, key, ks, parent_basis, parent_classes, parent = stack.pop()
         basis, row, classes = expand(key, ks, parent_basis, parent_classes)
-        direction = _cut(direction, row) if unit else None
-        if direction is None:
-            direction, unit = _direction(basis, n)
+        direction = _Direction(parent, row, n - len(basis), n)
         yield members, basis, direction
         for key, ks in reversed(classes):
             child = members | ks
             if child not in seen:
                 seen.add(child)
-                stack.append((child, key, ks, basis, classes, direction, unit))
+                stack.append((child, key, ks, basis, classes, direction))
 
 
 def _flats(arr):
@@ -362,8 +398,9 @@ def _flats(arr):
     sorted by pivot, direction), from `_closure`, with the walls' residuals
     as the class keys. The rows are the walls' augmented rows (normal,
     offset), `_wall_row`, whose offset column stays 0 when the arrangement
-    is central. The direction is the HNF rows of the flat's saturated
-    direction lattice, `kernel_basis` of its normals.
+    is central. The direction is a `_Direction`, whose rows, made on first
+    read, are the HNF rows of the flat's saturated direction lattice,
+    `kernel_basis` of its normals.
 
     A flat F carries the residual classes of the walls that are neither its
     members nor parallel to it: the residual of a wall is the primitive,
@@ -398,8 +435,9 @@ def _flats(arr):
       before p_i and at the other pivot columns, and p_i is a pivot no more.
     The HNF of a lattice is unique (Schrijver 1986, ch. 4), so this is
     exactly `kernel_basis` of G's normals. When s_i is not +-1, or D's
-    pivots are not all 1, G falls back to `kernel_basis`, and its children
-    start from that result again when its pivots are 1.
+    pivots are not all 1, G falls back to `kernel_basis` of the rows that
+    cut out the flats on its path to the bottom, which are its basis rows,
+    and its children start from that result again when its pivots are 1.
     """
     n = arr.n
 
@@ -501,7 +539,8 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
     """All flats spanned by >= 2 distinct walls, with exact codimension,
     sorted by member set. Point is the particular solution of the flat's
     equations with free coordinates zero; direction is the HNF-canonical
-    basis of the saturated direction lattice. A central arrangement is
+    basis of the saturated direction lattice, an IntMatrix that makes its
+    rows on first read (`_Direction`). A central arrangement is
     closed from its lines when `_lines` can read them, and every other one
     by `_flats`; both walks give the same member sets, and the direction of
     each is the unique HNF, so the list does not depend on the walk.
@@ -558,8 +597,7 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
             continue
         members = tuple(_bits(members))
         point = origin if central or not any(r[n] for _, r in basis) else _point_of(basis, n)
-        flat = FlatDescriptor(frozenset(members), IntMatrix._of(direction, n), point, len(basis))
-        found.append((members, flat))
+        found.append((members, FlatDescriptor(frozenset(members), direction, point, len(basis))))
     found.sort(key=itemgetter(0))
     return FlatList(map(itemgetter(1), found))
 

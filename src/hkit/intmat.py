@@ -27,13 +27,17 @@ in row HNF.
 _Forms.invariant_factors, which `hkit check` reads, runs it with no U
 and no V on T, whose invariant factors are B's, and only for a B^T whose
 HNF has a pivot other than 1 (with unit pivots an identity minor of size
-rank makes every invariant factor 1). A TorsionCokernel keeps the _Forms
-and asks for their invariant factors only when its message is read, so
-refusing a B runs no _smith.
+rank makes every invariant factor 1), once: they are made on first use. A
+TorsionCokernel keeps the _Forms and asks for their invariant factors only
+when its message is read, so refusing a B runs no _smith, and a second read
+of the message runs none either.
 
 Everything is arbitrary-precision (plain Python ints) and every value is
 immutable after construction, so all functions here are safe to call
-concurrently. No floating point anywhere.
+concurrently. A value made on first use (an `_on_first_use` form, or a flat
+direction of `hkit.arrangement`, which fills its rows on first read) is
+stored once made, and concurrent first reads store equal values. No floating
+point anywhere.
 """
 
 import itertools
@@ -142,6 +146,10 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self._data]!r})"
+
+    def __reduce__(self):
+        # pickles at every protocol, as a plain IntMatrix of its rows
+        return IntMatrix, (self._data, self.cols)
 
 
 # -- vectors ----------------------------------------------------------------
@@ -550,7 +558,7 @@ class _Forms:
         """For B of rank n: whether the cokernel is torsion-free."""
         return self.unit or _unit(*self.hermite)
 
-    @property
+    @_on_first_use
     def invariant_factors(self):
         """B's invariant factors: (1,) * rank when the pivots are 1, whose
         rows hold an identity minor of size rank, otherwise those of the

@@ -10,7 +10,9 @@ basis rows, whose slice is not always simple, so the comparison still meets
 violations. The depth-first search must yield each flat exactly once, with
 the member set and echelon basis of the closure by levels, and with the
 direction `kernel_basis` gives its member normals, whether the engine took
-it from the parent's in one step or fell back; the circuits that
+it from the parent's in one step or fell back. `f_locus` must make no
+direction until one is read, and then at most one cut per flat, so that a
+refusal of `check_simplicity` makes none; the circuits that
 `_Forms(B).circuits` enumerates must be the vectors B x for x spanning the
 lines of that closure, up to sign. `check_simplicity` must decide every
 slice from its circuits, at any rank of the normals, read `f_locus` only
@@ -23,7 +25,11 @@ simple t = 1 slice must have h_0 = 1, h_1 = N - n, no negative entry and
 sum det(B^T B).
 """
 
+import gc
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -456,12 +462,13 @@ class TestDirections:
 
     @staticmethod
     def counts(arr, monkeypatch):
-        """(flats, fallbacks) of the walk with directions on arr, each
-        direction checked; a fallback is a call to kernel_basis."""
+        """(flats, fallbacks) of the walk on arr, every direction read
+        in the order the walk yields them and checked; a fallback is a call
+        to kernel_basis."""
         fallbacks = []
         real = arrangement.kernel_basis
         monkeypatch.setattr(arrangement, "kernel_basis", lambda M: fallbacks.append(M) or real(M))
-        flats = list(_flats(arr))
+        flats = [(mask, basis, direction.data) for mask, basis, direction in _flats(arr)]
         monkeypatch.undo()
         normals = [c.hyperplane.normal for c in arr.components]
         for mask, basis, direction in flats:
@@ -508,6 +515,106 @@ class TestDirections:
         assert 0 < sum(f for _, f in total) < sum(k for k, _ in total)
 
 
+class TestDeferredDirections:
+    """The walk makes no direction's rows: a direction makes them on first
+    read, from its parent's by `_cut` or by `kernel_basis`, so a caller
+    that reads only members, such as a refusal of `check_simplicity`, runs
+    neither."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The list to which each `_cut` and `kernel_basis` call appends
+        its name."""
+        calls = []
+        for name in ("_cut", "kernel_basis"):
+            real = getattr(arrangement, name)
+            monkeypatch.setattr(
+                arrangement, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+            )
+        return calls
+
+    def test_k7_directions_made_on_first_read(self, monkeypatch):
+        # at most one cut per flat of the walk, single walls included, and
+        # the directions are `kernel_basis` of the member normals
+        arr = build_discriminant(complete_graph(7))
+        walked = sum(1 for _ in arrangement._lines(arr))
+        calls = self.counted(monkeypatch)
+        flats = f_locus(arr)
+        assert calls == []
+        directions = [f.direction.data for f in flats]
+        assert set(calls) == {"_cut"} and len(calls) <= walked
+        made = len(calls)
+        assert [f.direction.data for f in flats] == directions and len(calls) == made
+        monkeypatch.undo()
+        normals = [c.hyperplane.normal for c in arr.components]
+        for f, D in zip(flats, directions):
+            M = IntMatrix([normals[k] for k in f.sorted_members()], cols=arr.n)
+            assert D == kernel_basis(M).data and f.direction.shape == (arr.n - f.codimension, arr.n)
+        assert len(flats) == bell(7) - 1 - comb(7, 2)
+
+    def test_k7_refusal_reads_no_direction(self, monkeypatch):
+        arr = unit_offset_slice(7)
+        calls = self.counted(monkeypatch)
+        assert check_simplicity(arr) == (False, False)
+        assert calls == []
+
+    def test_flats_hold_no_reference_cycle(self):
+        # read or unread, the flats are freed by reference counts alone
+        arr = build_discriminant(complete_graph(6))
+        gc.collect()
+        gc.disable()
+        try:
+            flats = f_locus(arr)
+            [f.direction.data for f in flats[::2]]
+            del flats
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_concurrent_first_reads_agree(self):
+        # more threads than cores read the same unread directions in their
+        # own orders, with a short switch interval: every thread sees the
+        # rows that one reader sees
+        arr = build_discriminant(complete_graph(7))
+        want = [f.direction.data for f in f_locus(arr)]
+        flats = f_locus(arr)
+        got = [None] * 6
+
+        def read(k):
+            order = list(range(len(flats)))
+            random.Random(k).shuffle(order)
+            seen = {i: flats[i].direction.data for i in order}
+            got[k] = [seen[i] for i in range(len(flats))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(len(got))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * len(got)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unread_k5_flats_pickle(self, protocol, monkeypatch):
+        # an unread direction pickles as its rows, a plain IntMatrix; the
+        # center's has no rows
+        arr = build_discriminant(complete_graph(5))
+        calls = self.counted(monkeypatch)
+        flats = list(f_locus(arr))
+        assert calls == []
+        copies = pickle.loads(pickle.dumps(flats, protocol))
+        assert calls
+        assert copies == flats and {type(f.direction) for f in copies} == {IntMatrix}
+        assert [f.direction.data for f in copies] == [f.direction.data for f in flats]
+        center = max(copies, key=lambda f: f.codimension)
+        assert center.codimension == arr.n and center.direction.shape == (0, arr.n)
+
+
 class TestFlatsAgainstLevels:
     """The depth-first search against the closure by levels in oracles.py."""
 
@@ -524,7 +631,7 @@ class TestFlatsAgainstLevels:
         for mask, basis, direction in _flats(arr):
             members = member_set(mask)
             assert members not in got, (arr, members)
-            assert direction == kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).data
+            assert direction.data == kernel_basis(IntMatrix([r[:n] for _, r in basis], cols=n)).data
             got[members] = [(p, r + (0,) * (arr.n + 1 - len(r))) for p, r in basis]
         assert got == want, arr
 

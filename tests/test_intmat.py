@@ -116,6 +116,14 @@ class TestConstruction:
         assert IntMatrix([], cols=2) != IntMatrix([], cols=3)
         assert len({IntMatrix([], cols=2), IntMatrix([], cols=3), IntMatrix([], cols=2)}) == 2
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize(
+        "M", [IntMatrix([[1, -2], [0, 3]]), IntMatrix([], cols=3)], ids=["2x2", "0x3"]
+    )
+    def test_pickles_at_every_protocol(self, M, protocol):
+        copy = pickle.loads(pickle.dumps(M, protocol))
+        assert type(copy) is IntMatrix and copy == M and copy.shape == M.shape
+
     def test_forms_descriptor_read_from_the_class(self):
         # `_on_first_use` gives itself when read from the class, with the
         # method's docstring, and the value when read from an instance
@@ -760,10 +768,23 @@ class TestRefusals:
         with pytest.raises(HkitError) as caught:
             HypertoricData.from_matrix(B)
         err = caught.value
-        # IntMatrix has __slots__, which pickle from protocol 2 on
-        copies = [pickle.loads(pickle.dumps(err, p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        copies = [pickle.loads(pickle.dumps(err, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
         for read in [err, err] + copies + copies:
             assert (type(read), read.code, str(read)) == (type(err), code, message)
+
+    def test_torsion_message_reduces_once(self, monkeypatch):
+        # B^T's HNF and the plain HNF of B's rows on the raise, one more
+        # reduction for the invariant factors on the first read, none after
+        calls = []
+        real = intmat._hermite
+        monkeypatch.setattr(intmat, "_hermite", lambda *a: calls.append(1) or real(*a))
+        with pytest.raises(TorsionCokernel) as caught:
+            HypertoricData.from_matrix(IntMatrix([[1, -1], [1, 1], [1, 1]]))
+        assert len(calls) == 2
+        assert str(caught.value) == "invariant factors [1, 2] contain an entry > 1"
+        assert len(calls) == 3
+        assert str(caught.value) == "invariant factors [1, 2] contain an entry > 1"
+        assert len(calls) == 3
 
 
 class TestGaleDual:

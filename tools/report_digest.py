@@ -11,14 +11,16 @@ multiplicity). The corpus has n <= 3, so three digests run on
 the complete-graph matrices K_m: `build-km` is `build` on K_3..K_5 (the
 corpus has no presentation with more than a few dozen relations, K_5's has
 425 on 40 generators), `discriminant-km` is `discriminant` on K_3..K_8
-(deep central lattices; K_8 has 4111 flats) and `deform-km` is `deform` on
+(deep central lattices; K_8 has 4111 flats, and the report reads every
+direction, which `f_locus` defers to first read) and `deform-km` is `deform` on
 K_3..K_7 (affine slices with up to 21 walls; the default line's t = 1 slice
 is simple by construction, and `deform` reads that off the offsets instead
 of walking the slice's flats; schema 2's violation lists in its report are
 always empty).
 `discriminant-regular` is `discriminant` on the non-graphic regular
 matroids K_4*, K_5*, K_6* (the cographic matrices of K_4..K_6; K_6* has
-13651 flats) and R10. `local-model` takes no matrix: it runs on m = 1..4
+13651 flats) and R10, reading every deferred direction too. `local-model`
+takes no matrix: it runs on m = 1..4
 and n = 1..3, each without shifts and with integral, fractional and
 negative shifts (`local_model_jobs`). `slices` is not a report: it hashes
 the repr of `family_slice` at t = 0 and t = 1 on the default line of every
