@@ -23,28 +23,29 @@ Flats come from one depth-first closure of the intersection lattice, cover
 by cover (Orlik and Terao, Arrangements of Hyperplanes, ch. 2), so the
 F-locus is complete for any number of walls. `_closure` expands each flat
 once and makes no direction: each flat's `_Direction` holds its parent's
-and the row that cut the flat out, and makes its rows on first read in one
-elimination step, `_cut`, with `kernel_basis` as the fallback, so a caller
-that reads only members pays for no direction. Two walks feed it the keys
-that group a flat's other walls into its covers. A central arrangement
+and the row that cut the flat out, and on first read its rows are
+`kernel_basis` of the normal parts of the rows on its path to the bottom,
+the flat's basis rows, so a caller that reads only members pays for no
+direction. Two walks feed it the keys that group a flat's other walls
+into its covers. A central arrangement
 whose normals have {0, +-1} circuits is closed from its lines (`_lines`):
 the lines are the zero sets of the circuits of the normals' column
 lattice, which `_Forms.circuits` enumerates as it does to decide
 unimodularity; the lattice is coatomistic, so a flat is known by the
 bitmask sigma of the lines inside it, and a wall w's key is C_w & sigma,
 C_w being the lines inside w, one integer AND per class. The empty key is
-the top flat, the center, and the row of the cut is the normal of any wall
-of the class; `f_locus` has the proof. Every other arrangement takes
-`_flats`, whose key is a wall's residual, made from its parent's in one
-fraction-free step; `_flats` has that proof and the cut's. Every
-walk carries each flat's cut row, and its direction is made from its
-parent's on first read; `f_locus` is the one door to the flats.
+the top flat, the center, and the cut row is the normal of any wall of the
+class; `f_locus` has the proof. Every other arrangement takes `_flats`,
+whose key is a wall's residual, made from its parent's in one
+fraction-free step; `_flats` has that proof. `f_locus` is the one door to
+the flats.
 Slice simplicity is decided from circuits, not flats: `check_simplicity`
 enumerates the circuits of the normals' dependencies with
 `_Forms.dependency_circuits` and tests <c, lambda> != 0 on each (its
 docstring has the proof, at any rank of the normals). A slice that is not
-simple fails (b), and only to decide (a) does it read `f_locus`. It lists
-no violating subsets; the oracles in the tests do.
+simple fails (b), and only to decide (a) does it walk `_flats`, for
+member sets alone. It lists no violating subsets; the oracles in the tests
+do.
 Points come from integer back-substitution over one common denominator.
 """
 
@@ -284,10 +285,6 @@ def _wall_row(h):
     return tuple(d * b for b in h.normal) + (h.offset.numerator,)
 
 
-def _pivot(row):
-    return next(j for j, x in enumerate(row) if x)
-
-
 def _bits(mask):
     """The indices of the set bits of mask, ascending."""
     out = []
@@ -298,66 +295,31 @@ def _bits(mask):
     return out
 
 
-def _cut(D, r):
-    """The HNF rows of the lattice of D cut by r's hyperplane, for the HNF
-    rows D of a saturated lattice with unit pivots; None when the last
-    nonzero entry of s = D r is not +-1. r may carry an offset column, which
-    the products skip. `_flats` has the proof."""
-    s = [sum(map(mul, d, r)) for d in D]
-    i = len(s) - 1
-    while not s[i]:
-        i -= 1
-    si = s[i]
-    if si != 1 and si != -1:
-        return None
-    di = D[i]
-    head = [
-        tuple([a - c * b for a, b in zip(d, di)]) if (c := sj * si) else d
-        for d, sj in zip(D, s[:i])
-    ]
-    return tuple(head) + D[i + 1:]
-
-
-def _direction(rows, n):
-    """kernel_basis of the normal parts of rows, as rows, and whether its
-    pivots are 1."""
-    D = kernel_basis(IntMatrix([r[:n] for r in rows], cols=n)).data
-    return D, all(d[_pivot(d)] == 1 for d in D)
-
-
 class _Direction(IntMatrix):
     """A flat's direction, an IntMatrix whose shape is known and whose rows
-    are made on first read. It holds only its parent's direction and the row
-    that cut the flat out of the parent, so it refers to no flat and is in
-    no reference cycle. The first read of its rows, or of whether their
-    pivots are 1, fills both unset slots: `_cut` of the parent's rows by
-    the row when the parent's pivots are 1, otherwise, or where the cut
-    does not apply, `_direction` of the rows on the flat's path to the
-    bottom, which has no parent (`_flats` has the proof). The HNF is
-    unique, so the rows are those of `kernel_basis` of the flat's normals
-    whichever way they are made, and concurrent first reads store equal
-    rows. It pickles and copies as a plain IntMatrix of its rows."""
+    are made on first read. It holds only its parent's direction (None for a
+    single wall) and the row that cut the flat out of the parent, so it
+    refers to no flat and is in no reference cycle. The first read of its
+    rows fills the unset `_data` slot with `kernel_basis` of the normal
+    parts of the rows on the flat's path to the bottom, which are its basis
+    rows. The HNF is unique, so concurrent first reads store equal rows. It
+    pickles and copies as a plain IntMatrix of its rows."""
 
-    __slots__ = ("_parent", "_row", "_unit")
+    __slots__ = ("_parent", "_row")
 
     def __init__(self, parent, row, rows, cols):
         self.rows, self.cols, self._parent, self._row = rows, cols, parent, row
 
     def __getattr__(self, name):
-        # only an unset slot comes here, and _data and _unit are set together
-        if name != "_data" and name != "_unit":
+        # only the unset _data slot comes here
+        if name != "_data":
             raise AttributeError(name)
-        parent = self._parent
-        D = _cut(parent._data, self._row) if parent._unit else None
-        unit = True
-        if D is None:
-            rows, node = [], self
-            while node._parent is not None:
-                rows.append(node._row)
-                node = node._parent
-            D, unit = _direction(rows, self.cols)
-        self._data, self._unit = D, unit
-        return D if name == "_data" else unit
+        n, rows, node = self.cols, [], self
+        while node is not None:
+            rows.append(node._row[:n])
+            node = node._parent
+        self._data = D = kernel_basis(IntMatrix._of(tuple(rows), n)).data
+        return D
 
 
 def _closure(n, walls, expand):
@@ -375,11 +337,9 @@ def _closure(n, walls, expand):
     with their parent's classes, and a flat's classes are made only when it
     is taken off the stack, so only the flats along one path hold them.
     The walk makes no direction's rows: each flat gets a `_Direction` of
-    its parent's and the row, which makes them on first read."""
-    bottom = _Direction(None, None, n, n)
-    bottom._data = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
-    bottom._unit = True
-    stack = [(bit, key, bit, [], walls, bottom) for key, bit in reversed(walls)]
+    its parent's (None for a wall) and the row that cut it out, which makes
+    them on first read."""
+    stack = [(bit, key, bit, [], walls, None) for key, bit in reversed(walls)]
     seen = set()
     while stack:
         members, key, ks, parent_basis, parent_classes, parent = stack.pop()
@@ -418,26 +378,6 @@ def _flats(arr):
     because G's basis restricted to its pivot columns is triangular with a
     nonzero diagonal. Walls in one class of F stay in one class of G, so a
     class takes one step whatever its size.
-
-    G's direction comes from F's in one elimination step, `_cut`. The
-    direction lattice L of F is saturated, and L ∩ r^⊥ is G's: r lies in
-    span(F's normals, H's normal) and outside the span of F's. Let D be the
-    HNF rows of L with unit pivots (I_n above the single walls), s = D r,
-    and i the last index with s_i != 0 (there is one, since r is not in the
-    span of F's normals). When s_i = +-1, G's direction is D without row i,
-    with each earlier row j replaced by D_j - s_j s_i D_i.
-    - It spans L ∩ r^⊥: sum c_k D_k is orthogonal to r iff
-      c_i = -s_i sum_{k != i} c_k s_k, and then it is
-      sum_{k != i} c_k (D_k - s_k s_i D_i); rows after i have s_k = 0.
-    - It is saturated, as L ∩ r^⊥ is a saturated lattice cut by a subspace.
-    - It is an HNF with unit pivots: D_i is zero before its pivot p_i and at
-      every other pivot column, so D_j - s_j s_i D_i keeps D_j's entries
-      before p_i and at the other pivot columns, and p_i is a pivot no more.
-    The HNF of a lattice is unique (Schrijver 1986, ch. 4), so this is
-    exactly `kernel_basis` of G's normals. When s_i is not +-1, or D's
-    pivots are not all 1, G falls back to `kernel_basis` of the rows that
-    cut out the flats on its path to the bottom, which are its basis rows,
-    and its children start from that result again when its pivots are 1.
     """
     n = arr.n
 
@@ -578,12 +518,6 @@ def f_locus(arr: ArrangementSpec) -> FlatList:
       no two C_w are equal: every flat of the walk holds all the walls that
       contain it, and the only class whose key keeps all of sigma_G is
       G's own, which joined the members.
-    - Directions: G's is F's cut by the normal of any wall of its class
-      (`_cut`). That normal lies in the span of F's normals and H_w's and
-      outside the span of F's, which is all that the proof in `_flats` asks
-      of the row. The basis along the walk holds those normals, one per
-      cover, so its length is G's codimension and `kernel_basis` of it is
-      the fallback.
     """
     n = arr.n
     central = not any(c.hyperplane.offset for c in arr.components)
@@ -615,8 +549,8 @@ class SimplicityReport(NamedTuple):
 
 
 def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
-    """Conditions (a) and (b), decided from the circuits; the flats are read
-    only to decide (a) for a slice that is not simple.
+    """Conditions (a) and (b), decided from the circuits; the flats are
+    walked only to decide (a) for a slice that is not simple.
 
     Lemma (Bielawski and Dancer 2000; Hausel and Sturmfels, Doc. Math.
     2002). Let the walls be <b_i, eta> = lambda_i, with normals of any rank
@@ -650,8 +584,9 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
     them, or gives None at the first entry outside {-1, 0, 1}.
 
     On a refusal (b) fails, by the "only if" half. (a) fails iff some flat
-    of `f_locus` holds n + 1 walls, since walls that meet lie in a common
-    flat, their intersection.
+    holds n + 1 walls, since walls that meet lie in a common flat, their
+    intersection. That reads the member bitmasks of `_flats` alone and
+    stops at the first such flat: no point, direction or sort is made.
     """
     n = arr.n
     comps = arr.components
@@ -668,4 +603,4 @@ def check_simplicity(arr: ArrangementSpec) -> SimplicityReport:
             lam = [scale // f.denominator * f.numerator for f in offsets]
             if all(sum(map(mul, c, lam)) for c in circuits):
                 return SimplicityReport(True, True)
-    return SimplicityReport(all(len(f.members) <= n for f in f_locus(arr)), False)
+    return SimplicityReport(all(m.bit_count() <= n for m, _, _ in _flats(arr)), False)

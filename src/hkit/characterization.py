@@ -24,6 +24,8 @@ class DivisorData(NamedTuple):
 
     @classmethod
     def make(cls, n, walls):
+        if type(n) is not int or n < 0:  # bool is not int
+            raise ValueError(f"n must be a nonnegative int, got {n!r}")
         seen = {}
         for idx, (normal, mult) in enumerate(walls):
             normal = tuple(normal)

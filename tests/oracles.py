@@ -47,6 +47,8 @@ slice that is not simple before it read `f_locus`: flat by flat from
 `_flats`, each subset tested again in every flat that holds it. The library
 no longer lists violations at all; the scan and the walk list them into a
 `SimplicityListing`, whose flags are the reference for `check_simplicity`.
+Condition (a) by `f_locus` is how a refusal decided (a) before it read the
+member bitmasks of `_flats` and stopped at the first flat of n + 1 walls.
 The enumerations are exponential; all of these serve only as test
 references.
 """
@@ -66,9 +68,9 @@ from hkit.arrangement import (
     _bits,
     _flats,
     _kind_from_multiplicity,
-    _pivot,
     _wall_row,
     build_discriminant,
+    f_locus,
 )
 from hkit.characterization import (
     HYPERTORIC,
@@ -157,6 +159,11 @@ def _rref_key(normals, offsets, n):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return tuple(tuple(row) for row in rows[:r])
+
+
+def _pivot(row):
+    """The index of row's first nonzero entry."""
+    return next(j for j, x in enumerate(row) if x)
 
 
 def _residual(v, basis):
@@ -294,6 +301,13 @@ def check_simplicity_scan(arr):
         violations_a=tuple(violations_a),
         violations_b=tuple(violations_b),
     )
+
+
+def no_excess_by_f_locus(arr):
+    """Condition (a) as `check_simplicity` decided it on a refusal before it
+    read the member bitmasks of `_flats`: no flat of the sorted `f_locus`,
+    with its points and directions, holds n + 1 walls."""
+    return all(len(f.members) <= arr.n for f in f_locus(arr))
 
 
 def check_simplicity_by_walk(arr):

@@ -48,6 +48,12 @@ class TestDivisorData:
         with pytest.raises(ValueError):
             DivisorData.make(1, walls)
 
+    @pytest.mark.parametrize("n", [-1, True, 1.0])
+    def test_rejects_n_that_is_not_a_nonnegative_int(self, n):
+        # refused where it is read, not later by reconstruct_B's IntMatrix
+        with pytest.raises(ValueError, match="^n must be a nonnegative int"):
+            DivisorData.make(n, [])
+
     def test_accepts_a_single_pass_iterable(self):
         d = DivisorData.make(2, iter([((0, -1), 1), ((-1, 0), 2)]))
         assert d.entries == (((0, 1), 1), ((1, 0), 2))

@@ -264,6 +264,14 @@ class TestCommands:
         rep = report_of(out)
         assert rep["error"]["code"] == "case_rejected"
 
+    def test_round_trip_negative_n_exit_2(self, capsys):
+        # refused where n is read, with a message that names n
+        code = main(["round-trip", "--in", '{"n": -1, "walls": []}'])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: n must be a nonnegative int, got -1")
+
     def test_deform(self, capsys):
         code, out = run_cli(["deform", "--in", '{"rows": [[1], [1]]}'], capsys)
         assert code == 0

@@ -9,14 +9,14 @@ line, whose slice is simple, and from offsets 1, 2, 3, ... off the same
 basis rows, whose slice is not always simple, so the comparison still meets
 violations. The depth-first search must yield each flat exactly once, with
 the member set and echelon basis of the closure by levels, and with the
-direction `kernel_basis` gives its member normals, whether the engine took
-it from the parent's in one step or fell back. `f_locus` must make no
-direction until one is read, and then at most one cut per flat, so that a
-refusal of `check_simplicity` makes none; the circuits that
+direction `kernel_basis` gives its member normals. `f_locus` must make no
+direction until one is read, and then one `kernel_basis` call per flat, so
+that a refusal of `check_simplicity` makes none; the circuits that
 `_Forms(B).circuits` enumerates must be the vectors B x for x spanning the
 lines of that closure, up to sign. `check_simplicity` must decide every
-slice from its circuits, at any rank of the normals, read `f_locus` only
-for a slice that is not simple, and give the flags of the scan. It lists no
+slice from its circuits, at any rank of the normals, walk `_flats` only for
+a slice that is not simple, give the flags of the scan, and decide (a) as
+the rule it replaced, `no_excess_by_f_locus`, does. It lists no
 violations; the walk it used to list them with, flat by flat over
 `_flats`, must list what the scan lists. A central arrangement closed from its lines (`_lines`)
 must give the F-locus that `_flats` walks, field for field, and take that
@@ -81,6 +81,7 @@ from oracles import (
     check_simplicity_scan,
     f_locus_scan,
     flat_lattice_by_levels,
+    no_excess_by_f_locus,
 )
 
 
@@ -432,11 +433,17 @@ class TestLineClosure:
 
     @pytest.mark.parametrize("B", [complete_graph(5), r10()], ids=["K5", "R10"])
     def test_directions_without_the_cut(self, B, monkeypatch):
-        # every direction from kernel_basis of the line walk's basis
+        # every direction is kernel_basis of the rows on its path: the line
+        # walk's normals and the residual walk's rows give the rows of
+        # kernel_basis of the member normals
         arr = build_discriminant(B)
         want = flats_walked(arr, monkeypatch)
-        monkeypatch.setattr(arrangement, "_cut", lambda D, r: None)
-        assert f_locus(arr) == want
+        got = f_locus(arr)
+        assert got == want
+        normals = [c.hyperplane.normal for c in arr.components]
+        for f in got:
+            M = IntMatrix([normals[k] for k in f.sorted_members()], cols=arr.n)
+            assert f.direction.data == kernel_basis(M).data
 
     def test_regular_input_takes_the_line_walk(self, monkeypatch):
         arr = build_discriminant(complete_graph(6))
@@ -456,18 +463,18 @@ def member_set(mask):
 
 
 class TestDirections:
-    """Every flat's direction from the engine, one elimination step from its
-    parent's or `kernel_basis` when that step does not apply, equals
-    `kernel_basis` of its member normals, single walls included."""
+    """Every flat's direction from the engine, `kernel_basis` of the rows
+    that cut out the flats on its path, equals `kernel_basis` of its member
+    normals, single walls included. There is one rule and no fallback: each
+    direction read makes one `kernel_basis` call."""
 
     @staticmethod
     def counts(arr, monkeypatch):
-        """(flats, fallbacks) of the walk on arr, every direction read
-        in the order the walk yields them and checked; a fallback is a call
-        to kernel_basis."""
-        fallbacks = []
+        """(flats, kernel_basis calls) of the walk on arr, every direction
+        read in the order the walk yields them and checked."""
+        calls = []
         real = arrangement.kernel_basis
-        monkeypatch.setattr(arrangement, "kernel_basis", lambda M: fallbacks.append(M) or real(M))
+        monkeypatch.setattr(arrangement, "kernel_basis", lambda M: calls.append(M) or real(M))
         flats = [(mask, basis, direction.data) for mask, basis, direction in _flats(arr)]
         monkeypatch.undo()
         normals = [c.hyperplane.normal for c in arr.components]
@@ -475,7 +482,7 @@ class TestDirections:
             members = sorted(member_set(mask))
             want = kernel_basis(IntMatrix([normals[k] for k in members], cols=arr.n))
             assert direction == want.data, (arr, members)
-        return len(flats), len(fallbacks)
+        return len(flats), len(calls)
 
     @pytest.mark.parametrize(
         "B",
@@ -483,26 +490,26 @@ class TestDirections:
         ids=[f"K{m}" for m in range(3, 9)] + [f"K{m}*" for m in (4, 5, 6)] + ["R10"],
     )
     def test_regular_matroids_take_no_fallback(self, B, monkeypatch):
-        flats, fallbacks = self.counts(build_discriminant(B), monkeypatch)
-        assert flats > 0 and fallbacks == 0
+        flats, calls = self.counts(build_discriminant(B), monkeypatch)
+        assert flats > 0 and calls == flats
 
     def test_corpus_discriminants(self, corpus_discriminants, monkeypatch):
         total = [self.counts(arr, monkeypatch) for arr in corpus_discriminants]
-        assert sum(f for _, f in total) > 0
-        assert sum(f for _, f in total) < sum(k for k, _ in total)
+        assert all(calls == flats for flats, calls in total)
+        assert sum(flats for flats, _ in total) > 0
 
     def test_corpus_slices(self, corpus_slices, monkeypatch):
         total = [self.counts(arr, monkeypatch) for arr in corpus_slices]
-        assert sum(f for _, f in total) > 0
-        assert sum(f for _, f in total) < sum(k for k, _ in total)
+        assert all(calls == flats for flats, calls in total)
+        assert sum(flats for flats, _ in total) > 0
 
     def test_non_unit_pivots(self, monkeypatch):
-        flats, fallbacks = self.counts(non_unit_pivot_arrangement(), monkeypatch)
-        assert 0 < fallbacks <= flats
+        flats, calls = self.counts(non_unit_pivot_arrangement(), monkeypatch)
+        assert 0 < calls == flats
 
     def test_seeded_arrangements(self, monkeypatch):
-        # six affine walls in Z^4 with entries in [-3, 3]: fallback directions
-        # whose pivots are not 1 have children, which must fall back too
+        # six affine walls in Z^4 with entries in [-3, 3], whose directions
+        # have pivots other than 1 and children below them
         total = []
         for seed in range(50):
             rng = random.Random(seed)
@@ -512,21 +519,21 @@ class TestDirections:
                 if is_primitive(normal):
                     pairs.append((normal, rng.randint(-2, 2)))
             total.append(self.counts(group_hyperplanes(4, pairs), monkeypatch))
-        assert 0 < sum(f for _, f in total) < sum(k for k, _ in total)
+        assert all(calls == flats for flats, calls in total)
+        assert sum(flats for flats, _ in total) > 0
 
 
 class TestDeferredDirections:
     """The walk makes no direction's rows: a direction makes them on first
-    read, from its parent's by `_cut` or by `kernel_basis`, so a caller
-    that reads only members, such as a refusal of `check_simplicity`, runs
-    neither."""
+    read, by one `kernel_basis` call, so a caller that reads only members,
+    such as a refusal of `check_simplicity`, makes none."""
 
     @staticmethod
-    def counted(monkeypatch):
-        """The list to which each `_cut` and `kernel_basis` call appends
-        its name."""
+    def counted(monkeypatch, names=("kernel_basis",)):
+        """The list to which each call of a function of `arrangement` named
+        in names appends its name."""
         calls = []
-        for name in ("_cut", "kernel_basis"):
+        for name in names:
             real = getattr(arrangement, name)
             monkeypatch.setattr(
                 arrangement, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
@@ -534,17 +541,15 @@ class TestDeferredDirections:
         return calls
 
     def test_k7_directions_made_on_first_read(self, monkeypatch):
-        # at most one cut per flat of the walk, single walls included, and
-        # the directions are `kernel_basis` of the member normals
+        # one kernel_basis call per flat on the first read and none on a
+        # second, and the directions are `kernel_basis` of the member normals
         arr = build_discriminant(complete_graph(7))
-        walked = sum(1 for _ in arrangement._lines(arr))
         calls = self.counted(monkeypatch)
         flats = f_locus(arr)
         assert calls == []
         directions = [f.direction.data for f in flats]
-        assert set(calls) == {"_cut"} and len(calls) <= walked
-        made = len(calls)
-        assert [f.direction.data for f in flats] == directions and len(calls) == made
+        assert len(calls) == len(flats)
+        assert [f.direction.data for f in flats] == directions and len(calls) == len(flats)
         monkeypatch.undo()
         normals = [c.hyperplane.normal for c in arr.components]
         for f, D in zip(flats, directions):
@@ -553,8 +558,9 @@ class TestDeferredDirections:
         assert len(flats) == bell(7) - 1 - comb(7, 2)
 
     def test_k7_refusal_reads_no_direction(self, monkeypatch):
+        # (a) is read off member bitmasks: no direction, point or f_locus
         arr = unit_offset_slice(7)
-        calls = self.counted(monkeypatch)
+        calls = self.counted(monkeypatch, ("kernel_basis", "f_locus", "_point_of"))
         assert check_simplicity(arr) == (False, False)
         assert calls == []
 
@@ -691,10 +697,10 @@ class TestSimplicityCertificate:
 
     @staticmethod
     def walks(arr, monkeypatch):
-        """(check_simplicity(arr), whether it read `f_locus`)."""
+        """(check_simplicity(arr), whether it walked `_flats`)."""
         entered = []
-        real = arrangement.f_locus
-        monkeypatch.setattr(arrangement, "f_locus", lambda *a: entered.append(1) or real(*a))
+        real = arrangement._flats
+        monkeypatch.setattr(arrangement, "_flats", lambda *a: entered.append(1) or real(*a))
         report = check_simplicity(arr)
         monkeypatch.undo()
         return report, bool(entered)
@@ -726,9 +732,9 @@ class TestSimplicityCertificate:
     @staticmethod
     def no_walk(monkeypatch):
         def walk(*args):
-            raise AssertionError("f_locus ran")
+            raise AssertionError("_flats ran")
 
-        monkeypatch.setattr(arrangement, "f_locus", walk)
+        monkeypatch.setattr(arrangement, "_flats", walk)
 
     def test_simple_corpus_slices_are_certified(self, corpus_slices, monkeypatch):
         slices = [arr for arr in corpus_slices if affine(arr)]
@@ -738,7 +744,7 @@ class TestSimplicityCertificate:
             if simple:
                 assert check_simplicity(arr) == (True, True), arr
             else:
-                with pytest.raises(AssertionError, match="f_locus ran"):
+                with pytest.raises(AssertionError, match="_flats ran"):
                     check_simplicity(arr)
                 assert check_simplicity_scan(arr).violations_b or not self.refused(arr), arr
         assert verdicts.count(False) == 24 and len(slices) == 1161
@@ -768,17 +774,8 @@ class TestSimplicityCertificate:
         assert not report.simple
 
     def test_seeded_offsets_on_corpus(self, monkeypatch):
-        # integer and fractional offsets on every valid corpus matrix: equal
-        # offsets on parallel rows make walls of multiplicity 2, and small
-        # offsets make circuits with <c, lambda> = 0
-        rng = random.Random(89)
         seen = set()
-        for H in valid_hypertoric(corpus_matrices()):
-            if H.N == H.n:
-                continue
-            offsets = [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(H.N)]
-            line = DeformationLine(H.basis_rows, tuple(offsets), ())
-            arr = family_slice(H, line, 1)
+        for arr in seeded_offset_slices():
             report, refused = self.assert_decided(arr, monkeypatch)
             seen.add((report.simple, refused, max(c.multiplicity for c in arr.components) > 1))
         assert {(True, False, False), (False, False, False), (False, True, True)} <= seen
@@ -797,6 +794,24 @@ class TestSimplicityCertificate:
             report, refused = self.assert_decided(arr, monkeypatch)
             seen.add((report.simple, refused))
         assert seen == {(True, False), (False, False), (False, True)}
+
+    def test_excess_matches_the_f_locus_rule(self, corpus_slices):
+        # (a) read off the member bitmasks of `_flats`, stopping at the first
+        # flat of n + 1 walls, against the rule it replaced, on refusals
+        # where (a) fails and where it holds
+        slices = corpus_slices + list(seeded_offset_slices())
+        for m in (5, 6, 7):
+            unit, duplicated = unit_offset_slice(m), duplicated_row_slice(m)
+            assert check_simplicity(unit) == (False, False)
+            assert check_simplicity(duplicated) == (True, False)
+            slices += [unit, duplicated]
+        refused = excess = 0
+        for arr in slices:
+            report = check_simplicity(arr)
+            assert report.no_excess_intersections == no_excess_by_f_locus(arr), arr
+            refused += not report.simple
+            excess += not report.no_excess_intersections
+        assert (len(slices), refused, excess) == (3057, 1188, 399)
 
     def test_k7_unit_offsets_refused(self):
         # the certificate refuses, so (b) fails; (a) fails too, witnessed by
@@ -818,6 +833,27 @@ class TestSimplicityCertificate:
         )
         with pytest.raises(ValueError):
             ArrangementSpec(2, comps)
+
+
+def seeded_offset_slices():
+    """The t = 1 slice of every valid corpus family with N > n under seeded
+    integer and fractional offsets: equal offsets on parallel rows make
+    walls of multiplicity 2, and small offsets make circuits with
+    <c, lambda> = 0."""
+    rng = random.Random(89)
+    for H in valid_hypertoric(corpus_matrices()):
+        if H.N > H.n:
+            offsets = [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(H.N)]
+            yield family_slice(H, DeformationLine(H.basis_rows, tuple(offsets), ()), 1)
+
+
+def duplicated_row_slice(m):
+    """K_m's default t = 1 slice, which is simple, with a copy of one
+    non-basis row at the same offset: a wall of multiplicity 2, so the
+    slice fails (b) and keeps (a)."""
+    arr = default_t1_slice(HypertoricData.from_matrix(complete_graph(m)))
+    walls = [tuple(c.hyperplane) for c in arr.components]
+    return group_hyperplanes(arr.n, walls + [next(w for w in walls if w[1])])
 
 
 def unit_offset_slice(m):
